@@ -2,11 +2,13 @@
  * @file
  * Shared helpers for the figure/table reproduction binaries.
  *
- * Environment knobs:
+ * Environment knobs (PROFESS_INSTR, PROFESS_WARMUP and PROFESS_QUICK
+ * take a decimal integer, parsed whole like a key=value knob; any
+ * other value is fatal):
  *   PROFESS_INSTR     measured instructions per program
  *                     (default 3M single / 2M multi)
  *   PROFESS_WARMUP    warm-up instructions (default 1M)
- *   PROFESS_QUICK     =1: quarter-size runs for smoke testing
+ *   PROFESS_QUICK     nonzero: quarter-size runs for smoke testing
  *   PROFESS_WORKLOADS comma list (default: all of Table 10)
  *   PROFESS_JOBS      worker threads (default: all hardware
  *                     threads); `--jobs N` / `-j N` overrides
@@ -41,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_value.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/experiment.hh"
@@ -63,13 +66,15 @@ struct BenchEnv
     std::vector<std::string> workloads;
 };
 
+/** @return environment variable `name` as an unsigned integer, or
+ *  `def` when unset; fatal when set to anything else. */
 inline std::uint64_t
 envUint(const char *name, std::uint64_t def)
 {
     const char *s = std::getenv(name);
-    if (s == nullptr || *s == '\0')
+    if (s == nullptr)
         return def;
-    return std::strtoull(s, nullptr, 0);
+    return valueAs<std::uint64_t>(KeyValue{name, s, "environment"});
 }
 
 inline BenchEnv

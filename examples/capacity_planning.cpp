@@ -8,12 +8,16 @@
  * library ("can I halve DRAM and keep 90% of performance?").
  *
  * Usage: capacity_planning [program=milc] [policy=profess]
- *                          [instr=<n>]
+ *                          [<knob>=<value>]...
+ * where <knob> is any SystemConfig knob (forEachKnob in
+ * sim/system.hh) except the two each point sets, slots_per_group
+ * and m1_bytes_per_channel; e.g. instr=<n> (default 2M) and
+ * warmup=<n> (default 1M).
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/key_value.hh"
 #include "sim/experiment.hh"
 
 using namespace profess;
@@ -33,12 +37,18 @@ struct RatioPoint
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    std::string program = cfg.getString("program", "milc");
-    std::string policy = cfg.getString("policy", "profess");
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
+    std::string program = "milc";
+    std::string policy = "profess";
+    sim::SystemConfig base = sim::SystemConfig::singleCore();
+    base.core.instrQuota = 2'000'000;
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "program")
+            program = kv.value;
+        else if (kv.key == "policy")
+            policy = kv.value;
+        else
+            sim::applyKnob(base, kv);
+    }
 
     const RatioPoint points[] = {
         {"1:4 ", 5, 2 * MiB},
@@ -52,9 +62,7 @@ main(int argc, char **argv)
                 "IPC", "M1%", "power-W", "swapFrac");
     double base_ipc = 0.0;
     for (const RatioPoint &pt : points) {
-        sim::SystemConfig sys = sim::SystemConfig::singleCore();
-        sys.core.instrQuota = instr;
-        sys.core.warmupInstr = instr / 2;
+        sim::SystemConfig sys = base;
         sys.slotsPerGroup = pt.slots;
         sys.m1BytesPerChannel = pt.m1Bytes;
         sim::ExperimentRunner runner(sys);

@@ -11,12 +11,15 @@
  * sim::System covers only built-ins) and races it against three
  * built-ins on the same workload.
  *
- * Usage: custom_policy [program=soplex] [k=4] [instr=<n>]
+ * Usage: custom_policy [program=soplex] [k=4] [<knob>=<value>]...
+ * where <knob> is any SystemConfig knob (forEachKnob in
+ * sim/system.hh), e.g. instr=<n> (default 2M) and warmup=<n>
+ * (default 1M).
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/key_value.hh"
 #include "policy/policy.hh"
 #include "sim/experiment.hh"
 
@@ -122,16 +125,18 @@ runWithPolicy(const sim::SystemConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    std::string program = cfg.getString("program", "soplex");
-    unsigned k = static_cast<unsigned>(cfg.getUint("k", 4));
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
-
+    std::string program = "soplex";
+    unsigned k = 4;
     sim::SystemConfig sys = sim::SystemConfig::singleCore();
-    sys.core.instrQuota = instr;
-    sys.core.warmupInstr = instr / 2;
+    sys.core.instrQuota = 2'000'000;
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "program")
+            program = kv.value;
+        else if (kv.key == "k")
+            k = valueAs<unsigned>(kv);
+        else
+            sim::applyKnob(sys, kv);
+    }
 
     std::printf("custom EagerReuse(k=%u) vs built-ins on %s\n\n", k,
                 program.c_str());

@@ -7,12 +7,15 @@
  * weighted speedup, unfairness (max slowdown) and energy
  * efficiency - the Sec. 4.3 figures of merit.
  *
- * Usage: fairness_study [workload=w09] [instr=<n>] [warmup=<n>]
+ * Usage: fairness_study [workload=w09] [<knob>=<value>]...
+ * where <knob> is any SystemConfig knob (forEachKnob in
+ * sim/system.hh), e.g. instr=<n> (default 2M) and warmup=<n>
+ * (default 1M).
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/key_value.hh"
 #include "sim/experiment.hh"
 
 using namespace profess;
@@ -20,17 +23,18 @@ using namespace profess;
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    std::string wname = cfg.getString("workload", "w09");
+    std::string wname = "w09";
+    sim::SystemConfig sys = sim::SystemConfig::quadCore();
+    sys.core.instrQuota = 2'000'000;
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "workload")
+            wname = kv.value;
+        else
+            sim::applyKnob(sys, kv);
+    }
     const sim::WorkloadSpec *w = sim::findWorkload(wname);
     fatal_if(w == nullptr, "unknown workload '%s' (w01..w19)",
              wname.c_str());
-
-    sim::SystemConfig sys = sim::SystemConfig::quadCore();
-    sys.core.instrQuota = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
-    sys.core.warmupInstr = cfg.getUint("warmup", 1'000'000);
     sim::ExperimentRunner runner(sys);
 
     std::printf("workload %s: %s %s %s %s\n", wname.c_str(),

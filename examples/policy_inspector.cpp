@@ -7,12 +7,14 @@
  * surface of the public API.
  *
  * Usage: policy_inspector [program=<name>|workload=<wNN>]
- *                         [policy=mdm|profess|pom] [instr=<n>]
+ *                         [policy=mdm|profess|pom] [<knob>=<value>]...
+ * where <knob> is any SystemConfig knob (forEachKnob in
+ * sim/system.hh), e.g. instr=<n> (default 4M).
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/key_value.hh"
 #include "core/mdm_policy.hh"
 #include "core/profess.hh"
 #include "policy/pom.hh"
@@ -73,25 +75,35 @@ dumpRsm(const core::Rsm &rsm, unsigned num_programs)
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    std::string policy = cfg.getString("policy", "mdm");
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(4'000'000));
+    std::string policy = "mdm";
+    std::string program = "soplex";
+    std::string wl;
+    std::vector<KeyValue> knobs;
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "policy")
+            policy = kv.value;
+        else if (kv.key == "program")
+            program = kv.value;
+        else if (kv.key == "workload")
+            wl = kv.value;
+        else
+            knobs.push_back(kv);
+    }
 
     std::vector<std::string> programs;
     sim::SystemConfig sys;
-    std::string wl = cfg.getString("workload", "");
     if (!wl.empty()) {
         const sim::WorkloadSpec *w = sim::findWorkload(wl);
         fatal_if(w == nullptr, "unknown workload '%s'", wl.c_str());
         programs.assign(w->programs.begin(), w->programs.end());
         sys = sim::SystemConfig::quadCore();
     } else {
-        programs.push_back(cfg.getString("program", "soplex"));
+        programs.push_back(program);
         sys = sim::SystemConfig::singleCore();
     }
-    sys.core.instrQuota = instr;
+    sys.core.instrQuota = 4'000'000;
+    for (const KeyValue &kv : knobs)
+        sim::applyKnob(sys, kv);
 
     std::vector<std::unique_ptr<trace::TraceSource>> sources;
     for (std::size_t i = 0; i < programs.size(); ++i) {

@@ -4,12 +4,15 @@
  * SPEC-like workload under ProFess, and print the headline
  * statistics.
  *
- * Usage: quickstart [program=<name>] [policy=<name>] [instr=<n>]
+ * Usage: quickstart [program=<name>] [policy=<name>] [<knob>=<value>]...
+ * where <knob> is any SystemConfig knob (forEachKnob in
+ * sim/system.hh), e.g. instr=<n> (default 2M), min_benefit=<k>,
+ * stats_fold_interval=<ticks>.
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/key_value.hh"
 #include "sim/experiment.hh"
 
 using namespace profess;
@@ -17,24 +20,23 @@ using namespace profess;
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    std::string program = cfg.getString("program", "soplex");
-    std::string policy = cfg.getString("policy", "profess");
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
-
+    std::string program = "soplex";
+    std::string policy = "profess";
     sim::SystemConfig sys = sim::SystemConfig::singleCore();
-    sys.core.instrQuota = instr;
-    sys.statsFoldInterval = static_cast<Cycles>(
-        cfg.getUint("fold", sys.statsFoldInterval));
-    sys.minBenefit = static_cast<unsigned>(
-        cfg.getUint("minbenefit", sys.minBenefit));
+    sys.core.instrQuota = 2'000'000;
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "program")
+            program = kv.value;
+        else if (kv.key == "policy")
+            policy = kv.value;
+        else
+            sim::applyKnob(sys, kv);
+    }
 
     sim::ExperimentRunner runner(sys);
     std::printf("running %s under %s for %llu instructions...\n",
                 program.c_str(), policy.c_str(),
-                static_cast<unsigned long long>(instr));
+                static_cast<unsigned long long>(sys.core.instrQuota));
     sim::RunResult r = runner.run(policy, {program});
 
     std::printf("\n=== %s / %s ===\n", program.c_str(),

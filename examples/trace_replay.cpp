@@ -11,11 +11,15 @@
  *    traces - plug into the framework).
  *
  * Usage: trace_replay [accesses=200000] [file=/tmp/profess.trace]
+ *                     [<knob>=<value>]...
+ * where <knob> is any SystemConfig knob of the replay system
+ * (forEachKnob in sim/system.hh), e.g. instr=<n> (default 500k) and
+ * warmup=<n> (default 100k).
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/key_value.hh"
 #include "cpu/cache_filter.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_file.hh"
@@ -25,10 +29,19 @@ using namespace profess;
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    std::uint64_t accesses = cfg.getUint("accesses", 200'000);
-    std::string path = cfg.getString("file", "/tmp/profess.trace");
+    std::uint64_t accesses = 200'000;
+    std::string path = "/tmp/profess.trace";
+    sim::SystemConfig sys = sim::SystemConfig::singleCore();
+    sys.core.instrQuota = 500'000;
+    sys.core.warmupInstr = 100'000;
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "accesses")
+            accesses = valueAs<std::uint64_t>(kv);
+        else if (kv.key == "file")
+            path = kv.value;
+        else
+            sim::applyKnob(sys, kv);
+    }
 
     // 1. Record: instruction-level stream -> cache hierarchy ->
     //    main-memory trace.
@@ -59,9 +72,6 @@ main(int argc, char **argv)
     // 2. Replay the identical stream under two policies.
     std::printf("\nreplaying under pom and profess:\n");
     for (const char *pol : {"pom", "profess"}) {
-        sim::SystemConfig sys = sim::SystemConfig::singleCore();
-        sys.core.instrQuota = 500'000;
-        sys.core.warmupInstr = 100'000;
         std::vector<std::unique_ptr<trace::TraceSource>> sources;
         sources.push_back(
             std::make_unique<trace::FileTraceSource>(path));

@@ -82,9 +82,9 @@ std::uint64_t deriveSeed(std::uint64_t base, std::string_view policy,
                          std::uint64_t sweep_point = 0);
 
 /**
- * Fingerprint of every result-relevant field of a SystemConfig
- * (plus the footprint scale), used to key shared caches so runs
- * from different sweep points can never alias.
+ * Fingerprint of every field of a SystemConfig (the knob table,
+ * forEachKnob) plus the footprint scale, used to key shared caches
+ * so runs from different sweep points can never alias.
  */
 std::uint64_t configFingerprint(const SystemConfig &cfg,
                                 double footprint_scale);
@@ -208,12 +208,6 @@ class ExperimentRunner
 
     /** @return the shared reference-run cache. */
     AloneIpcCache &cache() { return *cache_; }
-
-    /**
-     * @return instruction quota from the PROFESS_INSTR environment
-     *         variable, or `def` when unset.
-     */
-    static std::uint64_t instrFromEnv(std::uint64_t def);
 
   private:
     SystemConfig base_;

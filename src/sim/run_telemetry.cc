@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -434,35 +435,22 @@ RunTelemetry::finish(const std::string &policy,
 std::string
 configJson(const SystemConfig &cfg)
 {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"num_channels\": %u, \"m1_bytes_per_channel\": %llu, "
-        "\"m2_bytes_per_channel\": %llu, \"slots_per_group\": %u, "
-        "\"num_regions\": %u, \"m2_write_scale\": %.17g, "
-        "\"stc_capacity_bytes\": %llu, \"stc_ways\": %u, "
-        "\"core_width\": %u, \"rob_size\": %u, "
-        "\"max_outstanding\": %u, \"instr_quota\": %llu, "
-        "\"warmup_instr\": %llu, \"model_st_traffic\": %s, "
-        "\"msamp\": %llu, \"stats_fold_interval\": %llu, "
-        "\"factor_threshold\": %.17g, \"product_threshold\": %.17g, "
-        "\"min_benefit\": %u, \"alloc_seed\": %llu}",
-        cfg.numChannels,
-        static_cast<unsigned long long>(cfg.m1BytesPerChannel),
-        static_cast<unsigned long long>(cfg.m2BytesPerChannel),
-        cfg.slotsPerGroup, cfg.numRegions, cfg.m2WriteScale,
-        static_cast<unsigned long long>(cfg.stc.capacityBytes),
-        cfg.stc.ways, cfg.core.width, cfg.core.robSize,
-        cfg.core.maxOutstanding,
-        static_cast<unsigned long long>(cfg.core.instrQuota),
-        static_cast<unsigned long long>(cfg.core.warmupInstr),
-        cfg.modelStTraffic ? "true" : "false",
-        static_cast<unsigned long long>(cfg.msamp),
-        static_cast<unsigned long long>(cfg.statsFoldInterval),
-        cfg.professFactorThreshold, cfg.professProductThreshold,
-        cfg.minBenefit,
-        static_cast<unsigned long long>(cfg.allocSeed));
-    return buf;
+    std::string s;
+    forEachKnob(cfg, [&s](const char *name, auto v) {
+        s += s.empty() ? "{\"" : ", \"";
+        s += name;
+        s += "\": ";
+        if constexpr (std::is_same_v<decltype(v), bool>) {
+            s += v ? "true" : "false";
+        } else if constexpr (std::is_floating_point_v<decltype(v)>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.17g", v);
+            s += buf;
+        } else {
+            s += std::to_string(v);
+        }
+    });
+    return s + "}";
 }
 
 } // namespace sim

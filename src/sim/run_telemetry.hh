@@ -270,7 +270,8 @@ std::string sanitizeLabel(const std::string &label);
 /** mkdir -p (fatal on failure); shared by telemetry and sweep. */
 void makeDirs(const std::string &path);
 
-/** Render a SystemConfig as the manifest's "config" JSON object. */
+/** Render a SystemConfig as the manifest's "config" JSON object:
+ *  every knob of forEachKnob, under its table name. */
 std::string configJson(const SystemConfig &cfg);
 
 } // namespace sim

@@ -1,13 +1,12 @@
 #include "sim/scenario.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <utility>
 
+#include "common/key_value.hh"
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
@@ -212,41 +211,17 @@ ScenarioSchedule::fingerprint() const
 namespace
 {
 
-std::uint64_t
-parseU64(const std::string &path, int lineno, const std::string &key,
-         const std::string &val)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad integer '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
-double
-parseDouble(const std::string &path, int lineno,
-            const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    double v = std::strtod(val.c_str(), &end);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad number '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
 InterventionKind
-parseKind(const std::string &path, int lineno, const std::string &val)
+parseKind(const KeyValue &kv)
 {
     for (unsigned k = 0;
          k < static_cast<unsigned>(InterventionKind::NumKinds); ++k) {
         auto kind = static_cast<InterventionKind>(k);
-        if (val == interventionKindName(kind))
+        if (kv.value == interventionKindName(kind))
             return kind;
     }
-    fatal("%s:%d: unknown intervention kind '%s'", path.c_str(),
-          lineno, val.c_str());
+    fatal("%s: unknown intervention kind '%s'", kv.where.c_str(),
+          kv.value.c_str());
 }
 
 } // anonymous namespace
@@ -254,83 +229,46 @@ parseKind(const std::string &path, int lineno, const std::string &val)
 ScenarioSchedule
 ScenarioSchedule::fromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    fatal_if(!in.is_open(), "cannot open scenario file '%s'",
-             path.c_str());
     ScenarioSchedule s;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-
+    for (const std::vector<KeyValue> &line : readKeyValueLines(path)) {
         Intervention iv;
         bool have_kind = false;
-        std::size_t pos = 0;
-        bool any = false;
-        while (pos < line.size()) {
-            while (pos < line.size() &&
-                   std::isspace(static_cast<unsigned char>(line[pos])))
-                ++pos;
-            std::size_t start = pos;
-            while (pos < line.size() &&
-                   !std::isspace(
-                       static_cast<unsigned char>(line[pos])))
-                ++pos;
-            if (start == pos)
-                continue;
-            any = true;
-            std::string tok = line.substr(start, pos - start);
-            std::size_t eq = tok.find('=');
-            fatal_if(eq == std::string::npos || eq == 0 ||
-                         eq + 1 >= tok.size(),
-                     "%s:%d: expected key=value, got '%s'",
-                     path.c_str(), lineno, tok.c_str());
-            std::string key = tok.substr(0, eq);
-            std::string val = tok.substr(eq + 1);
-            if (key == "at") {
-                iv.at = parseU64(path, lineno, key, val);
-            } else if (key == "kind") {
-                iv.kind = parseKind(path, lineno, val);
+        for (const KeyValue &kv : line) {
+            if (kv.key == "at") {
+                iv.at = valueAs<Tick>(kv);
+            } else if (kv.key == "kind") {
+                iv.kind = parseKind(kv);
                 have_kind = true;
-            } else if (key == "duration") {
-                iv.duration = parseU64(path, lineno, key, val);
-            } else if (key == "scale") {
-                iv.scale = parseDouble(path, lineno, key, val);
-            } else if (key == "probability") {
-                iv.probability = parseDouble(path, lineno, key, val);
-            } else if (key == "channel") {
-                iv.channel = static_cast<int>(
-                    parseDouble(path, lineno, key, val));
-            } else if (key == "program") {
-                iv.program = static_cast<int>(
-                    parseDouble(path, lineno, key, val));
-            } else if (key == "sf_a") {
-                iv.sfA = parseDouble(path, lineno, key, val);
-            } else if (key == "sf_b") {
-                iv.sfB = parseDouble(path, lineno, key, val);
-            } else if (key == "decision") {
-                fatal_if(val != "swap" && val != "noswap",
-                         "%s:%d: decision must be swap or noswap, "
-                         "got '%s'",
-                         path.c_str(), lineno, val.c_str());
-                iv.decisionSwap = (val == "swap");
-            } else if (key == "max_retries") {
-                iv.maxRetries = static_cast<unsigned>(
-                    parseU64(path, lineno, key, val));
-            } else if (key == "backoff") {
-                iv.backoff = parseU64(path, lineno, key, val);
+            } else if (kv.key == "duration") {
+                iv.duration = valueAs<Tick>(kv);
+            } else if (kv.key == "scale") {
+                iv.scale = valueAs<double>(kv);
+            } else if (kv.key == "probability") {
+                iv.probability = valueAs<double>(kv);
+            } else if (kv.key == "channel") {
+                iv.channel = valueAs<int>(kv);
+            } else if (kv.key == "program") {
+                iv.program = valueAs<int>(kv);
+            } else if (kv.key == "sf_a") {
+                iv.sfA = valueAs<double>(kv);
+            } else if (kv.key == "sf_b") {
+                iv.sfB = valueAs<double>(kv);
+            } else if (kv.key == "decision") {
+                fatal_if(kv.value != "swap" && kv.value != "noswap",
+                         "%s: decision must be swap or noswap, got '%s'",
+                         kv.where.c_str(), kv.value.c_str());
+                iv.decisionSwap = (kv.value == "swap");
+            } else if (kv.key == "max_retries") {
+                iv.maxRetries = valueAs<unsigned>(kv);
+            } else if (kv.key == "backoff") {
+                iv.backoff = valueAs<Cycles>(kv);
             } else {
-                fatal("%s:%d: unknown key '%s'", path.c_str(), lineno,
-                      key.c_str());
+                fatal("%s: unknown key '%s'", kv.where.c_str(),
+                      kv.key.c_str());
             }
         }
-        if (!any)
-            continue;
-        fatal_if(!have_kind, "%s:%d: intervention line without kind=",
-                 path.c_str(), lineno);
+        fatal_if(!have_kind, "%s: intervention line without kind=",
+                 line.front().where.c_str());
         s.add(iv);
     }
     return s;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -37,30 +34,6 @@ namespace
 // Spec parsing
 //
 
-std::uint64_t
-parseU64(const std::string &path, int lineno, const std::string &key,
-         const std::string &val)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad integer '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
-double
-parseDouble(const std::string &path, int lineno,
-            const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    double v = std::strtod(val.c_str(), &end);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad number '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
 std::vector<std::string>
 splitList(const std::string &s, char sep)
 {
@@ -77,83 +50,7 @@ splitList(const std::string &s, char sep)
     return out;
 }
 
-/** One sweepable SystemConfig knob. */
-struct Knob
-{
-    const char *name;
-    bool integral;
-};
-
-constexpr Knob sweepKnobs[] = {
-    {"instr", true},          {"warmup", true},
-    {"msamp", true},          {"min_benefit", true},
-    {"num_regions", true},    {"slots_per_group", true},
-    {"num_channels", true},   {"stats_fold_interval", true},
-    {"stc_kb", true},         {"alloc_seed", true},
-    {"m2_write_scale", false}, {"factor_threshold", false},
-    {"product_threshold", false},
-};
-
-std::uint64_t
-doubleBits(double v)
-{
-    return std::bit_cast<std::uint64_t>(v);
-}
-
 } // anonymous namespace
-
-bool
-isSweepConfigKey(const std::string &key)
-{
-    for (const Knob &k : sweepKnobs) {
-        if (key == k.name)
-            return true;
-    }
-    return false;
-}
-
-void
-applySweepConfigKey(SystemConfig &cfg, const std::string &key,
-                    double value)
-{
-    auto asU64 = [&]() {
-        fatal_if(value < 0.0 || value != std::floor(value) ||
-                     !std::isfinite(value),
-                 "sweep: config key '%s' needs a non-negative "
-                 "integer, got %.17g",
-                 key.c_str(), value);
-        return static_cast<std::uint64_t>(value);
-    };
-    if (key == "instr") {
-        cfg.core.instrQuota = asU64();
-    } else if (key == "warmup") {
-        cfg.core.warmupInstr = asU64();
-    } else if (key == "msamp") {
-        cfg.msamp = asU64();
-    } else if (key == "min_benefit") {
-        cfg.minBenefit = static_cast<unsigned>(asU64());
-    } else if (key == "num_regions") {
-        cfg.numRegions = static_cast<unsigned>(asU64());
-    } else if (key == "slots_per_group") {
-        cfg.slotsPerGroup = static_cast<unsigned>(asU64());
-    } else if (key == "num_channels") {
-        cfg.numChannels = static_cast<unsigned>(asU64());
-    } else if (key == "stats_fold_interval") {
-        cfg.statsFoldInterval = asU64();
-    } else if (key == "stc_kb") {
-        cfg.stc.capacityBytes = asU64() * KiB;
-    } else if (key == "alloc_seed") {
-        cfg.allocSeed = asU64();
-    } else if (key == "m2_write_scale") {
-        cfg.m2WriteScale = value;
-    } else if (key == "factor_threshold") {
-        cfg.professFactorThreshold = value;
-    } else if (key == "product_threshold") {
-        cfg.professProductThreshold = value;
-    } else {
-        fatal("sweep: unknown config key '%s'", key.c_str());
-    }
-}
 
 std::vector<std::string>
 SweepSpec::mixPrograms(const std::string &mix)
@@ -176,87 +73,54 @@ SweepSpec::mixPrograms(const std::string &mix)
 SweepSpec
 SweepSpec::fromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    fatal_if(!in.is_open(), "cannot open sweep spec '%s'",
-             path.c_str());
     SweepSpec s;
     s.seeds.clear();
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::size_t pos = 0;
-        while (pos < line.size()) {
-            while (pos < line.size() &&
-                   std::isspace(
-                       static_cast<unsigned char>(line[pos])))
-                ++pos;
-            std::size_t start = pos;
-            while (pos < line.size() &&
-                   !std::isspace(
-                       static_cast<unsigned char>(line[pos])))
-                ++pos;
-            if (start == pos)
-                continue;
-            std::string tok = line.substr(start, pos - start);
-            std::size_t eq = tok.find('=');
-            fatal_if(eq == std::string::npos || eq == 0 ||
-                         eq + 1 >= tok.size(),
-                     "%s:%d: expected key=value, got '%s'",
-                     path.c_str(), lineno, tok.c_str());
-            std::string key = tok.substr(0, eq);
-            std::string val = tok.substr(eq + 1);
-            if (key == "preset") {
-                fatal_if(val != "quad" && val != "single",
-                         "%s:%d: preset must be quad or single, "
-                         "got '%s'",
-                         path.c_str(), lineno, val.c_str());
-                s.preset = val;
-            } else if (key == "policy") {
-                for (const std::string &p : splitList(val, ','))
+    // Every knob value is applied to a scratch config as it is
+    // read, so a bad key or value fails here with file:line, not
+    // runs later.
+    SystemConfig scratch;
+    for (const std::vector<KeyValue> &line : readKeyValueLines(path)) {
+        for (const KeyValue &kv : line) {
+            const char *where = kv.where.c_str();
+            if (kv.key == "preset") {
+                fatal_if(kv.value != "quad" && kv.value != "single",
+                         "%s: preset must be quad or single, got '%s'",
+                         where, kv.value.c_str());
+                s.preset = kv.value;
+            } else if (kv.key == "policy") {
+                for (const std::string &p : splitList(kv.value, ','))
                     s.policies.push_back(p);
-            } else if (key == "workload") {
-                for (const std::string &m : splitList(val, ','))
+            } else if (kv.key == "workload") {
+                for (const std::string &m : splitList(kv.value, ','))
                     s.mixes.push_back(m);
-            } else if (key == "seed") {
-                for (const std::string &v : splitList(val, ','))
-                    s.seeds.push_back(
-                        parseU64(path, lineno, key, v));
-            } else if (key == "slowdowns") {
-                s.slowdowns =
-                    parseU64(path, lineno, key, val) != 0;
-            } else if (key == "sweep") {
+            } else if (kv.key == "seed") {
+                for (const std::string &v : splitList(kv.value, ','))
+                    s.seeds.push_back(valueAs<std::uint64_t>(
+                        KeyValue{kv.key, v, kv.where}));
+            } else if (kv.key == "slowdowns") {
+                s.slowdowns = valueAs<bool>(kv);
+            } else if (kv.key == "sweep") {
                 fatal_if(!s.sweepKey.empty(),
-                         "%s:%d: a sweep file sweeps at most one "
-                         "axis (already sweeping '%s')",
-                         path.c_str(), lineno, s.sweepKey.c_str());
-                std::size_t colon = val.find(':');
+                         "%s: a sweep file sweeps at most one axis "
+                         "(already sweeping '%s')",
+                         where, s.sweepKey.c_str());
+                std::size_t colon = kv.value.find(':');
                 fatal_if(colon == std::string::npos || colon == 0 ||
-                             colon + 1 >= val.size(),
-                         "%s:%d: sweep needs <key>:<v1,v2,...>, "
-                         "got '%s'",
-                         path.c_str(), lineno, val.c_str());
-                s.sweepKey = val.substr(0, colon);
-                fatal_if(!isSweepConfigKey(s.sweepKey),
-                         "%s:%d: '%s' is not a sweepable config "
-                         "key",
-                         path.c_str(), lineno, s.sweepKey.c_str());
-                for (const std::string &v :
-                     splitList(val.substr(colon + 1), ','))
-                    s.sweepValues.push_back(
-                        parseDouble(path, lineno, key, v));
+                             colon + 1 >= kv.value.size(),
+                         "%s: sweep needs <key>:<v1,v2,...>, got '%s'",
+                         where, kv.value.c_str());
+                s.sweepKey = kv.value.substr(0, colon);
+                s.sweepValues =
+                    splitList(kv.value.substr(colon + 1), ',');
                 fatal_if(s.sweepValues.empty(),
-                         "%s:%d: sweep axis '%s' has no values",
-                         path.c_str(), lineno, s.sweepKey.c_str());
-            } else if (isSweepConfigKey(key)) {
-                s.overrides.push_back(ConfigOverride{
-                    key, parseDouble(path, lineno, key, val)});
+                         "%s: sweep axis '%s' has no values", where,
+                         s.sweepKey.c_str());
+                for (const std::string &v : s.sweepValues)
+                    applyKnob(scratch,
+                              KeyValue{s.sweepKey, v, kv.where});
             } else {
-                fatal("%s:%d: unknown key '%s'", path.c_str(),
-                      lineno, key.c_str());
+                applyKnob(scratch, kv);
+                s.overrides.push_back(kv);
             }
         }
     }
@@ -266,17 +130,12 @@ SweepSpec::fromFile(const std::string &path)
              path.c_str());
     if (s.seeds.empty())
         s.seeds.push_back(1);
-    for (const ConfigOverride &o : s.overrides) {
-        fatal_if(o.key == s.sweepKey,
-                 "%s: '%s' is both fixed and swept", path.c_str(),
-                 o.key.c_str());
+    for (const KeyValue &o : s.overrides) {
+        fatal_if(o.key == s.sweepKey, "%s: '%s' is both fixed and swept",
+                 o.where.c_str(), o.key.c_str());
     }
-    // Validate mixes and the full config grid up front: a bad name
-    // or knob value should fail at parse time, not runs later.
     for (const std::string &m : s.mixes)
         mixPrograms(m);
-    for (std::size_t p = 0; p < s.numSweepPoints(); ++p)
-        s.configAt(p);
     return s;
 }
 
@@ -296,14 +155,14 @@ SweepSpec::fingerprint() const
         h = hashCombine(h, s);
     h = hashCombine(h, static_cast<std::uint64_t>(slowdowns));
     h = hashCombine(h, overrides.size());
-    for (const ConfigOverride &o : overrides) {
+    for (const KeyValue &o : overrides) {
         h = hashCombine(h, o.key);
-        h = hashCombine(h, doubleBits(o.value));
+        h = hashCombine(h, o.value);
     }
     h = hashCombine(h, sweepKey);
     h = hashCombine(h, sweepValues.size());
-    for (double v : sweepValues)
-        h = hashCombine(h, doubleBits(v));
+    for (const std::string &v : sweepValues)
+        h = hashCombine(h, v);
     return h;
 }
 
@@ -313,10 +172,11 @@ SweepSpec::configAt(std::size_t point) const
     SystemConfig cfg = preset == "single"
                            ? SystemConfig::singleCore()
                            : SystemConfig::quadCore();
-    for (const ConfigOverride &o : overrides)
-        applySweepConfigKey(cfg, o.key, o.value);
+    for (const KeyValue &o : overrides)
+        applyKnob(cfg, o);
     if (!sweepKey.empty())
-        applySweepConfigKey(cfg, sweepKey, sweepValues.at(point));
+        applyKnob(cfg, KeyValue{sweepKey, sweepValues.at(point),
+                                "sweep axis"});
     return cfg;
 }
 
@@ -544,30 +404,14 @@ getBool(const std::map<std::string, JsonValue> &obj,
     return true;
 }
 
+template <typename T>
 bool
-getU64(const std::map<std::string, JsonValue> &obj, const char *key,
-       std::uint64_t &out)
+getNum(const std::map<std::string, JsonValue> &obj, const char *key,
+       T &out)
 {
     auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != JsonValue::Num)
-        return false;
-    const std::string &t = it->second.text;
-    char *end = nullptr;
-    out = std::strtoull(t.c_str(), &end, 10);
-    return end != t.c_str() && *end == '\0';
-}
-
-bool
-getDouble(const std::map<std::string, JsonValue> &obj,
-          const char *key, double &out)
-{
-    auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != JsonValue::Num)
-        return false;
-    const std::string &t = it->second.text;
-    char *end = nullptr;
-    out = std::strtod(t.c_str(), &end);
-    return end != t.c_str() && *end == '\0';
+    return it != obj.end() && it->second.kind == JsonValue::Num &&
+           parseValue(it->second.text, out);
 }
 
 /** Append "%.17g" of `v` (round-trips binary64 exactly). */
@@ -618,22 +462,19 @@ parseRecordLine(const std::string &line, SweepRunRecord &rec)
     std::map<std::string, JsonValue> obj;
     if (!parseJsonObject(line, obj))
         return false;
-    std::uint64_t idx = 0;
-    if (!getU64(obj, "i", idx) || !getStr(obj, "key", rec.key) ||
-        !getStr(obj, "label", rec.label) ||
-        !getStr(obj, "policy", rec.policy) ||
-        !getU64(obj, "seed", rec.seed) ||
-        !getU64(obj, "sweep", rec.sweepPoint) ||
-        !getStr(obj, "shard", rec.shard) ||
-        !getBool(obj, "completed", rec.completed) ||
-        !getDouble(obj, "ws", rec.weightedSpeedup) ||
-        !getDouble(obj, "maxsd", rec.maxSlowdown) ||
-        !getDouble(obj, "eff", rec.efficiency) ||
-        !getU64(obj, "served", rec.servedTotal) ||
-        !getU64(obj, "swaps", rec.swaps))
-        return false;
-    rec.index = idx;
-    return true;
+    return getNum(obj, "i", rec.index) &&
+           getStr(obj, "key", rec.key) &&
+           getStr(obj, "label", rec.label) &&
+           getStr(obj, "policy", rec.policy) &&
+           getNum(obj, "seed", rec.seed) &&
+           getNum(obj, "sweep", rec.sweepPoint) &&
+           getStr(obj, "shard", rec.shard) &&
+           getBool(obj, "completed", rec.completed) &&
+           getNum(obj, "ws", rec.weightedSpeedup) &&
+           getNum(obj, "maxsd", rec.maxSlowdown) &&
+           getNum(obj, "eff", rec.efficiency) &&
+           getNum(obj, "served", rec.servedTotal) &&
+           getNum(obj, "swaps", rec.swaps);
 }
 
 std::string
@@ -811,9 +652,9 @@ SweepDriver::loadJournal()
     std::string spec_hex;
     std::uint64_t runs = 0;
     bool hdr_ok = parseJsonObject(lines[0].second, hdr) &&
-                  getU64(hdr, "profess_sweep", version) &&
+                  getNum(hdr, "profess_sweep", version) &&
                   getStr(hdr, "spec", spec_hex) &&
-                  getU64(hdr, "runs", runs);
+                  getNum(hdr, "runs", runs);
     if (!hdr_ok && lines.size() == 1) {
         // A journal torn inside its very first write holds no runs;
         // start over.

@@ -2,9 +2,10 @@
  * @file
  * Resumable sweep orchestration (DESIGN.md Sec. 4i).
  *
- * A sweep spec is a declarative key=value file (same token format
- * as ScenarioSchedule::fromFile) describing a grid of experiment
- * jobs — policies x workload mixes x sweep points x seeds:
+ * A sweep spec is a declarative key=value file (readKeyValueLines,
+ * as for ScenarioSchedule::fromFile) describing a grid of
+ * experiment jobs — policies x workload mixes x sweep points x
+ * seeds:
  *
  *   preset=quad                 # quad | single base config
  *   policy=profess,pom          # repeatable / comma lists
@@ -13,6 +14,9 @@
  *   slowdowns=1                 # attach stand-alone references
  *   instr=120000 warmup=60000   # fixed config overrides
  *   sweep=min_benefit:4,8,16    # the (single) swept config axis
+ *
+ * Fixed overrides and the swept axis take any knob of the
+ * SystemConfig table (forEachKnob in sim/system.hh).
  *
  * SweepDriver expands the spec deterministically, fans the jobs
  * over ParallelRunner, and checkpoints each completed run as one
@@ -44,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_value.hh"
 #include "sim/parallel_runner.hh"
 
 namespace profess
@@ -51,26 +56,6 @@ namespace profess
 
 namespace sim
 {
-
-/** One fixed (config key, value) override from a sweep spec. */
-struct ConfigOverride
-{
-    std::string key;
-    double value = 0.0;
-};
-
-/** @return true if `key` names a sweepable SystemConfig knob. */
-bool isSweepConfigKey(const std::string &key);
-
-/**
- * Apply one config key (instr, warmup, msamp, min_benefit,
- * m2_write_scale, num_regions, slots_per_group, num_channels,
- * stats_fold_interval, factor_threshold, product_threshold,
- * stc_kb, alloc_seed) to `cfg`.  Fatal on an unknown key or a
- * non-integral value for an integer knob.
- */
-void applySweepConfigKey(SystemConfig &cfg, const std::string &key,
-                         double value);
 
 /** Parsed sweep specification. */
 class SweepSpec
@@ -81,15 +66,16 @@ class SweepSpec
     std::vector<std::string> mixes; ///< Table 10 names or a+b+c+d
     std::vector<std::uint64_t> seeds{1};
     bool slowdowns = true;
-    std::vector<ConfigOverride> overrides;
+    std::vector<KeyValue> overrides; ///< fixed knobs (applyKnob)
     std::string sweepKey;           ///< "" = no swept axis
-    std::vector<double> sweepValues;
+    std::vector<std::string> sweepValues; ///< knob values, as text
 
     /**
      * Parse a spec file: '#' comments, whitespace-separated
-     * key=value tokens (ScenarioSchedule's format).  Fatal with
-     * file:line on malformed input, unknown keys, unknown
-     * workloads/programs, or a second sweep= axis.
+     * key=value tokens (readKeyValueLines).  Fatal with file:line
+     * on malformed input, unknown keys, knob values that do not
+     * parse or fit, unknown workloads/programs, or a second sweep=
+     * axis.
      */
     static SweepSpec fromFile(const std::string &path);
 

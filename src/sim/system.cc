@@ -1,8 +1,10 @@
 #include "sim/system.hh"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/invariant.hh"
+#include "common/key_value.hh"
 
 #include "core/mdm_policy.hh"
 #include "core/rsm_guided.hh"
@@ -47,6 +49,20 @@ SystemConfig::singleCore()
     c.m2BytesPerChannel = 8 * MiB;
     c.stc = hybrid::StCache::Params{1 * KiB, 8, 8};
     return c;
+}
+
+void
+applyKnob(SystemConfig &cfg, const KeyValue &kv)
+{
+    bool known = false;
+    forEachKnob(cfg, [&](const char *name, auto &field) {
+        if (kv.key == name) {
+            field = valueAs<std::remove_reference_t<decltype(field)>>(kv);
+            known = true;
+        }
+    });
+    fatal_if(!known, "%s: unknown key '%s'", kv.where.c_str(),
+             kv.key.c_str());
 }
 
 unsigned
@@ -298,22 +314,7 @@ System::run(Tick max_ticks)
         }
         return true;
     };
-    std::uint64_t events = 0;
-    const bool trace_progress =
-        std::getenv("PROFESS_TRACE") != nullptr;
     auto stop = [&]() {
-        if (trace_progress && ++events % 1000000 == 0) {
-            std::fprintf(stderr,
-                         "[trace] events=%lluM tick=%llu retired0=%llu "
-                         "served=%llu swaps=%llu rq=%zu wq=%zu\n",
-                         (unsigned long long)(events / 1000000),
-                         (unsigned long long)eq_.now(),
-                         (unsigned long long)cores_[0]->retired(),
-                         (unsigned long long)controller_->servedTotal(),
-                         (unsigned long long)controller_->swapCount(),
-                         memory_->channel(0).readQueueSize(),
-                         memory_->channel(0).writeQueueSize());
-        }
         if (all_done())
             return true;
         return max_ticks != 0 && eq_.now() >= max_ticks;

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/event.hh"
 #include "core/profess.hh"
 #include "cpu/core_model.hh"
@@ -29,6 +28,8 @@
 
 namespace profess
 {
+
+struct KeyValue;
 
 namespace sim
 {
@@ -62,6 +63,49 @@ struct SystemConfig
     /** Single-core one-channel configuration (Sec. 4.1, scaled). */
     static SystemConfig singleCore();
 };
+
+/**
+ * The knob table: every SystemConfig field with its one string name,
+ * in configFingerprint's order.  Calls f(name, field) for each, the
+ * field by reference (const when `cfg` is).  key=value overrides
+ * (applyKnob), the keys a sweep spec accepts, configJson and
+ * configFingerprint all derive from this list.
+ */
+template <typename Config, typename F>
+void
+forEachKnob(Config &cfg, F &&f)
+{
+    f("num_channels", cfg.numChannels);
+    f("m1_bytes_per_channel", cfg.m1BytesPerChannel);
+    f("m2_bytes_per_channel", cfg.m2BytesPerChannel);
+    f("slots_per_group", cfg.slotsPerGroup);
+    f("num_regions", cfg.numRegions);
+    f("m2_write_scale", cfg.m2WriteScale);
+    f("stc_capacity_bytes", cfg.stc.capacityBytes);
+    f("stc_ways", cfg.stc.ways);
+    f("stc_entry_bytes", cfg.stc.entryBytes);
+    f("core_width", cfg.core.width);
+    f("rob_size", cfg.core.robSize);
+    f("max_outstanding", cfg.core.maxOutstanding);
+    f("core_cycles_per_tick", cfg.core.coreCyclesPerTick);
+    f("instr", cfg.core.instrQuota);
+    f("warmup", cfg.core.warmupInstr);
+    f("model_st_traffic", cfg.modelStTraffic);
+    f("msamp", cfg.msamp);
+    f("stats_fold_interval", cfg.statsFoldInterval);
+    f("factor_threshold", cfg.professFactorThreshold);
+    f("product_threshold", cfg.professProductThreshold);
+    f("min_benefit", cfg.minBenefit);
+    f("alloc_seed", cfg.allocSeed);
+    f("rsm_per_region_stats", cfg.rsmPerRegionStats);
+}
+
+/**
+ * Set the knob named kv.key from kv.value, parsed by the field's own
+ * type (valueAs).  Fatal, citing kv.where, on an unknown key or a
+ * value that does not parse or fit.
+ */
+void applyKnob(SystemConfig &cfg, const KeyValue &kv);
 
 /**
  * Derive min_benefit (= PoM's K) from the timing parameters, as

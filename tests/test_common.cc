@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: RNG, statistics, config, event queue.
+ * Unit tests for src/common: RNG, statistics, key=value parsing,
+ * event queue.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/event.hh"
+#include "common/key_value.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -163,45 +164,51 @@ TEST(GeometricMeanFn, Basic)
     EXPECT_EQ(geometricMean({}), 0.0);
 }
 
-TEST(Config, TypedAccess)
+TEST(KeyValue, TypedParseTakesWholeTokensThatFit)
 {
-    Config c;
-    EXPECT_TRUE(c.parsePair("threads=4"));
-    EXPECT_TRUE(c.parsePair("ratio=0.5"));
-    EXPECT_TRUE(c.parsePair("verbose=true"));
-    EXPECT_TRUE(c.parsePair("name=test"));
-    EXPECT_FALSE(c.parsePair("no-equals"));
-    EXPECT_FALSE(c.parsePair("=bad"));
-    EXPECT_EQ(c.getInt("threads", 0), 4);
-    EXPECT_DOUBLE_EQ(c.getDouble("ratio", 0), 0.5);
-    EXPECT_TRUE(c.getBool("verbose", false));
-    EXPECT_EQ(c.getString("name"), "test");
-    EXPECT_EQ(c.getInt("missing", 7), 7);
-    EXPECT_TRUE(c.has("threads"));
-    EXPECT_FALSE(c.has("missing"));
+    std::uint64_t u = 0;
+    EXPECT_TRUE(parseValue("9007199254740993", u));
+    EXPECT_EQ(u, 9007199254740993ull); // not rounded through double
+    EXPECT_TRUE(parseValue("18446744073709551615", u));
+    EXPECT_EQ(u, ~0ull);
+    unsigned narrow = 7;
+    EXPECT_TRUE(parseValue("4294967295", narrow));
+    EXPECT_FALSE(parseValue("4294967296", narrow));
+    EXPECT_EQ(narrow, 4294967295u);
+    int i = 0;
+    EXPECT_TRUE(parseValue("-1", i));
+    EXPECT_EQ(i, -1);
+    double d = 0.0;
+    EXPECT_TRUE(parseValue("0.5", d));
+    EXPECT_EQ(d, 0.5);
+    EXPECT_TRUE(parseValue("2e6", d));
+    EXPECT_EQ(d, 2e6);
+    EXPECT_FALSE(parseValue("0.5x", d));
+    EXPECT_FALSE(parseValue("", d));
 }
 
-TEST(Config, Merge)
+TEST(KeyValue, BoolsAreZeroOrOne)
 {
-    Config a, b;
-    a.set("x", "1");
-    a.set("y", "2");
-    b.set("y", "3");
-    a.merge(b);
-    EXPECT_EQ(a.getInt("x", 0), 1);
-    EXPECT_EQ(a.getInt("y", 0), 3);
+    bool b = false;
+    EXPECT_TRUE(parseValue("1", b));
+    EXPECT_TRUE(b);
+    EXPECT_TRUE(parseValue("0", b));
+    EXPECT_FALSE(b);
+    for (const char *bad : {"true", "yes", "on", "2", "", "01"})
+        EXPECT_FALSE(parseValue(bad, b)) << bad;
 }
 
-TEST(Config, BoolSpellings)
+TEST(KeyValueDeathTest, MalformedIntegerIsFatal)
 {
-    Config c;
-    for (const char *t : {"true", "1", "yes", "on"}) {
-        c.set("k", t);
-        EXPECT_TRUE(c.getBool("k", false)) << t;
-    }
-    for (const char *f : {"false", "0", "no", "off"}) {
-        c.set("k", f);
-        EXPECT_FALSE(c.getBool("k", true)) << f;
+    // The parser behind every integer knob, PROFESS_INSTR and
+    // profess_sweep --max-runs.
+    for (const char *bad :
+         {"2e6", "12abc", "", "-1", "18446744073709551616"}) {
+        KeyValue kv{"PROFESS_INSTR", bad, "environment"};
+        EXPECT_DEATH(valueAs<std::uint64_t>(kv),
+                     "environment: bad value '.*' for "
+                     "'PROFESS_INSTR' \\(needs a non-negative integer")
+            << bad;
     }
 }
 

@@ -12,10 +12,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <type_traits>
 
 #include "common/invariant.hh"
+#include "common/key_value.hh"
 #include "common/thread_pool.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/run_telemetry.hh"
 #include "sim/system.hh"
 #include "trace/spec_profiles.hh"
 
@@ -136,19 +139,44 @@ TEST(DeriveSeed, PureAndSensitiveToEveryInput)
 
 TEST(ConfigFingerprint, DistinguishesSweepPoints)
 {
-    SystemConfig a = SystemConfig::singleCore();
-    SystemConfig b = a;
-    EXPECT_EQ(configFingerprint(a, 1.0), configFingerprint(b, 1.0));
-    b.m2WriteScale = 2.0;
-    EXPECT_NE(configFingerprint(a, 1.0), configFingerprint(b, 1.0));
-    b = a;
-    b.stc.capacityBytes *= 2;
-    EXPECT_NE(configFingerprint(a, 1.0), configFingerprint(b, 1.0));
-    b = a;
-    b.core.instrQuota += 1;
-    EXPECT_NE(configFingerprint(a, 1.0), configFingerprint(b, 1.0));
+    // Every knob, set through key=value to a value its default is
+    // not, must show in configJson and move the fingerprint.
+    const SystemConfig a = SystemConfig::singleCore();
+    const std::string json = configJson(a);
+    unsigned knobs = 0;
+    forEachKnob(a, [&](const char *name, auto v) {
+        ++knobs;
+        std::string text;
+        if constexpr (std::is_same_v<decltype(v), bool>)
+            text = v ? "0" : "1";
+        else
+            text = std::to_string(v * 2 + 1);
+        SystemConfig b = a;
+        applyKnob(b, KeyValue{name, text, "test"});
+        EXPECT_NE(json.find("\"" + std::string(name) + "\": "),
+                  std::string::npos)
+            << name;
+        EXPECT_NE(configJson(b), json) << name;
+        EXPECT_NE(configFingerprint(b, 1.0), configFingerprint(a, 1.0))
+            << name;
+    });
+    EXPECT_EQ(knobs, 23u);
+    EXPECT_EQ(configFingerprint(a, 1.0),
+              configFingerprint(SystemConfig::singleCore(), 1.0));
     EXPECT_NE(configFingerprint(a, 1.0),
               configFingerprint(a, 0.5));
+}
+
+TEST(ConfigFingerprint, PinnedPresets)
+{
+    // Values of the hand-written fingerprint the knob table
+    // replaced: cache keys, run identities and seeds must not move.
+    EXPECT_EQ(configFingerprint(SystemConfig::quadCore(),
+                                trace::defaultScale),
+              0x8f316e2e4018473cull);
+    EXPECT_EQ(configFingerprint(SystemConfig::singleCore(),
+                                trace::defaultScale),
+              0x4c2d155b49be1c7dull);
 }
 
 TEST(AloneCache, ComputesOnceAndDedupsConcurrentRequests)

@@ -17,9 +17,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sim/experiment.hh"
 #include "sim/run_telemetry.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
+#include "trace/spec_profiles.hh"
 
 using namespace profess;
 using namespace profess::sim;
@@ -153,6 +155,34 @@ TEST(SweepSpec, SweptAxisExpandsPerPoint)
     EXPECT_EQ(jobs[0].label, "w01"); // one seed: no _r suffix
 }
 
+TEST(SweepSpec, NightlyPointsKeepTheirFingerprints)
+{
+    SweepSpec spec = SweepSpec::fromFile(PROFESS_SOURCE_DIR
+                                         "/bench/sweeps/nightly.sweep");
+    ASSERT_EQ(spec.numSweepPoints(), 2u);
+    EXPECT_EQ(configFingerprint(spec.configAt(0), trace::defaultScale),
+              0xf42b068b92ed112cull);
+    EXPECT_EQ(configFingerprint(spec.configAt(1), trace::defaultScale),
+              0x3f59730a384eac0cull);
+}
+
+TEST(SweepSpec, KnobValuesParseByFieldType)
+{
+    // 2^53 + 1 is not a double: an integer knob must not pass
+    // through one.
+    SweepSpec spec = SweepSpec::fromFile(writeSpecFile(
+        "typed", "policy=pom workload=mcf\n"
+                 "alloc_seed=9007199254740993\n"
+                 "stc_capacity_bytes=4096 model_st_traffic=0\n"
+                 "sweep=factor_threshold:1.5,2\n"));
+    SystemConfig cfg = spec.configAt(1);
+    EXPECT_EQ(cfg.allocSeed, 9007199254740993ull);
+    EXPECT_EQ(cfg.stc.capacityBytes, 4096u);
+    EXPECT_FALSE(cfg.modelStTraffic);
+    EXPECT_EQ(spec.configAt(0).professFactorThreshold, 1.5);
+    EXPECT_EQ(cfg.professFactorThreshold, 2.0);
+}
+
 TEST(SweepSpec, ProgramListMixResolves)
 {
     SweepSpec spec = SweepSpec::fromFile(writeSpecFile(
@@ -188,6 +218,25 @@ TEST(SweepSpecDeathTest, RejectsMalformedSpecs)
                      "fracint", "policy=pom workload=mcf\n"
                                 "min_benefit=2.5\n")),
                  "non-negative integer");
+    // Too wide for the field: rejected at parse time, with file:line,
+    // instead of wrapping to 1 — fixed or swept.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "wide", "policy=pom workload=mcf\n"
+                             "num_regions=4294967297\n")),
+                 "\\.sweep:2: bad value '4294967297' for "
+                 "'num_regions'");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "wideaxis", "policy=pom workload=mcf\n\n"
+                                 "sweep=num_regions:32,4294967297\n")),
+                 "\\.sweep:3: bad value '4294967297' for "
+                 "'num_regions'");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "stckb", "policy=pom workload=mcf stc_kb=2\n")),
+                 "unknown key 'stc_kb'");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "boolslow", "policy=pom workload=mcf "
+                                 "slowdowns=yes\n")),
+                 "needs 0 or 1");
 }
 
 TEST(SweepDriver, ResumeEqualsUninterrupted)
