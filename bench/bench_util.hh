@@ -17,18 +17,26 @@
  *   PROFESS_LOG       log verbosity (0/1/2 or error/warn/info);
  *                     `--quiet` / `--verbose` / `--log-level N`
  *                     override
- *   PROFESS_TRACE     =1: record decision + chrome traces
- *                     (`--trace` equivalent)
- *   PROFESS_TELEMETRY_OUT
+ *
+ * Command line (makeRunner; besides the log flags above, any other
+ * argument is fatal):
+ *   --jobs N / -j N   worker threads (overrides PROFESS_JOBS)
+ *   --trace           record decision + chrome traces
+ *   --telemetry-out DIR
  *                     artifact directory for per-run manifests,
  *                     stats and time-series
- *                     (`--telemetry-out DIR` equivalent)
- *   PROFESS_EPOCH_TICKS
- *                     epoch-sampler period in MC ticks
- *                     (default 25000; `--epoch-ticks N`)
- *   PROFESS_SCENARIO  fault/intervention schedule file
- *                     (`--scenario FILE` equivalent; see
+ *   --epoch-ticks N   epoch-sampler period in MC ticks
+ *                     (default 25000)
+ *   --metrics-out FILE
+ *                     OpenMetrics exposition of every labelled run
+ *   --scenario FILE   fault/intervention schedule (see
  *                     src/sim/scenario.hh and EXPERIMENTS.md)
+ *
+ * The last five form the sim::RunOptions value the runner is built
+ * with; nothing is read from process-global state.  With
+ * --metrics-out each run writes a shard as it finishes and the
+ * runner rebuilds FILE from its own shards after every batch
+ * (sim::mergeShards, the one exposition writer).
  *
  * Results are bit-identical for every worker count: job seeds are
  * derived from (policy, mix, sweep point), never from scheduling
@@ -48,8 +56,6 @@
 #include "common/stats.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
-#include "sim/run_telemetry.hh"
-#include "sim/scenario.hh"
 
 namespace profess
 {
@@ -123,22 +129,24 @@ header(const char *what, const char *paper_ref)
 
 /**
  * Experiment runner honoring `--jobs N` / `-j N` / PROFESS_JOBS,
- * announcing the worker count when running parallel.  Also applies
- * the shared observability flags: logging (--quiet/--verbose/
- * --log-level), telemetry (--trace/--telemetry-out/--epoch-ticks)
- * and fault scenarios (--scenario FILE), stripping them from argv.
+ * announcing the worker count when running parallel, and built with
+ * the RunOptions of the shared flags (logging --quiet/--verbose/
+ * --log-level, telemetry --trace/--telemetry-out/--epoch-ticks/
+ * --metrics-out, fault scenarios --scenario FILE).  The figure
+ * binaries take no arguments of their own, so anything left in argv
+ * is fatal.
  */
 inline sim::ParallelRunner
 makeRunner(int &argc, char **argv)
 {
     logging::configure(argc, argv);
-    sim::TelemetryConfig::global().initFromArgs(argc, argv);
-    sim::ScenarioConfig::global().initFromArgs(argc, argv);
+    sim::RunOptions options = sim::RunOptions::fromArgs(argc, argv);
     unsigned jobs = sim::ParallelRunner::jobsFromArgs(argc, argv);
+    fatal_if(argc > 1, "unknown argument '%s'", argv[1]);
     if (jobs > 1)
         std::fprintf(stderr, "[profess] running with %u workers "
                      "(--jobs 1 for the serial path)\n", jobs);
-    return sim::ParallelRunner(jobs);
+    return sim::ParallelRunner(jobs, std::move(options));
 }
 
 /** Geometric-mean accumulator for ratio series. */

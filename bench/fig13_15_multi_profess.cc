@@ -74,8 +74,20 @@ main(int argc, char **argv)
                 "(%s; paper avg +11%%, best +30%%), best %.3f\n",
                 eff.gmean(), sim::percentDelta(eff.gmean()).c_str(),
                 eff.max());
-    std::printf("Swap-fraction ratio:              gmean %.3f "
-                "(paper avg -24%%, best -54%%)\n",
-                swaps.gmean());
+    // ProFess can make no swap at all in a short window; a zero
+    // ratio has no logarithm, so the gmean is left out then.
+    std::size_t no_swaps = 0;
+    for (double r : swaps.values())
+        no_swaps += r == 0.0;
+    if (no_swaps == 0) {
+        std::printf("Swap-fraction ratio:              gmean %.3f "
+                    "(paper avg -24%%, best -54%%)\n",
+                    swaps.gmean());
+    } else {
+        std::printf("Swap-fraction ratio:              no gmean: "
+                    "ProFess made no swaps in %zu of %zu workloads "
+                    "(paper avg -24%%, best -54%%)\n",
+                    no_swaps, swaps.values().size());
+    }
     return 0;
 }

@@ -20,11 +20,14 @@
  *   --out FILE   write JSON to FILE instead of stdout
  *   --label S    annotate the JSON with a label (e.g. "before")
  *   --jobs N     worker count for the DetSan verification pass
- *                (ignored without -DPROFESS_DETSAN=ON)
- *   --trace / --telemetry-out DIR / --epoch-ticks N
- *                shared observability flags (sim/run_telemetry.hh);
- *                used by the CI overhead gate to compare
- *                telemetry-off against telemetry-on wall time
+ *                (default PROFESS_JOBS, else all hardware threads;
+ *                ignored without -DPROFESS_DETSAN=ON)
+ *   --trace / --telemetry-out DIR / --epoch-ticks N / --metrics-out F
+ *                shared observability flags (sim::RunOptions; a
+ *                --scenario is refused); used by the CI overhead
+ *                gate to compare telemetry-off against telemetry-on
+ *                wall time.  F is merged from the matrix's shards
+ *                once every run finished.
  *
  * Under -DPROFESS_DETSAN=ON the measured serial pass journals each
  * run's event-extraction and epoch-state digests, then a second
@@ -44,7 +47,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/run_telemetry.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
@@ -83,7 +86,7 @@ struct RunNumbers
 
 RunNumbers
 runOne(const RunSpec &spec, std::uint64_t quota,
-       bool verify_pass = false)
+       const sim::TelemetryConfig &tc, bool verify_pass = false)
 {
     sim::SystemConfig cfg = spec.quad
                                 ? sim::SystemConfig::quadCore()
@@ -106,7 +109,6 @@ runOne(const RunSpec &spec, std::uint64_t quota,
 
     std::string run_name = std::string(spec.name) + "_" + spec.policy;
     std::unique_ptr<sim::RunTelemetry> telemetry;
-    const sim::TelemetryConfig &tc = sim::TelemetryConfig::global();
     if (tc.enabled()) {
         telemetry =
             std::make_unique<sim::RunTelemetry>(tc, run_name);
@@ -171,11 +173,15 @@ int
 main(int argc, char **argv)
 {
     logging::configure(argc, argv);
-    sim::TelemetryConfig::global().initFromArgs(argc, argv);
+    const sim::RunOptions options = sim::RunOptions::fromArgs(argc, argv);
+    fatal_if(options.scenario.loaded(),
+             "kernel_hotpath runs no fault scenario; drop --scenario");
+    const sim::TelemetryConfig &tc = options.telemetry;
+    const int argc_before_jobs = argc;
+    const unsigned jobs = sim::ParallelRunner::jobsFromArgs(argc, argv);
     bool quick = false;
     std::string out;
     std::string label = "run";
-    unsigned jobs = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
@@ -185,12 +191,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--label") == 0 &&
                    i + 1 < argc) {
             label = argv[++i];
-        } else if (std::strcmp(argv[i], "--jobs") == 0 &&
-                   i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0)
-                jobs = 1;
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--out FILE] "
@@ -200,11 +200,12 @@ main(int argc, char **argv)
         }
     }
 #if !PROFESS_DETSAN
-    if (jobs != 1) {
+    if (argc != argc_before_jobs) {
         std::fprintf(stderr,
-                     "[kernel_hotpath] --jobs only drives the "
+                     "[kernel_hotpath] --jobs %u only drives the "
                      "DetSan verification pass; build with "
-                     "-DPROFESS_DETSAN=ON\n");
+                     "-DPROFESS_DETSAN=ON\n",
+                     jobs);
     }
 #endif
 
@@ -233,7 +234,7 @@ main(int argc, char **argv)
     std::uint64_t total_acc = 0, total_ev = 0;
     for (const RunSpec &s : matrix) {
         RunNumbers n =
-            runOne(s, s.quad ? quad_quota : single_quota);
+            runOne(s, s.quad ? quad_quota : single_quota, tc);
         total_wall += n.wallNs;
         total_acc += n.accesses;
         total_ev += n.events;
@@ -256,8 +257,8 @@ main(int argc, char **argv)
             RunSpec copy = s;
             std::uint64_t quota =
                 s.quad ? quad_quota : single_quota;
-            pool.submit([copy, quota]() {
-                runOne(copy, quota, /*verify_pass=*/true);
+            pool.submit([copy, quota, &tc]() {
+                runOne(copy, quota, tc, /*verify_pass=*/true);
             });
         }
         pool.wait();
@@ -317,5 +318,12 @@ main(int argc, char **argv)
     std::fprintf(f, "}\n");
     if (f != stdout)
         std::fclose(f);
+
+    if (!tc.metricsOut.empty()) {
+        std::vector<std::string> shards;
+        for (const RunNumbers &n : results)
+            shards.push_back(sim::shardFileName(n.name));
+        sim::mergeShards(tc.metricsOut, std::move(shards));
+    }
     return 0;
 }

@@ -13,6 +13,10 @@
  * DIR/metrics.prom) are byte-identical to an uninterrupted sweep
  * at any --jobs N.
  *
+ * The shared --trace, --telemetry-out DIR, --epoch-ticks N and
+ * --scenario FILE flags (sim::RunOptions) apply to every run;
+ * --metrics-out is fatal, since the exposition is DIR/metrics.prom.
+ *
  * Exit status: 0 when the sweep finalized, 75 (EX_TEMPFAIL) when
  * preempted by --max-runs (re-run to resume), 1 on usage errors.
  */
@@ -25,8 +29,6 @@
 #include "common/key_value.hh"
 #include "common/logging.hh"
 #include "sim/parallel_runner.hh"
-#include "sim/run_telemetry.hh"
-#include "sim/scenario.hh"
 #include "sim/sweep.hh"
 
 using namespace profess;
@@ -51,8 +53,7 @@ int
 main(int argc, char **argv)
 {
     logging::configure(argc, argv);
-    sim::TelemetryConfig::global().initFromArgs(argc, argv);
-    sim::ScenarioConfig::global().initFromArgs(argc, argv);
+    sim::RunOptions run_options = sim::RunOptions::fromArgs(argc, argv);
 
     std::string spec_path;
     sim::SweepDriver::Options opts;
@@ -66,11 +67,7 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (arg == "--jobs" || arg == "-j") {
-            value(); // consumed by jobsFromArgs above
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            // consumed by jobsFromArgs above
-        } else if (arg == "--spec") {
+        if (arg == "--spec") {
             spec_path = value();
         } else if (arg == "--out") {
             opts.outDir = value();
@@ -126,7 +123,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    sim::SweepDriver driver(spec, opts);
+    sim::SweepDriver driver(spec, opts, std::move(run_options));
     bool finalized = driver.run();
 
     std::printf("\n%-5s %-24s %-10s %-9s %-9s %-9s %s\n", "idx",

@@ -6,8 +6,11 @@
 #
 #   tsan      Debug + ThreadSanitizer, running only the
 #             concurrency-sensitive tests (thread pool, parallel
-#             runner, alone-IPC cache).  A data race anywhere in
-#             the parallel experiment path fails this stage.
+#             runner, alone-IPC cache, and the telemetry
+#             differentials whose workers write traces, artifacts
+#             and metric shards concurrently).  A data race
+#             anywhere in the parallel experiment path fails this
+#             stage.
 #   release   Release build, full test suite (the tier-1 gate).
 #   perf      Perf smoke: bench/kernel_hotpath --quick against the
 #             checked-in baseline
@@ -140,10 +143,11 @@ stage_tsan() {
         -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-    cmake --build build-tsan -j "$JOBS" --target test_parallel_runner
+    cmake --build build-tsan -j "$JOBS" \
+        --target test_parallel_runner test_telemetry
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R 'ThreadPool|AloneCache|Differential|ParallelRunner'
+            -R 'ThreadPool|AloneCache|Differential|ParallelRunner|RunOptions'
 }
 
 stage_release() {

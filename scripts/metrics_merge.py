@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Merge per-run metric shards into one OpenMetrics exposition.
 
-Stdlib-only port of the C++ merge path (MetricsCollector::mergeShards
--> telemetry::writeOpenMetrics): reads every ``*.shard`` file under a
+Stdlib-only port of the C++ merge path (sim::mergeShards ->
+telemetry::writeOpenMetrics): reads every ``*.shard`` file under a
 shard directory (``<exposition>.shards/``) and writes the combined
 exposition, byte-for-byte identical to the file the simulator itself
-produces.  CI diffs the two outputs (``cmp``) to pin the format.
+produces when the directory holds exactly the shards it merged (a
+fresh sweep).  CI diffs the two outputs (``cmp``) to pin the format.
 
 Byte fidelity rests on two facts:
 

@@ -52,4 +52,21 @@ keyValueArgs(int argc, char **argv)
     return out;
 }
 
+std::optional<KeyValue>
+flagValue(int argc, char **argv, int &i, std::string_view flag)
+{
+    std::string_view arg = argv[i];
+    if (arg == flag) {
+        fatal_if(i + 1 >= argc, "%s needs a value", argv[i]);
+        return KeyValue{std::string(flag), argv[++i], "command line"};
+    }
+    if (flag.starts_with("--") && arg.size() > flag.size() &&
+        arg.starts_with(flag) && arg[flag.size()] == '=') {
+        return KeyValue{std::string(flag),
+                        std::string(arg.substr(flag.size() + 1)),
+                        "command line"};
+    }
+    return std::nullopt;
+}
+
 } // namespace profess

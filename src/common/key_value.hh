@@ -11,6 +11,7 @@
 
 #include <charconv>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -30,9 +31,9 @@ struct KeyValue
 };
 
 /**
- * Parse all of `text` as a T.  Integers are decimal and must fit T
- * (unsigned types take no sign); bools are 0 or 1; doubles use
- * std::from_chars syntax.
+ * Parse all of `text` as a T.  Integers are decimal without leading
+ * zeros and must fit T (unsigned types take no sign); bools are 0 or
+ * 1; doubles use std::from_chars syntax.
  *
  * @return false, leaving `out` unchanged, when `text` is anything
  *         else (empty, trailing characters, out of range).
@@ -47,6 +48,14 @@ parseValue(std::string_view text, T &out)
         out = text == "1";
         return true;
     } else {
+        if constexpr (std::is_integral_v<T>) {
+            // A leading zero is how C and the shell spell octal;
+            // reading "010" as ten would misread it.
+            std::string_view digits =
+                text.substr(text.starts_with('-') ? 1 : 0);
+            if (digits.size() > 1 && digits.front() == '0')
+                return false;
+        }
         T v{};
         const char *end = text.data() + text.size();
         auto [ptr, ec] = std::from_chars(text.data(), end, v);
@@ -96,6 +105,18 @@ readKeyValueLines(const std::string &path);
 /** @return argv[1..] as key=value tokens tagged "command line";
  *  fatal on any other token. */
 std::vector<KeyValue> keyValueArgs(int argc, char **argv);
+
+/**
+ * Match argv[i] against the valued command-line flag `flag`:
+ * `flag VALUE`, or `flag=VALUE` for a flag spelled with "--".  A
+ * separate VALUE is consumed (i advances past it); a missing one is
+ * fatal.
+ *
+ * @return the value, keyed by `flag` and tagged "command line", or
+ *         std::nullopt when argv[i] is some other argument.
+ */
+std::optional<KeyValue> flagValue(int argc, char **argv, int &i,
+                                  std::string_view flag);
 
 } // namespace profess
 

@@ -6,8 +6,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -351,7 +353,12 @@ void
 writeMetricsShardFile(const std::string &path,
                       const MetricsSnapshot &snap)
 {
-    std::string tmp = path + ".tmp";
+    // One temporary per writing thread: two workers finishing runs
+    // that share a label never write the same file.
+    std::size_t tid = std::hash<std::thread::id>{}(std::this_thread::get_id());
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), ".%zx.tmp", tid);
+    std::string tmp = path + suffix;
     std::FILE *f = std::fopen(tmp.c_str(), "w");
     fatal_if(f == nullptr, "cannot write metrics shard '%s'",
              tmp.c_str());

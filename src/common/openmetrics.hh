@@ -124,9 +124,9 @@ void writeOpenMetricsFileAtomic(
  * header, "run"/"scalar"/"hist" records, "end" trailer).  Doubles
  * are rendered with %.17g, which round-trips IEEE binary64
  * exactly, so reading a shard back and re-rendering it — in C++
- * (MetricsCollector::mergeShards) or Python
- * (scripts/metrics_merge.py) — reproduces the legacy single-file
- * exposition byte for byte.
+ * (sim::mergeShards) or Python
+ * (scripts/metrics_merge.py) — reproduces the exposition rendered
+ * from the live registry byte for byte.
  */
 void writeMetricsShardFile(const std::string &path,
                            const MetricsSnapshot &snap);

@@ -50,25 +50,31 @@ ThreadPool::submit(std::function<void()> task)
 {
     // A worker pushes to its own deque (depth-first, no contention
     // with other submitters); external callers round-robin.
+    bool own = tls_worker >= 0 &&
+               static_cast<std::size_t>(tls_worker) < queues_.size() &&
+               threads_[tls_worker].get_id() == std::this_thread::get_id();
     std::size_t target;
-    if (tls_worker >= 0 &&
-        static_cast<std::size_t>(tls_worker) < queues_.size() &&
-        threads_[tls_worker].get_id() ==
-            std::this_thread::get_id()) {
-        target = static_cast<std::size_t>(tls_worker);
-    } else {
+    {
         std::lock_guard<std::mutex> lk(mu_);
-        target = nextQueue_;
-        nextQueue_ = (nextQueue_ + 1) % queues_.size();
+        // Count the task before any worker can see it: a thief that
+        // finished it first would otherwise drive pending_ to zero
+        // while the submitting task still runs, and wait() would
+        // return early.
+        ++pending_;
+        if (own) {
+            target = static_cast<std::size_t>(tls_worker);
+        } else {
+            target = nextQueue_;
+            nextQueue_ = (nextQueue_ + 1) % queues_.size();
+        }
     }
     {
         std::lock_guard<std::mutex> lk(queues_[target]->mu);
         queues_[target]->tasks.push_back(std::move(task));
     }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++pending_;
-    }
+    // Notifying under mu_ orders the wake-up after any worker's
+    // locked re-check of the queues, so it cannot be lost.
+    std::lock_guard<std::mutex> lk(mu_);
     cv_.notify_one();
 }
 

@@ -2,11 +2,12 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <type_traits>
 
+#include "common/key_value.hh"
 #include "common/rng.hh"
-#include "sim/run_telemetry.hh"
-#include "sim/scenario.hh"
 
 #if PROFESS_DETSAN
 #include "common/detsan.hh"
@@ -118,11 +119,35 @@ AloneIpcCache::size() const
     return map_.size();
 }
 
-AloneIpcCache &
-AloneIpcCache::global()
+RunOptions
+RunOptions::fromArgs(int &argc, char **argv)
 {
-    static AloneIpcCache cache;
-    return cache;
+    RunOptions o;
+    TelemetryConfig &t = o.telemetry;
+    int out = 1;
+    for (int i = 1; i < argc; ++i) {
+        std::optional<KeyValue> kv;
+        if (std::strcmp(argv[i], "--trace") == 0) {
+            t.trace = true;
+        } else if ((kv = flagValue(argc, argv, i, "--telemetry-out"))) {
+            t.outDir = kv->value;
+        } else if ((kv = flagValue(argc, argv, i, "--metrics-out"))) {
+            t.metricsOut = kv->value;
+        } else if ((kv = flagValue(argc, argv, i, "--epoch-ticks"))) {
+            t.epochInterval = valueAs<Tick>(*kv);
+            fatal_if(t.epochInterval == 0,
+                     "%s: '--epoch-ticks' must be positive",
+                     kv->where.c_str());
+        } else if ((kv = flagValue(argc, argv, i, "--scenario"))) {
+            o.scenario.setSchedule(ScenarioSchedule::fromFile(kv->value));
+            o.scenario.file = kv->value;
+        } else {
+            argv[out++] = argv[i];
+        }
+    }
+    argc = out;
+    argv[argc] = nullptr;
+    return o;
 }
 
 RunResult
@@ -147,7 +172,7 @@ ExperimentRunner::run(const std::string &policy,
     // batch position), keeping fault schedules bit-identical at any
     // --jobs N.
     std::unique_ptr<ScenarioController> scenario;
-    const ScenarioConfig &sc = ScenarioConfig::global();
+    const ScenarioConfig &sc = options_.scenario;
     if (sc.loaded()) {
         std::string joined;
         for (const auto &p : programs)
@@ -162,7 +187,7 @@ ExperimentRunner::run(const std::string &policy,
     // construction and never feeds back into the simulation, so
     // labelled runs stay bit-identical to clean ones.
     std::unique_ptr<RunTelemetry> telemetry;
-    const TelemetryConfig &tc = TelemetryConfig::global();
+    const TelemetryConfig &tc = options_.telemetry;
     if (!label.empty() && tc.enabled()) {
         telemetry = std::make_unique<RunTelemetry>(
             tc, label + "_" + policy);
@@ -304,7 +329,7 @@ ExperimentRunner::aloneIpc(const std::string &policy,
                   static_cast<unsigned long long>(
                       configFingerprint(base_, footprintScale_)),
                   static_cast<unsigned long long>(
-                      ScenarioConfig::global().fingerprint()),
+                      options_.scenario.fingerprint()),
                   static_cast<unsigned long long>(seed_base),
                   policy.c_str(), program.c_str());
     return cache_->getOrCompute(key, [&]() {

@@ -13,12 +13,15 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/metrics.hh"
+#include "sim/run_telemetry.hh"
+#include "sim/scenario.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 #include "trace/spec_profiles.hh"
@@ -106,14 +109,36 @@ std::string runIdentityKey(const SystemConfig &cfg,
                            std::uint64_t seed_base);
 
 /**
- * Process-wide, thread-safe memoizing cache for stand-alone
- * (IPC_SP) reference runs.
+ * How a batch of runs is traced, fault-injected and exported: the
+ * one options value handed to ExperimentRunner, ParallelRunner and
+ * SweepDriver.  Nothing here enters SystemConfig, so options never
+ * change a config fingerprint or a derived seed.
+ */
+struct RunOptions
+{
+    TelemetryConfig telemetry;
+    ScenarioConfig scenario;
+
+    /**
+     * Strip and apply the shared flags from argv, compacting it in
+     * place: --trace, --telemetry-out DIR, --epoch-ticks N,
+     * --metrics-out FILE and --scenario FILE (each valued flag also
+     * as --flag=VALUE).  A valued flag without its value, and an
+     * epoch period that is not a positive decimal integer, are
+     * fatal.
+     */
+    static RunOptions fromArgs(int &argc, char **argv);
+};
+
+/**
+ * Thread-safe memoizing cache for stand-alone (IPC_SP) reference
+ * runs.
  *
- * Keys include the config fingerprint, policy, program and seed.
- * Concurrent requests for the same key block on a shared future
- * while the first requester computes, so each reference run
- * happens exactly once per process regardless of how many
- * experiment jobs (or threads) need it.
+ * Keys include the config fingerprint, scenario fingerprint,
+ * policy, program and seed.  Concurrent requests for the same key
+ * block on a shared future while the first requester computes, so
+ * each reference run happens exactly once per cache regardless of
+ * how many experiment jobs (or threads) need it.
  */
 class AloneIpcCache
 {
@@ -131,9 +156,6 @@ class AloneIpcCache
     /** @return number of cached reference runs. */
     std::size_t size() const;
 
-    /** The process-wide instance shared by all runners. */
-    static AloneIpcCache &global();
-
   private:
     mutable std::mutex mu_;
     std::map<std::string, std::shared_future<double>> map_;
@@ -145,18 +167,21 @@ class ExperimentRunner
   public:
     /**
      * @param base Base system configuration used for every run.
+     * @param options Telemetry and fault scenario of every run.
      * @param footprint_scale Scale of Table 9 footprints (matches
      *        the capacity scaling of `base`).
-     * @param cache Stand-alone reference-run cache to share;
-     *        defaults to the process-wide cache so every runner in
-     *        a binary reuses the same IPC_SP runs.
+     * @param cache Stand-alone reference-run cache to share (a
+     *        ParallelRunner passes its own); nullptr = a cache
+     *        owned by this runner.
      */
     explicit ExperimentRunner(
-        const SystemConfig &base,
+        const SystemConfig &base, RunOptions options = {},
         double footprint_scale = trace::defaultScale,
         AloneIpcCache *cache = nullptr)
-        : base_(base), footprintScale_(footprint_scale),
-          cache_(cache ? cache : &AloneIpcCache::global())
+        : base_(base), options_(std::move(options)),
+          footprintScale_(footprint_scale),
+          ownCache_(cache ? nullptr : std::make_unique<AloneIpcCache>()),
+          cache_(cache ? cache : ownCache_.get())
     {
     }
 
@@ -169,8 +194,8 @@ class ExperimentRunner
      * @param policy Policy name (see System).
      * @param programs Table 9 benchmark names, one per core.
      * @param seed_base Base RNG seed (slot index is mixed in).
-     * @param label Telemetry label; when non-empty and telemetry is
-     *        enabled (TelemetryConfig::global()), the run attaches a
+     * @param label Telemetry label; when non-empty and the
+     *        options enable telemetry, the run attaches a
      *        RunTelemetry bundle named "<label>_<policy>".
      *        Stand-alone reference runs pass no label and always run
      *        without telemetry.  Telemetry never changes results.
@@ -182,9 +207,9 @@ class ExperimentRunner
 
     /**
      * Stand-alone IPC of a program under a policy on the base
-     * system.  Memoized in the shared AloneIpcCache (keyed by
-     * config fingerprint + policy + program + seed), so bench
-     * binaries and parallel jobs never recompute a reference run.
+     * system.  Memoized in the AloneIpcCache (keyed by config and
+     * scenario fingerprint + policy + program + seed), so parallel
+     * jobs sharing a cache never recompute a reference run.
      */
     double aloneIpc(const std::string &policy,
                     const std::string &program,
@@ -203,15 +228,11 @@ class ExperimentRunner
                           const WorkloadSpec &workload,
                           std::uint64_t seed_base);
 
-    /** Clear the shared stand-alone IPC cache. */
-    void clearCache() { cache_->clear(); }
-
-    /** @return the shared reference-run cache. */
-    AloneIpcCache &cache() { return *cache_; }
-
   private:
     SystemConfig base_;
+    RunOptions options_;
     double footprintScale_;
+    std::unique_ptr<AloneIpcCache> ownCache_;
     AloneIpcCache *cache_;
 };
 

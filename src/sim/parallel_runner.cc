@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 
 #include <unistd.h>
 
+#include "common/key_value.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -33,7 +35,40 @@ progressDefault()
     return isatty(STDERR_FILENO) != 0;
 }
 
+/** @return a worker count parsed like any other number, and >= 1. */
+unsigned
+positiveJobs(const KeyValue &kv)
+{
+    unsigned n = valueAs<unsigned>(kv);
+    fatal_if(n == 0, "%s: '%s' must be at least 1", kv.where.c_str(),
+             kv.key.c_str());
+    return n;
+}
+
+/** @return the job's mix label: its label, or the '+'-joined
+ *  program list when it has none. */
+std::string
+mixLabel(const RunJob &job)
+{
+    if (!job.label.empty())
+        return job.label;
+    std::string l;
+    for (const auto &p : job.programs)
+        l += (l.empty() ? "" : "+") + p;
+    return l;
+}
+
 } // anonymous namespace
+
+std::string
+jobLabel(const RunJob &job)
+{
+    // Distinguish sweep points sharing a mix.
+    std::string label = mixLabel(job);
+    if (job.sweepPoint != 0)
+        label += "_s" + std::to_string(job.sweepPoint);
+    return label;
+}
 
 RunJob
 multiJob(const SystemConfig &cfg, const std::string &policy,
@@ -63,10 +98,9 @@ singleJob(const SystemConfig &cfg, const std::string &policy,
     return j;
 }
 
-ParallelRunner::ParallelRunner(unsigned jobs, AloneIpcCache *cache)
+ParallelRunner::ParallelRunner(unsigned jobs, RunOptions options)
     : jobs_(jobs == 0 ? jobsFromEnv() : jobs),
-      cache_(cache ? cache : &AloneIpcCache::global()),
-      progress_(progressDefault())
+      options_(std::move(options)), progress_(progressDefault())
 {
 }
 
@@ -74,61 +108,40 @@ unsigned
 ParallelRunner::jobsFromEnv()
 {
     const char *s = std::getenv("PROFESS_JOBS");
-    if (s != nullptr && *s != '\0') {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(s, &end, 0);
-        fatal_if(end == s || *end != '\0' || v == 0,
-                 "PROFESS_JOBS='%s' is not a positive integer", s);
-        return static_cast<unsigned>(v);
-    }
-    return ThreadPool::defaultWorkers();
+    if (s == nullptr)
+        return ThreadPool::defaultWorkers();
+    return positiveJobs(KeyValue{"PROFESS_JOBS", s, "environment"});
 }
 
 unsigned
-ParallelRunner::jobsFromArgs(int argc, char **argv)
+ParallelRunner::jobsFromArgs(int &argc, char **argv)
 {
+    std::optional<unsigned> jobs;
+    int out = 1;
     for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *val = nullptr;
-        if (std::strncmp(a, "--jobs=", 7) == 0) {
-            val = a + 7;
-        } else if (std::strcmp(a, "--jobs") == 0 ||
-                   std::strcmp(a, "-j") == 0) {
-            fatal_if(i + 1 >= argc, "%s requires a value", a);
-            val = argv[i + 1];
-        }
-        if (val != nullptr) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(val, &end, 0);
-            fatal_if(end == val || *end != '\0' || v == 0,
-                     "--jobs '%s' is not a positive integer", val);
-            return static_cast<unsigned>(v);
-        }
+        std::optional<KeyValue> kv = flagValue(argc, argv, i, "--jobs");
+        if (!kv)
+            kv = flagValue(argc, argv, i, "-j");
+        if (kv)
+            jobs = positiveJobs(*kv);
+        else
+            argv[out++] = argv[i];
     }
-    return jobsFromEnv();
+    argc = out;
+    argv[argc] = nullptr;
+    return jobs ? *jobs : jobsFromEnv();
 }
 
 MultiMetrics
 ParallelRunner::runOne(const RunJob &job)
 {
-    ExperimentRunner runner(job.cfg, job.footprintScale, cache_);
-    std::string label =
-        !job.label.empty() ? job.label : [&job]() {
-            std::string l;
-            for (const auto &p : job.programs)
-                l += (l.empty() ? "" : "+") + p;
-            return l;
-        }();
+    ExperimentRunner runner(job.cfg, options_, job.footprintScale, &cache_);
     std::uint64_t seed =
         job.seed != 0 ? job.seed
-                      : deriveSeed(job.baseSeed, job.policy, label,
+                      : deriveSeed(job.baseSeed, job.policy, mixLabel(job),
                                    job.sweepPoint);
-    // Telemetry label: distinguish sweep points sharing a mix.
-    std::string tlabel = label;
-    if (job.sweepPoint != 0)
-        tlabel += "_s" + std::to_string(job.sweepPoint);
     MultiMetrics m;
-    m.run = runner.run(job.policy, job.programs, seed, tlabel);
+    m.run = runner.run(job.policy, job.programs, seed, jobLabel(job));
     if (job.slowdowns) {
         // Stand-alone references use their own fixed per-(config,
         // policy, program) seeds so every mix and sweep point that
@@ -145,8 +158,7 @@ ParallelRunner::runOne(const RunJob &job)
 }
 
 MultiMetrics
-ParallelRunner::timedJob(const RunJob &job, std::size_t index,
-                         std::size_t total)
+ParallelRunner::timedJob(const RunJob &job, std::size_t total)
 {
     auto t0 = std::chrono::steady_clock::now();
     MultiMetrics m = runOne(job);
@@ -163,7 +175,6 @@ ParallelRunner::timedJob(const RunJob &job, std::size_t index,
                      job.label.empty() ? "mix" : job.label.c_str(),
                      job.policy.c_str(),
                      job.sweepPoint != 0 ? "*" : "", secs);
-        (void)index;
     }
     return m;
 }
@@ -173,19 +184,18 @@ ParallelRunner::run(const std::vector<RunJob> &batch)
 {
     std::vector<MultiMetrics> results(batch.size());
     done_.store(0);
-    if (jobs_ <= 1) {
-        // Serial path: everything inline, in submission order.
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            results[i] = timedJob(batch[i], i, batch.size());
-        return results;
+    forEach(batch.size(), [this, &batch, &results](std::size_t i) {
+        results[i] = timedJob(batch[i], batch.size());
+    });
+    const std::string &prom = options_.telemetry.metricsOut;
+    if (!prom.empty()) {
+        // Every run wrote its shard in RunTelemetry::finish; merging
+        // only this runner's shards keeps any an earlier process
+        // left in the directory out of the exposition.
+        for (const RunJob &job : batch)
+            shards_.push_back(shardFileName(jobLabel(job) + "_" + job.policy));
+        mergeShards(prom, shards_);
     }
-    ThreadPool pool(jobs_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        pool.submit([this, &batch, &results, i]() {
-            results[i] = timedJob(batch[i], i, batch.size());
-        });
-    }
-    pool.wait();
     return results;
 }
 

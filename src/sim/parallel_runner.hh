@@ -13,11 +13,15 @@
  *    deriveSeed(base, policy, mix, sweep_point), never from the
  *    executing thread or completion order;
  *  - each job simulates in a private System instance;
- *  - stand-alone IPC_SP reference runs are memoized in the shared
- *    AloneIpcCache, computed exactly once per process with
+ *  - stand-alone IPC_SP reference runs are memoized in the
+ *    runner's AloneIpcCache, computed exactly once per runner with
  *    deterministic per-(config, policy, program) seeds;
  *  - results land in pre-assigned slots of the output vector, so
  *    callers iterate them in submission order.
+ *
+ * The runner owns the RunOptions of its runs.  With --metrics-out,
+ * each run writes its shard as it finishes and run() rebuilds the
+ * exposition from this runner's shards after every batch.
  *
  * The worker count comes from `--jobs N` / `PROFESS_JOBS`
  * (default: hardware_concurrency); `--jobs 1` runs every job
@@ -63,6 +67,12 @@ struct RunJob
     double footprintScale = trace::defaultScale;
 };
 
+/** @return the telemetry label of a job's run: its mix label
+ *  ('+'-joined programs when empty), suffixed "_s<point>" for a
+ *  nonzero sweep point.  ExperimentRunner names the run
+ *  "<label>_<policy>". */
+std::string jobLabel(const RunJob &job);
+
 /** Convenience constructors for the common job shapes. */
 RunJob multiJob(const SystemConfig &cfg, const std::string &policy,
                 const WorkloadSpec &workload,
@@ -77,13 +87,15 @@ class ParallelRunner
   public:
     /**
      * @param jobs Worker count; 0 = `jobsFromEnv()`.
-     * @param cache Reference-run cache; nullptr = process-wide.
+     * @param options Telemetry and fault scenario of every run.
      */
-    explicit ParallelRunner(unsigned jobs = 0,
-                            AloneIpcCache *cache = nullptr);
+    explicit ParallelRunner(unsigned jobs = 0, RunOptions options = {});
 
     /** @return the worker count in effect. */
     unsigned jobs() const { return jobs_; }
+
+    /** @return the runner's reference-run cache. */
+    const AloneIpcCache &cache() const { return cache_; }
 
     /** Enable/disable per-job progress lines on stderr. */
     void setProgress(bool on) { progress_ = on; }
@@ -91,7 +103,8 @@ class ParallelRunner
     /**
      * Run a batch of jobs and return their metrics in submission
      * order.  MultiMetrics beyond `run` are filled only for jobs
-     * with `slowdowns` set.
+     * with `slowdowns` set.  With --metrics-out the exposition then
+     * holds every run of every batch of this runner.
      */
     std::vector<MultiMetrics> run(const std::vector<RunJob> &batch);
 
@@ -106,25 +119,29 @@ class ParallelRunner
                  const std::function<void(std::size_t)> &fn);
 
     /**
-     * Worker count from the environment: PROFESS_JOBS if set (>= 1),
-     * else `std::thread::hardware_concurrency()`.
+     * Worker count from the environment: PROFESS_JOBS if set (a
+     * decimal integer >= 1, else fatal), else
+     * `std::thread::hardware_concurrency()`.
      */
     static unsigned jobsFromEnv();
 
     /**
      * Worker count from `--jobs N` / `--jobs=N` / `-j N` on the
-     * command line, falling back to `jobsFromEnv()`.  Used by every
-     * bench binary.
+     * command line (stripped from argv, which is compacted in
+     * place; the value parses like PROFESS_JOBS), falling back to
+     * `jobsFromEnv()`.  Used by every bench binary.
      */
-    static unsigned jobsFromArgs(int argc, char **argv);
+    static unsigned jobsFromArgs(int &argc, char **argv);
 
   private:
     /** Progress-aware wrapper around one job. */
-    MultiMetrics timedJob(const RunJob &job, std::size_t index,
-                          std::size_t total);
+    MultiMetrics timedJob(const RunJob &job, std::size_t total);
 
     unsigned jobs_;
-    AloneIpcCache *cache_;
+    RunOptions options_;
+    AloneIpcCache cache_;
+    /** Shard files of every run so far (with --metrics-out). */
+    std::vector<std::string> shards_;
     bool progress_;
     std::atomic<std::size_t> done_{0}; ///< progress numerator
 };

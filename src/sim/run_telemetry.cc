@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -58,101 +56,23 @@ openOut(const std::string &path)
 
 } // anonymous namespace
 
-void
-TelemetryConfig::initFromEnv()
-{
-    const char *t = std::getenv("PROFESS_TRACE");
-    if (t != nullptr && *t != '\0' && std::strcmp(t, "0") != 0)
-        trace = true;
-    const char *d = std::getenv("PROFESS_TELEMETRY_OUT");
-    if (d != nullptr && *d != '\0')
-        outDir = d;
-    const char *e = std::getenv("PROFESS_EPOCH_TICKS");
-    if (e != nullptr && *e != '\0') {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(e, &end, 0);
-        fatal_if(end == e || *end != '\0' || v == 0,
-                 "PROFESS_EPOCH_TICKS='%s' is not a positive "
-                 "integer",
-                 e);
-        epochInterval = static_cast<Tick>(v);
-    }
-    const char *m = std::getenv("PROFESS_METRICS_OUT");
-    if (m != nullptr && *m != '\0')
-        metricsOut = m;
-}
-
-void
-TelemetryConfig::initFromArgs(int &argc, char **argv)
-{
-    initFromEnv();
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--trace") == 0) {
-            trace = true;
-            continue;
-        }
-        if (std::strcmp(a, "--telemetry-out") == 0) {
-            fatal_if(i + 1 >= argc, "--telemetry-out needs a value");
-            outDir = argv[++i];
-            continue;
-        }
-        if (std::strncmp(a, "--telemetry-out=", 16) == 0) {
-            outDir = a + 16;
-            continue;
-        }
-        if (std::strcmp(a, "--metrics-out") == 0) {
-            fatal_if(i + 1 >= argc, "--metrics-out needs a value");
-            metricsOut = argv[++i];
-            continue;
-        }
-        if (std::strncmp(a, "--metrics-out=", 14) == 0) {
-            metricsOut = a + 14;
-            continue;
-        }
-        if (std::strcmp(a, "--epoch-ticks") == 0 ||
-            std::strncmp(a, "--epoch-ticks=", 14) == 0) {
-            const char *val;
-            if (a[13] == '=') {
-                val = a + 14;
-            } else {
-                fatal_if(i + 1 >= argc, "--epoch-ticks needs a value");
-                val = argv[++i];
-            }
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(val, &end, 0);
-            fatal_if(end == val || *end != '\0' || v == 0,
-                     "--epoch-ticks '%s' is not a positive integer",
-                     val);
-            epochInterval = static_cast<Tick>(v);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
-TelemetryConfig &
+const TelemetryConfig &
 TelemetryConfig::global()
 {
-    static TelemetryConfig cfg;
+    // Never written: the default options, read only by
+    // perfbench/perfbench.cc:76-77.
+    static const TelemetryConfig cfg;
     return cfg;
 }
 
-//
-// MetricsCollector
-//
-
 std::string
-MetricsCollector::shardDir(const std::string &path)
+shardDir(const std::string &path)
 {
     return path + ".shards";
 }
 
 std::string
-MetricsCollector::shardFileName(const std::string &run_label)
+shardFileName(const std::string &run_label)
 {
     // sanitizeLabel can alias distinct labels ("a/b" vs "a_b"); a
     // hash of the exact label keeps the file names one-to-one.
@@ -164,95 +84,21 @@ MetricsCollector::shardFileName(const std::string &run_label)
 }
 
 void
-MetricsCollector::record(const std::string &path,
-                         telemetry::MetricsSnapshot snap)
+mergeShards(const std::string &path, std::vector<std::string> shards)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!exitFlushArmed_ && this == &global()) {
-        // global()'s function-local static is constructed before
-        // this registration, so it is destroyed after the handler
-        // runs: the flush always sees a live collector.
-        std::atexit([]() { MetricsCollector::global().flush(); });
-        exitFlushArmed_ = true;
-    }
-    // The shard makes the run durable the moment it completes: a
-    // killed sweep loses at most the in-flight run, and a resumed
-    // one (SweepDriver) rebuilds the exposition from shards alone.
+    std::sort(shards.begin(), shards.end());
+    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
     const std::string dir = shardDir(path);
-    makeDirs(dir);
-    telemetry::writeMetricsShardFile(
-        dir + "/" + shardFileName(snap.run), snap);
-    byPath_[path][snap.run] = std::move(snap);
-}
-
-void
-MetricsCollector::flush()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &kv : byPath_) {
-        std::vector<telemetry::MetricsSnapshot> sorted;
-        sorted.reserve(kv.second.size());
-        for (const auto &rkv : kv.second)
-            sorted.push_back(rkv.second);
-        telemetry::writeOpenMetricsFile(kv.first, sorted);
-    }
-}
-
-void
-MetricsCollector::mergeShards(const std::string &path)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    const std::string dir = shardDir(path);
-    ::DIR *d = ::opendir(dir.c_str());
-    fatal_if(d == nullptr, "cannot open shard directory '%s': %s",
-             dir.c_str(), std::strerror(errno));
-    std::vector<std::string> names;
-    while (struct dirent *de = ::readdir(d)) {
-        std::string name = de->d_name;
-        // Skip "."/".." and any ".tmp" left by a killed writer; a
-        // shard is only ever observed complete (tmp+fsync+rename).
-        if (name.size() > 6 &&
-            name.compare(name.size() - 6, 6, ".shard") == 0)
-            names.push_back(std::move(name));
-    }
-    ::closedir(d);
-    std::sort(names.begin(), names.end());
     std::vector<telemetry::MetricsSnapshot> runs;
-    runs.reserve(names.size());
-    for (const std::string &name : names)
-        runs.push_back(
-            telemetry::readMetricsShardFile(dir + "/" + name));
+    runs.reserve(shards.size());
+    for (const std::string &name : shards)
+        runs.push_back(telemetry::readMetricsShardFile(dir + "/" + name));
     std::sort(runs.begin(), runs.end(),
               [](const telemetry::MetricsSnapshot &a,
                  const telemetry::MetricsSnapshot &b) {
                   return a.run < b.run;
               });
     telemetry::writeOpenMetricsFileAtomic(path, runs);
-    byPath_.erase(path);
-}
-
-std::size_t
-MetricsCollector::size() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::size_t n = 0;
-    for (const auto &kv : byPath_)
-        n += kv.second.size();
-    return n;
-}
-
-void
-MetricsCollector::clear()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    byPath_.clear();
-}
-
-MetricsCollector &
-MetricsCollector::global()
-{
-    static MetricsCollector collector;
-    return collector;
 }
 
 void
@@ -378,12 +224,15 @@ RunTelemetry::finish(const std::string &policy,
     if (epochsFile_ != nullptr)
         std::fflush(epochsFile_);
 
-    // The metrics snapshot must happen while the registry's live
-    // pointers are valid — i.e. here, not at process exit — and
+    // The shard makes the run durable the moment it completes (a
+    // killed sweep loses at most the in-flight run); it must be
+    // captured while the registry's live pointers are valid and
     // before the no-output-directory early return below.
     if (!cfg_.metricsOut.empty()) {
-        MetricsCollector::global().record(
-            cfg_.metricsOut,
+        const std::string dir = shardDir(cfg_.metricsOut);
+        makeDirs(dir);
+        telemetry::writeMetricsShardFile(
+            dir + "/" + shardFileName(label_),
             telemetry::MetricsSnapshot::capture(registry_, label_));
     }
     if (dir_.empty())

@@ -1,20 +1,24 @@
 /**
  * @file
- * Per-run telemetry bundle and its process-wide configuration.
+ * Per-run telemetry bundle, its configuration and the metric shards.
  *
- * TelemetryConfig - one process-wide switchboard filled from the
- *                   environment (PROFESS_TRACE, PROFESS_TELEMETRY_OUT,
- *                   PROFESS_EPOCH_TICKS) and/or the command line
- *                   (--trace, --telemetry-out DIR, --epoch-ticks N).
- *                   Telemetry stays entirely outside SystemConfig so
- *                   enabling it can never change a config fingerprint
- *                   or a derived seed.
+ * TelemetryConfig - the telemetry half of a run's options
+ *                   (sim::RunOptions, filled from --trace,
+ *                   --telemetry-out DIR, --epoch-ticks N and
+ *                   --metrics-out FILE).  Telemetry stays entirely
+ *                   outside SystemConfig so enabling it can never
+ *                   change a config fingerprint or a derived seed.
  * RunTelemetry    - everything one labelled run owns: the stat
  *                   registry, the decision/chrome trace sinks, the
  *                   epoch sampler and the hot-path timer slots.  When
  *                   an output directory is configured it materializes
  *                   DIR/<label>/{manifest.json, stats.json,
- *                   epochs.jsonl, decisions.jsonl, trace.json}.
+ *                   epochs.jsonl, decisions.jsonl, trace.json}; with
+ *                   --metrics-out it writes the run's metric shard.
+ * mergeShards     - the one exposition writer: rebuilds the
+ *                   --metrics-out file from the shards of the runs
+ *                   its owner (ParallelRunner, SweepDriver,
+ *                   kernel_hotpath) executed.
  *
  * Attachment point: System::attachTelemetry() registers every
  * component and forwards the sinks; ExperimentRunner::run() creates
@@ -22,8 +26,8 @@
  * runs have no label and always run clean).
  *
  * The fault-injection subsystem (src/sim/scenario.hh) mirrors this
- * pattern: ScenarioConfig is the PROFESS_SCENARIO / --scenario FILE
- * switchboard, and ExperimentRunner::run() registers scenario event
+ * pattern: ScenarioConfig is the --scenario FILE half of the run
+ * options, and ExperimentRunner::run() registers scenario event
  * counters and trace records into this bundle when both are active.
  */
 
@@ -32,9 +36,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,14 +65,14 @@ namespace sim
 
 struct SystemConfig;
 
-/** Process-wide telemetry switchboard (see file comment). */
+/** Telemetry options of a run (see file comment). */
 struct TelemetryConfig
 {
     bool trace = false;      ///< decision + chrome tracing
     std::string outDir;      ///< run-artifact directory ("" = none)
     Tick epochInterval = 25000; ///< epoch sampler period in ticks
     /** Combined OpenMetrics exposition file collecting every
-     *  labelled run of the process ("" = none). */
+     *  labelled run of the options' owner ("" = none). */
     std::string metricsOut;
 
     /** @return true if any telemetry consumer is active. */
@@ -80,20 +82,12 @@ struct TelemetryConfig
         return trace || !outDir.empty() || !metricsOut.empty();
     }
 
-    /** Read PROFESS_TRACE / PROFESS_TELEMETRY_OUT /
-     *  PROFESS_EPOCH_TICKS / PROFESS_METRICS_OUT. */
-    void initFromEnv();
-
     /**
-     * Read the environment, then strip and apply --trace,
-     * --telemetry-out DIR, --epoch-ticks N and --metrics-out FILE
-     * (also the --opt=value spellings) from argv, compacting it in
-     * place.
+     * A default instance that is never written.  Its only reader is
+     * perfbench/perfbench.cc:76-77, which checks that telemetry is
+     * off; everything else takes its options as a value.
      */
-    void initFromArgs(int &argc, char **argv);
-
-    /** The process-wide instance used by the experiment layer. */
-    static TelemetryConfig &global();
+    static const TelemetryConfig &global();
 };
 
 /** Telemetry state of one labelled run. */
@@ -157,9 +151,11 @@ class RunTelemetry
     const std::string &label() const { return label_; }
 
     /**
-     * Write the end-of-run artifacts: manifest.json, stats.json,
-     * decisions.jsonl and trace.json (no-op without an output
-     * directory).  Wall-clock and peak RSS are measured here.
+     * Write the end-of-run artifacts: the metric shard under
+     * shardDir(metricsOut) when --metrics-out is set, then
+     * manifest.json, stats.json, decisions.jsonl and trace.json
+     * when an output directory is.  Wall-clock and peak RSS are
+     * measured here.
      */
     void finish(const std::string &policy, const std::string &workload,
                 std::uint64_t seed, const std::string &config_json,
@@ -183,73 +179,22 @@ class RunTelemetry
     std::string startedIso_;
 };
 
+/** @return the shard directory of an exposition path. */
+std::string shardDir(const std::string &path);
+
+/** @return the shard file name of a run label (sanitized label plus
+ *  a hash of the exact label, so distinct labels never collide). */
+std::string shardFileName(const std::string &run_label);
+
 /**
- * Process-wide collector for the --metrics-out exposition file.
- *
- * Every labelled run's registry is snapshotted at finish().  Each
- * snapshot is journaled immediately as a durable per-run shard
- * under shardDir(path) — O(1) work per run — and kept in memory;
- * the combined exposition is produced once, by flush() (armed as
- * an atexit hook on the global instance) or by mergeShards(),
- * instead of being rewritten after every run (the old O(runs²)
- * path).  Runs are always emitted sorted by label, so the final
- * exposition is identical no matter in which order parallel
- * workers finish (--jobs N determinism, tests/test_telemetry.cc).
- * A repeated run label replaces the earlier snapshot (and its
- * shard), keeping file and memory consistent.
+ * Rebuild the exposition `path` (crash-atomically) from the named
+ * shard files under shardDir(path), runs sorted by label, so the
+ * file is identical no matter in which order parallel workers
+ * finished (--jobs N determinism, tests/test_telemetry.cc).  Shards
+ * not named — say, left by an earlier process — stay out of it; a
+ * name listed twice counts once.
  */
-class MetricsCollector
-{
-  public:
-    /** Record one run snapshot: write its shard, keep it for
-     *  flush().  Thread-safe. */
-    void record(const std::string &path,
-                telemetry::MetricsSnapshot snap);
-
-    /**
-     * Write every recorded path's combined exposition from the
-     * in-memory snapshots.  Idempotent; called automatically at
-     * process exit for the global instance.  Tests (or anything
-     * reading the file mid-process) call it explicitly.
-     */
-    void flush();
-
-    /**
-     * Rebuild `path` (crash-atomically) from the on-disk shards
-     * under shardDir(path) — including shards written by an
-     * earlier, killed process — sorted by run label, and drop any
-     * in-memory snapshots for `path` so a later flush() cannot
-     * clobber the merged result.  Byte-identical to flush() when
-     * the shards and the in-memory state agree.
-     */
-    void mergeShards(const std::string &path);
-
-    /** @return the shard directory of an exposition path. */
-    static std::string shardDir(const std::string &path);
-
-    /** @return the shard file name of a run label (sanitized label
-     *  plus a hash of the exact label, so distinct labels never
-     *  collide). */
-    static std::string shardFileName(const std::string &run_label);
-
-    /** @return snapshots held in memory (all paths). */
-    std::size_t size() const;
-
-    /** Drop all snapshots (tests running several batches). */
-    void clear();
-
-    /** The process-wide instance. */
-    static MetricsCollector &global();
-
-  private:
-    mutable std::mutex mu_;
-    /** path -> (run label -> snapshot); both map orders are the
-     *  deterministic output orders. */
-    std::map<std::string,
-             std::map<std::string, telemetry::MetricsSnapshot>>
-        byPath_;
-    bool exitFlushArmed_ = false;
-};
+void mergeShards(const std::string &path, std::vector<std::string> shards);
 
 /**
  * Register the per-epoch fairness gauges derived from RSM's

@@ -1,7 +1,6 @@
 #include "sim/scenario.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -274,46 +273,12 @@ ScenarioSchedule::fromFile(const std::string &path)
     return s;
 }
 
-void
-ScenarioConfig::initFromEnv()
-{
-    const char *f = std::getenv("PROFESS_SCENARIO");
-    if (f != nullptr && f[0] != '\0') {
-        file = f;
-        schedule = ScenarioSchedule::fromFile(file);
-        active = true;
-    }
-}
-
-void
-ScenarioConfig::initFromArgs(int &argc, char **argv)
-{
-    initFromEnv();
-    std::string flag_file;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a(argv[i]);
-        if (a == "--scenario" && i + 1 < argc) {
-            flag_file = argv[++i];
-        } else if (a.rfind("--scenario=", 0) == 0) {
-            flag_file = a.substr(std::strlen("--scenario="));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-    if (!flag_file.empty()) {
-        file = flag_file;
-        schedule = ScenarioSchedule::fromFile(file);
-        active = true;
-    }
-}
-
-ScenarioConfig &
+const ScenarioConfig &
 ScenarioConfig::global()
 {
-    static ScenarioConfig cfg;
+    // Never written: the default options, read only by
+    // perfbench/perfbench.cc:76-77.
+    static const ScenarioConfig cfg;
     return cfg;
 }
 

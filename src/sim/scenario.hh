@@ -11,9 +11,9 @@
  *                      Built programmatically or parsed from a
  *                      config file (one `key=value ...` line per
  *                      intervention; see fromFile()).
- * ScenarioConfig     - process-wide switchboard mirroring
- *                      TelemetryConfig: filled from PROFESS_SCENARIO
- *                      and/or `--scenario FILE`.  Like telemetry it
+ * ScenarioConfig     - the scenario half of a run's options
+ *                      (sim::RunOptions, filled from
+ *                      `--scenario FILE`).  Like telemetry it
  *                      stays entirely outside SystemConfig, so
  *                      loading a scenario never changes a config
  *                      fingerprint or a derived seed; the experiment
@@ -171,7 +171,7 @@ class ScenarioSchedule
     std::vector<Intervention> ivs_;
 };
 
-/** Process-wide scenario switchboard (see file comment). */
+/** Scenario options of a run (see file comment). */
 struct ScenarioConfig
 {
     std::string file;          ///< schedule path ("" = programmatic)
@@ -180,31 +180,13 @@ struct ScenarioConfig
     /** @return true when a schedule is in force. */
     bool loaded() const { return active; }
 
-    /** Read PROFESS_SCENARIO and parse the schedule it names. */
-    void initFromEnv();
-
-    /**
-     * Read the environment, then strip and apply `--scenario FILE`
-     * (also `--scenario=FILE`) from argv, compacting it in place.
-     */
-    void initFromArgs(int &argc, char **argv);
-
-    /** Install a schedule directly (tests). */
+    /** Install a schedule (RunOptions::fromArgs, tests). */
     void
     setSchedule(ScenarioSchedule s)
     {
         schedule = std::move(s);
         file.clear();
         active = true;
-    }
-
-    /** Drop any loaded schedule (tests). */
-    void
-    clear()
-    {
-        schedule = ScenarioSchedule{};
-        file.clear();
-        active = false;
     }
 
     /** @return schedule fingerprint, 0 when nothing is loaded. */
@@ -214,8 +196,13 @@ struct ScenarioConfig
         return active ? schedule.fingerprint() : 0;
     }
 
-    /** The process-wide instance used by the experiment layer. */
-    static ScenarioConfig &global();
+    /**
+     * A default instance (no schedule) that is never written.  Its
+     * only reader is perfbench/perfbench.cc:76-77, which checks that
+     * no scenario is loaded; everything else takes its options as a
+     * value.
+     */
+    static const ScenarioConfig &global();
 
     bool active = false;
 };

@@ -504,60 +504,45 @@ flushSync(std::FILE *f, const std::string &path)
              path.c_str(), std::strerror(errno));
 }
 
-/** Force the process-wide metricsOut for the driver's scope. */
-class ScopedMetricsOut
-{
-  public:
-    explicit ScopedMetricsOut(std::string path)
-        : saved_(TelemetryConfig::global().metricsOut)
-    {
-        TelemetryConfig::global().metricsOut = std::move(path);
-    }
-
-    ~ScopedMetricsOut()
-    {
-        TelemetryConfig::global().metricsOut = saved_;
-    }
-
-  private:
-    std::string saved_;
-};
-
 } // anonymous namespace
 
 //
 // SweepDriver
 //
 
-SweepDriver::SweepDriver(const SweepSpec &spec, const Options &opts)
-    : spec_(spec), opts_(opts)
+SweepDriver::SweepDriver(const SweepSpec &spec, const Options &opts,
+                         RunOptions run_options)
+    : spec_(spec), opts_(opts), runOptions_(std::move(run_options))
 {
     fatal_if(opts_.outDir.empty(), "sweep: no output directory");
+    fatal_if(!runOptions_.telemetry.metricsOut.empty(),
+             "sweep: --metrics-out '%s' is not accepted; a sweep "
+             "always writes its exposition to DIR/metrics.prom "
+             "(here '%s')",
+             runOptions_.telemetry.metricsOut.c_str(), metricsPath().c_str());
+    runOptions_.telemetry.metricsOut = metricsPath();
     // The scenario schedule changes every run's trajectory, so a
     // journal written under one schedule must not satisfy a resume
     // under another.
     specFp_ = hashCombine(spec_.fingerprint(),
-                          ScenarioConfig::global().fingerprint());
+                          runOptions_.scenario.fingerprint());
     jobs_ = spec_.expand();
     keys_.reserve(jobs_.size());
     labels_.reserve(jobs_.size());
     shards_.reserve(jobs_.size());
     for (const RunJob &j : jobs_) {
-        // Mirror ParallelRunner::runOne exactly: the derived seed,
-        // the "_s<point>" telemetry suffix and the "<label>_<policy>"
-        // snapshot label must name the same run the DetSan journal
-        // and the metrics shard see.
+        // Name each run as ParallelRunner::runOne does: the derived
+        // seed, the jobLabel and the "<label>_<policy>" snapshot
+        // label must name the same run the DetSan journal and the
+        // metrics shard see.
         std::uint64_t seed = deriveSeed(j.baseSeed, j.policy,
                                         j.label, j.sweepPoint);
-        std::string tlabel = j.label;
-        if (j.sweepPoint != 0)
-            tlabel += "_s" + std::to_string(j.sweepPoint);
+        std::string tlabel = jobLabel(j);
         keys_.push_back(runIdentityKey(j.cfg, j.footprintScale,
                                        tlabel, j.policy, j.programs,
                                        seed));
         labels_.push_back(tlabel);
-        shards_.push_back(MetricsCollector::shardFileName(
-            tlabel + "_" + j.policy));
+        shards_.push_back(shardFileName(tlabel + "_" + j.policy));
     }
     records_.assign(jobs_.size(), SweepRunRecord{});
     done_.assign(jobs_.size(), false);
@@ -593,7 +578,7 @@ SweepDriver::removeOutputs()
 {
     ::unlink(journalPath().c_str());
     ::unlink(metricsPath().c_str());
-    std::string dir = MetricsCollector::shardDir(metricsPath());
+    std::string dir = shardDir(metricsPath());
     if (::DIR *d = ::opendir(dir.c_str())) {
         std::vector<std::string> names;
         while (struct dirent *de = ::readdir(d)) {
@@ -611,8 +596,7 @@ void
 SweepDriver::loadJournal()
 {
     const std::string path = journalPath();
-    const std::string shard_dir =
-        MetricsCollector::shardDir(metricsPath());
+    const std::string shard_dir = shardDir(metricsPath());
     std::string content;
     {
         std::ifstream in(path, std::ios::binary);
@@ -729,7 +713,7 @@ void
 SweepDriver::appendJournal(const SweepRunRecord &rec)
 {
     // The run's shard is already durable (tmp+fsync+rename in
-    // MetricsCollector::record) by the time finish() returned, so
+    // RunTelemetry::finish) by the time runOne() returned, so
     // journal line -> shard can never dangle after a crash.
     std::string line = renderRecord(rec);
     std::fputs(line.c_str(), journal_);
@@ -742,7 +726,7 @@ SweepDriver::finalize()
     // Rebuild the exposition from the on-disk shards: identical
     // whether the runs happened in this process, an earlier killed
     // one, or any mix.
-    MetricsCollector::global().mergeShards(metricsPath());
+    mergeShards(metricsPath(), shards_);
 
     // Rewrite the journal canonically — header plus one line per
     // run in job order, atomically — erasing completion order and
@@ -769,9 +753,6 @@ bool
 SweepDriver::run()
 {
     makeDirs(opts_.outDir);
-    // Route every run's metrics snapshot (and shard) into the
-    // sweep's exposition for the driver's scope.
-    ScopedMetricsOut scoped(metricsPath());
 
     if (opts_.fresh)
         removeOutputs();
@@ -787,7 +768,7 @@ SweepDriver::run()
     if (preempted)
         pending.resize(opts_.maxRuns);
 
-    ParallelRunner runner(opts_.jobs, &cache_);
+    ParallelRunner runner(opts_.jobs, runOptions_);
     runner.setProgress(false);
     std::atomic<std::size_t> journaled{resumed_};
     runner.forEach(

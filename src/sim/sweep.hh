@@ -24,8 +24,8 @@
  * the output directory), keyed by the same
  * configFingerprint|label|policy|programs|seed identity the DetSan
  * journal uses (runIdentityKey).  Per-run metrics are durable the
- * moment a run finishes: MetricsCollector writes one shard per run
- * under metrics.prom.shards/.
+ * moment a run finishes: RunTelemetry::finish writes one shard per
+ * run under metrics.prom.shards/.
  *
  * Crash safety: a sweep killed at any point — SIGKILL mid-run
  * included — resumes by re-running only the jobs missing from the
@@ -146,7 +146,13 @@ class SweepDriver
         bool progress = false;   ///< per-run stderr progress lines
     };
 
-    SweepDriver(const SweepSpec &spec, const Options &opts);
+    /**
+     * @param run_options Telemetry and fault scenario of every run.
+     *        Its exposition is always outDir/metrics.prom, so a
+     *        metricsOut of its own is fatal.
+     */
+    SweepDriver(const SweepSpec &spec, const Options &opts,
+                RunOptions run_options = {});
     ~SweepDriver();
 
     SweepDriver(const SweepDriver &) = delete;
@@ -201,12 +207,12 @@ class SweepDriver
 
     SweepSpec spec_;
     Options opts_;
+    RunOptions runOptions_; ///< metricsOut = metricsPath()
     std::uint64_t specFp_ = 0; ///< spec + scenario fingerprint
     std::vector<RunJob> jobs_;       ///< canonical order
     std::vector<std::string> keys_;  ///< runIdentityKey per job
     std::vector<std::string> labels_; ///< telemetry label per job
     std::vector<std::string> shards_; ///< shard file name per job
-    AloneIpcCache cache_;
     std::vector<SweepRunRecord> records_;
     std::vector<bool> done_;
     std::size_t resumed_ = 0;

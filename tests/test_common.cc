@@ -178,6 +178,10 @@ TEST(KeyValue, TypedParseTakesWholeTokensThatFit)
     int i = 0;
     EXPECT_TRUE(parseValue("-1", i));
     EXPECT_EQ(i, -1);
+    // Octal-looking spellings are rejected, not read as decimal.
+    for (const char *bad : {"010", "00", "-01", "0x10"})
+        EXPECT_FALSE(parseValue(bad, i)) << bad;
+    EXPECT_TRUE(parseValue("0", i));
     double d = 0.0;
     EXPECT_TRUE(parseValue("0.5", d));
     EXPECT_EQ(d, 0.5);
@@ -203,7 +207,7 @@ TEST(KeyValueDeathTest, MalformedIntegerIsFatal)
     // The parser behind every integer knob, PROFESS_INSTR and
     // profess_sweep --max-runs.
     for (const char *bad :
-         {"2e6", "12abc", "", "-1", "18446744073709551616"}) {
+         {"2e6", "12abc", "", "-1", "010", "18446744073709551616"}) {
         KeyValue kv{"PROFESS_INSTR", bad, "environment"};
         EXPECT_DEATH(valueAs<std::uint64_t>(kv),
                      "environment: bad value '.*' for "

@@ -669,22 +669,29 @@ TEST(LatencyAttribution, RecordsAndDropsOutOfRange)
     EXPECT_FALSE(reg.contains("latency.p0.m1.swap.queue.count"));
 }
 
-TEST(MetricsCollector, FlushWritesSortedAndValid)
+TEST(MetricsShards, MergeSortsRunsAndReadsOnlyNamedShards)
 {
-    MetricsCollector &coll = MetricsCollector::global();
-    coll.clear();
-    std::string path = tempBase("collector") + ".prom";
+    std::string path = tempBase("merge") + ".prom";
+    const std::string dir = shardDir(path);
+    makeDirs(dir);
 
     StatRegistry reg;
     std::uint64_t c = 3;
     reg.addCounter("coll.events", c);
-
-    // Completion order b-then-a must not leak into the file.
-    coll.record(path, MetricsSnapshot::capture(reg, "b"));
+    auto write = [&](const std::string &run) {
+        telemetry::writeMetricsShardFile(
+            dir + "/" + shardFileName(run),
+            MetricsSnapshot::capture(reg, run));
+    };
+    // Completion order b-then-a must not leak into the file, and a
+    // shard nobody names (left by an earlier process) stays out.
+    write("b");
     c = 8;
-    coll.record(path, MetricsSnapshot::capture(reg, "a"));
-    EXPECT_EQ(coll.size(), 2u);
-    coll.flush();
+    write("a");
+    c = 1;
+    write("stale");
+    mergeShards(path, {shardFileName("b"), shardFileName("a"),
+                       shardFileName("b")});
 
     Exposition exp = parseExposition(readFile(path));
     validateExposition(exp);
@@ -692,19 +699,10 @@ TEST(MetricsCollector, FlushWritesSortedAndValid)
     EXPECT_EQ(exp.samples[0].labels.at("run"), "a");
     EXPECT_EQ(exp.samples[0].value, 8.0);
     EXPECT_EQ(exp.samples[1].labels.at("run"), "b");
-
-    // Each record left a durable per-run shard; rebuilding the
-    // exposition from disk alone is byte-identical to flush().
-    std::string flushed = readFile(path);
-    coll.mergeShards(path);
-    EXPECT_EQ(readFile(path), flushed);
-    // mergeShards dropped the in-memory snapshots for `path`, so a
-    // later flush cannot clobber the merged result.
-    EXPECT_EQ(coll.size(), 0u);
-    coll.clear();
+    EXPECT_EQ(exp.samples[1].value, 3.0);
 }
 
-TEST(MetricsCollector, ShardRoundTripIsExact)
+TEST(MetricsShards, ShardRoundTripIsExact)
 {
     StatRegistry reg;
     std::uint64_t c = 42;
@@ -775,16 +773,17 @@ TEST(OpenMetrics, Fig13RunExportValidates)
     sys.attachTelemetry(bundle);
     ASSERT_TRUE(sys.run());
     bundle.finish("profess", "w01", 7, configJson(cfg), true);
-    MetricsCollector::global().flush();
-    std::string legacy = readFile(tcfg.metricsOut);
+    mergeShards(tcfg.metricsOut, {shardFileName("w01_profess")});
+    std::string merged = readFile(tcfg.metricsOut);
 
-    // Acceptance pin: the sharded merge path reproduces the
-    // single-file exporter byte-for-byte for this workload.
-    MetricsCollector::global().mergeShards(tcfg.metricsOut);
-    EXPECT_EQ(readFile(tcfg.metricsOut), legacy);
-    MetricsCollector::global().clear();
+    // Acceptance pin: the shard written at finish() and merged back
+    // reproduces the exposition rendered straight from the live
+    // registry, byte for byte, for this workload.
+    EXPECT_EQ(merged,
+              dumpExposition({MetricsSnapshot::capture(
+                  bundle.registry(), "w01_profess")}));
 
-    Exposition exp = parseExposition(legacy);
+    Exposition exp = parseExposition(merged);
     validateExposition(exp);
 
     // The attribution family is present and carries real samples:

@@ -10,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/invariant.hh"
 #include "common/key_value.hh"
@@ -44,6 +48,41 @@ quickSingle()
     c.core.instrQuota = 150000;
     c.core.warmupInstr = 50000;
     return c;
+}
+
+/** A writable argv for the parsers that compact it in place. */
+struct Argv
+{
+    std::vector<std::string> args;
+    std::vector<char *> ptrs;
+    int argc;
+
+    Argv(std::initializer_list<const char *> list)
+        : args(list.begin(), list.end()),
+          argc(static_cast<int>(args.size()))
+    {
+        for (std::string &a : args)
+            ptrs.push_back(a.data());
+        ptrs.push_back(nullptr);
+    }
+
+    char **argv() { return ptrs.data(); }
+};
+
+/** @return ParallelRunner::jobsFromArgs over `args`. */
+unsigned
+jobsOf(std::initializer_list<const char *> args)
+{
+    Argv a(args);
+    return ParallelRunner::jobsFromArgs(a.argc, a.argv());
+}
+
+/** @return RunOptions::fromArgs over `args`. */
+RunOptions
+optionsOf(std::initializer_list<const char *> args)
+{
+    Argv a(args);
+    return RunOptions::fromArgs(a.argc, a.argv());
 }
 
 /** Every field of a RunResult must match bit-for-bit. */
@@ -204,24 +243,113 @@ TEST(Jobs, EnvAndArgsParsing)
 {
     ::setenv("PROFESS_JOBS", "5", 1);
     EXPECT_EQ(ParallelRunner::jobsFromEnv(), 5u);
-    const char *argv1[] = {"bench", "--jobs", "3"};
-    EXPECT_EQ(ParallelRunner::jobsFromArgs(
-                  3, const_cast<char **>(argv1)),
-              3u);
-    const char *argv2[] = {"bench", "--jobs=7"};
-    EXPECT_EQ(ParallelRunner::jobsFromArgs(
-                  2, const_cast<char **>(argv2)),
-              7u);
-    const char *argv3[] = {"bench", "-j", "2"};
-    EXPECT_EQ(ParallelRunner::jobsFromArgs(
-                  3, const_cast<char **>(argv3)),
-              2u);
-    const char *argv4[] = {"bench"};
-    EXPECT_EQ(ParallelRunner::jobsFromArgs(
-                  1, const_cast<char **>(argv4)),
+    // Every spelling is applied and stripped; other arguments stay.
+    Argv a1{"bench", "--jobs", "3", "--keep"};
+    EXPECT_EQ(ParallelRunner::jobsFromArgs(a1.argc, a1.argv()), 3u);
+    ASSERT_EQ(a1.argc, 2);
+    EXPECT_STREQ(a1.argv()[1], "--keep");
+    EXPECT_EQ(a1.argv()[2], nullptr);
+    Argv a2{"bench", "--jobs=7"};
+    EXPECT_EQ(ParallelRunner::jobsFromArgs(a2.argc, a2.argv()), 7u);
+    EXPECT_EQ(a2.argc, 1);
+    Argv a3{"bench", "-j", "2"};
+    EXPECT_EQ(ParallelRunner::jobsFromArgs(a3.argc, a3.argv()), 2u);
+    EXPECT_EQ(a3.argc, 1);
+    Argv a4{"bench"};
+    EXPECT_EQ(ParallelRunner::jobsFromArgs(a4.argc, a4.argv()),
               5u); // falls back to PROFESS_JOBS
     ::unsetenv("PROFESS_JOBS");
     EXPECT_GE(ParallelRunner::jobsFromEnv(), 1u);
+
+    // Octal, hex, junk and zero are fatal, never misread as a
+    // worker count.
+    for (const char *bad : {"010", "0x3", "abc", "4x"}) {
+        EXPECT_EXIT(jobsOf({"bench", "--jobs", bad}),
+                    ::testing::ExitedWithCode(1),
+                    "command line: bad value '" + std::string(bad) +
+                        "' for '--jobs'")
+            << bad;
+    }
+    EXPECT_EXIT(jobsOf({"bench", "--jobs=0"}),
+                ::testing::ExitedWithCode(1),
+                "command line: '--jobs' must be at least 1");
+    for (const char *bad : {"010", "0x3", "0", ""}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("PROFESS_JOBS", bad, 1);
+                ParallelRunner::jobsFromEnv();
+            },
+            ::testing::ExitedWithCode(1), "environment: .*'PROFESS_JOBS'")
+            << bad;
+    }
+    EXPECT_EXIT(jobsOf({"bench", "-j"}), ::testing::ExitedWithCode(1),
+                "-j needs a value");
+}
+
+TEST(RunOptions, FromArgsAppliesAndStripsSharedFlags)
+{
+    std::string scenario =
+        ::testing::TempDir() + "/profess_run_options.scenario";
+    std::FILE *f = std::fopen(scenario.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("at=1000 kind=write_spike duration=5000 scale=4.0\n", f);
+    std::fclose(f);
+    ScenarioSchedule want;
+    want.writeSpike(1000, 5000, 4.0);
+
+    // Flags are applied and stripped; unrelated arguments survive.
+    Argv a{"bench",         "--trace",          "--telemetry-out",
+           "/tmp/x",        "--jobs",           "4",
+           "--epoch-ticks=123", "--metrics-out", "/tmp/m.prom",
+           "--scenario",    scenario.c_str()};
+    RunOptions o = RunOptions::fromArgs(a.argc, a.argv());
+    EXPECT_TRUE(o.telemetry.trace);
+    EXPECT_EQ(o.telemetry.outDir, "/tmp/x");
+    EXPECT_EQ(o.telemetry.epochInterval, 123u);
+    EXPECT_EQ(o.telemetry.metricsOut, "/tmp/m.prom");
+    EXPECT_TRUE(o.scenario.loaded());
+    EXPECT_EQ(o.scenario.file, scenario);
+    EXPECT_EQ(o.scenario.fingerprint(), want.fingerprint());
+    ASSERT_EQ(a.argc, 3);
+    EXPECT_STREQ(a.argv()[1], "--jobs");
+    EXPECT_STREQ(a.argv()[2], "4");
+    EXPECT_EQ(a.argv()[3], nullptr);
+
+    // The = spelling, alone, also enables telemetry.
+    RunOptions eq = optionsOf({"bench", "--metrics-out=/tmp/n.prom"});
+    EXPECT_EQ(eq.telemetry.metricsOut, "/tmp/n.prom");
+    EXPECT_TRUE(eq.telemetry.enabled());
+    EXPECT_FALSE(eq.scenario.loaded());
+
+    // Defaults: everything off.
+    RunOptions none = optionsOf({"bench"});
+    EXPECT_FALSE(none.telemetry.enabled());
+    EXPECT_FALSE(none.scenario.loaded());
+    EXPECT_EQ(none.telemetry.epochInterval, 25000u);
+    std::remove(scenario.c_str());
+}
+
+TEST(RunOptions, MissingValueOrBadPeriodIsFatal)
+{
+    // A valued flag at the end of argv has no value to take; left
+    // in place, a figure binary would run without it.
+    for (const char *flag : {"--telemetry-out", "--epoch-ticks",
+                             "--metrics-out", "--scenario"}) {
+        EXPECT_EXIT(optionsOf({"bench", flag}),
+                    ::testing::ExitedWithCode(1),
+                    std::string(flag) + " needs a value")
+            << flag;
+    }
+    for (const char *bad : {"0x10", "1e4", "-5", "010"}) {
+        EXPECT_EXIT(optionsOf({"bench", "--epoch-ticks", bad}),
+                    ::testing::ExitedWithCode(1),
+                    "bad value '" + std::string(bad) +
+                        "' for '--epoch-ticks'")
+            << bad;
+    }
+    EXPECT_EXIT(optionsOf({"bench", "--epoch-ticks=0"}),
+                ::testing::ExitedWithCode(1),
+                "'--epoch-ticks' must be positive");
 }
 
 /**
@@ -245,12 +373,11 @@ TEST(Differential, SerialVsParallelBitIdentical)
     sweep.m2WriteScale = 2.0;
     batch.push_back(singleJob(sweep, "mdm", "mcf", 2));
 
-    // Fresh caches per runner: the reference runs themselves must
-    // be reproduced identically, not shared via memoization.
-    AloneIpcCache serial_cache, parallel_cache;
-    ParallelRunner serial(1, &serial_cache);
+    // Each runner owns a fresh cache: the reference runs themselves
+    // must be reproduced identically, not shared via memoization.
+    ParallelRunner serial(1);
     serial.setProgress(false);
-    ParallelRunner parallel(8, &parallel_cache);
+    ParallelRunner parallel(8);
     parallel.setProgress(false);
 
     std::vector<MultiMetrics> a = serial.run(batch);
@@ -279,8 +406,7 @@ TEST(Differential, JobSeedIndependentOfBatchPosition)
     RunJob jm = multiJob(quickQuad(), "mdm", *w02);
     RunJob jp = multiJob(quickQuad(), "pom", *w02);
 
-    AloneIpcCache c1, c2;
-    ParallelRunner r1(2, &c1), r2(2, &c2);
+    ParallelRunner r1(2), r2(2);
     r1.setProgress(false);
     r2.setProgress(false);
     std::vector<MultiMetrics> ab = r1.run({jm, jp});
@@ -295,8 +421,7 @@ TEST(ParallelRunner, SharedCacheSkipsDuplicateReferenceRuns)
     // end up with one entry per distinct (policy, program) pair.
     const WorkloadSpec *w01 = findWorkload("w01");
     ASSERT_NE(w01, nullptr);
-    AloneIpcCache cache;
-    ParallelRunner runner(4, &cache);
+    ParallelRunner runner(4);
     runner.setProgress(false);
     std::vector<RunJob> batch = {
         multiJob(quickQuad(), "pom", *w01),
@@ -317,7 +442,7 @@ TEST(ParallelRunner, SharedCacheSkipsDuplicateReferenceRuns)
             }
         }
     }
-    EXPECT_EQ(cache.size(), distinct);
+    EXPECT_EQ(runner.cache().size(), distinct);
     // Both sweep points see identical reference IPCs...
     for (std::size_t i = 0; i < r[0].aloneIpc.size(); ++i)
         EXPECT_EQ(r[0].aloneIpc[i], r[1].aloneIpc[i]);

@@ -115,15 +115,6 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.completed, b.completed);
 }
 
-/** Restores the process-wide ScenarioConfig even when a test
- *  fails mid-way (EXPECT failures fall through; this guards the
- *  global against leaking into later suites). */
-class GlobalScenarioGuard
-{
-  public:
-    ~GlobalScenarioGuard() { ScenarioConfig::global().clear(); }
-};
-
 } // anonymous namespace
 
 // ---------------------------------------------------------------
@@ -218,8 +209,6 @@ TEST(ScenarioOffMode, EmptyScheduleBitIdentical)
 
 TEST(ScenarioDeterminism, FaultScheduleIdenticalAcrossJobs)
 {
-    GlobalScenarioGuard guard;
-
     SystemConfig cfg = tinyConfig();
     std::vector<RunJob> batch;
     for (const char *policy : {"profess", "pom", "mempod"}) {
@@ -231,35 +220,21 @@ TEST(ScenarioDeterminism, FaultScheduleIdenticalAcrossJobs)
         batch.push_back(j);
     }
 
-    // Clean baseline first, then the same batch under faults.
-    std::vector<MultiMetrics> clean;
-    {
-        AloneIpcCache cache;
-        ParallelRunner runner(1, &cache);
-        runner.setProgress(false);
-        clean = runner.run(batch);
-    }
-
     ScenarioSchedule s;
     s.writeSpike(5000, 40000, 6.0)
         .bankBusy(20000, 4000)
         .swapAbortWindow(0, 0, 0.3, 3, 128);
-    ScenarioConfig::global().setSchedule(s);
-
-    std::vector<MultiMetrics> serial;
-    {
-        AloneIpcCache cache;
-        ParallelRunner runner(1, &cache);
+    RunOptions faulted;
+    faulted.scenario.setSchedule(s);
+    auto runWith = [&batch](unsigned jobs, const RunOptions &opts) {
+        ParallelRunner runner(jobs, opts);
         runner.setProgress(false);
-        serial = runner.run(batch);
-    }
-    std::vector<MultiMetrics> parallel;
-    {
-        AloneIpcCache cache;
-        ParallelRunner runner(8, &cache);
-        runner.setProgress(false);
-        parallel = runner.run(batch);
-    }
+        return runner.run(batch);
+    };
+    // Clean baseline first, then the same batch under faults.
+    std::vector<MultiMetrics> clean = runWith(1, RunOptions{});
+    std::vector<MultiMetrics> serial = runWith(1, faulted);
+    std::vector<MultiMetrics> parallel = runWith(8, faulted);
 
     ASSERT_EQ(serial.size(), batch.size());
     ASSERT_EQ(parallel.size(), batch.size());

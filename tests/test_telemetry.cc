@@ -4,8 +4,9 @@
  * epoch-sampler ring + determinism across worker counts, decision
  * trace ring wraparound with wrap-immune totals, reconciliation of
  * trace summaries against the policy's own counters, telemetry-off
- * bit-identity, Chrome-trace export, Histogram underflow/overflow
- * accounting and the logging/telemetry flag parsing.
+ * bit-identity, per-runner metric expositions, Chrome-trace export,
+ * Histogram underflow/overflow accounting and the logging flag
+ * parsing.
  */
 
 #include <gtest/gtest.h>
@@ -132,14 +133,6 @@ tempBase(const std::string &tag)
     return ::testing::TempDir() + "profess_" + tag + "_" +
            std::to_string(::getpid());
 }
-
-/** Saves/restores the process-wide telemetry configuration. */
-struct TelemetryConfigGuard
-{
-    TelemetryConfig saved;
-    TelemetryConfigGuard() : saved(TelemetryConfig::global()) {}
-    ~TelemetryConfigGuard() { TelemetryConfig::global() = saved; }
-};
 
 std::unique_ptr<System>
 makeSystem(const SystemConfig &cfg, const std::string &policy,
@@ -417,23 +410,17 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
 
 TEST(Differential, TelemetryOffIsBitIdentical)
 {
-    TelemetryConfigGuard guard;
     const std::vector<std::string> programs = {"mcf"};
 
     // Telemetry on (tracing + sampling, no artifact directory).
-    TelemetryConfig::global() = TelemetryConfig{};
-    TelemetryConfig::global().trace = true;
-    TelemetryConfig::global().epochInterval = 5000;
-    AloneIpcCache cache_on;
-    ExperimentRunner on(quickSingle(), trace::defaultScale,
-                        &cache_on);
+    RunOptions on_opts;
+    on_opts.telemetry.trace = true;
+    on_opts.telemetry.epochInterval = 5000;
+    ExperimentRunner on(quickSingle(), on_opts);
     RunResult a = on.run("profess", programs, 7, "mix");
 
     // Telemetry off, same seed: labelled and clean runs.
-    TelemetryConfig::global() = TelemetryConfig{};
-    AloneIpcCache cache_off;
-    ExperimentRunner off(quickSingle(), trace::defaultScale,
-                         &cache_off);
+    ExperimentRunner off(quickSingle());
     RunResult b = off.run("profess", programs, 7, "mix");
     RunResult c = off.run("profess", programs, 7);
 
@@ -444,7 +431,6 @@ TEST(Differential, TelemetryOffIsBitIdentical)
 
 TEST(Differential, EpochSeriesIdenticalAcrossWorkerCounts)
 {
-    TelemetryConfigGuard guard;
     std::string base = tempBase("epochs");
     const WorkloadSpec *w01 = findWorkload("w01");
     const WorkloadSpec *w05 = findWorkload("w05");
@@ -459,11 +445,10 @@ TEST(Differential, EpochSeriesIdenticalAcrossWorkerCounts)
         j.slowdowns = false; // reference runs are label-free anyway
 
     auto runWith = [&batch](unsigned jobs, const std::string &dir) {
-        TelemetryConfig::global() = TelemetryConfig{};
-        TelemetryConfig::global().outDir = dir;
-        TelemetryConfig::global().epochInterval = 5000;
-        AloneIpcCache cache;
-        ParallelRunner runner(jobs, &cache);
+        RunOptions opts;
+        opts.telemetry.outDir = dir;
+        opts.telemetry.epochInterval = 5000;
+        ParallelRunner runner(jobs, opts);
         runner.setProgress(false);
         return runner.run(batch);
     };
@@ -494,27 +479,20 @@ TEST(Differential, EpochSeriesIdenticalAcrossWorkerCounts)
 
 TEST(Differential, MetricsExportIsBitIdentical)
 {
-    TelemetryConfigGuard guard;
     const std::vector<std::string> programs = {"mcf"};
     std::string prom = tempBase("metrics_off") + ".prom";
 
     // --metrics-out alone turns on the full observational stack
     // (latency-attribution spans, fairness gauges, exporter);
     // simulation results must not move at all.
-    MetricsCollector::global().clear();
-    TelemetryConfig::global() = TelemetryConfig{};
-    TelemetryConfig::global().metricsOut = prom;
-    AloneIpcCache cache_on;
-    ExperimentRunner on(quickSingle(), trace::defaultScale,
-                        &cache_on);
+    RunOptions on_opts;
+    on_opts.telemetry.metricsOut = prom;
+    ExperimentRunner on(quickSingle(), on_opts);
     RunResult a = on.run("profess", programs, 7, "mix");
-    MetricsCollector::global().flush();
-    MetricsCollector::global().clear();
+    // The run wrote its shard; the owner of the options merges.
+    mergeShards(prom, {shardFileName("mix_profess")});
 
-    TelemetryConfig::global() = TelemetryConfig{};
-    AloneIpcCache cache_off;
-    ExperimentRunner off(quickSingle(), trace::defaultScale,
-                         &cache_off);
+    ExperimentRunner off(quickSingle());
     RunResult b = off.run("profess", programs, 7, "mix");
 
     EXPECT_TRUE(a.completed);
@@ -530,7 +508,6 @@ TEST(Differential, MetricsExportIsBitIdentical)
 
 TEST(Differential, MetricsFileIdenticalAcrossWorkerCounts)
 {
-    TelemetryConfigGuard guard;
     std::string base = tempBase("metrics_jobs");
     const WorkloadSpec *w01 = findWorkload("w01");
     const WorkloadSpec *w05 = findWorkload("w05");
@@ -544,31 +521,57 @@ TEST(Differential, MetricsFileIdenticalAcrossWorkerCounts)
     for (RunJob &j : batch)
         j.slowdowns = false;
 
-    // The collector sorts snapshots by run label before every
-    // rewrite, so worker count and completion order must leave no
-    // trace in the exposition: a zero-threshold metrics_diff.py of
-    // these two files reports nothing (here byte equality, which is
-    // stronger).
+    // Workers write their shards concurrently and the runner merges
+    // them sorted by run label after the batch, so worker count and
+    // completion order must leave no trace in the exposition: a
+    // zero-threshold metrics_diff.py of these two files reports
+    // nothing (here byte equality, which is stronger).
     auto runWith = [&batch](unsigned jobs, const std::string &file) {
-        MetricsCollector::global().clear();
-        TelemetryConfig::global() = TelemetryConfig{};
-        TelemetryConfig::global().metricsOut = file;
-        AloneIpcCache cache;
-        ParallelRunner runner(jobs, &cache);
+        RunOptions opts;
+        opts.telemetry.metricsOut = file;
+        ParallelRunner runner(jobs, opts);
         runner.setProgress(false);
         runner.run(batch);
-        MetricsCollector::global().flush();
     };
     std::string serial = base + "_serial.prom";
     std::string parallel = base + "_par.prom";
     runWith(1, serial);
     runWith(8, parallel);
-    MetricsCollector::global().clear();
 
     std::string s = readFile(serial);
     std::string p = readFile(parallel);
     EXPECT_FALSE(s.empty());
     EXPECT_EQ(s, p);
+}
+
+TEST(RunOptions, RunnersWriteOnlyTheirOwnExposition)
+{
+    // Two runners with different options in one process: each
+    // exposition holds exactly its own runner's runs, over all of
+    // its batches, and nothing of the other's.
+    std::string base = tempBase("two_runners");
+    RunOptions a_opts;
+    a_opts.telemetry.metricsOut = base + "_a.prom";
+    RunOptions b_opts;
+    b_opts.telemetry.metricsOut = base + "_b.prom";
+    b_opts.telemetry.trace = true;
+    ParallelRunner a(2, a_opts);
+    ParallelRunner b(2, b_opts);
+    a.setProgress(false);
+    b.setProgress(false);
+
+    a.run({singleJob(quickSingle(), "pom", "mcf")});
+    b.run({singleJob(quickSingle(), "mdm", "lbm")});
+    a.run({singleJob(quickSingle(), "pom", "milc")});
+
+    std::string ta = readFile(a_opts.telemetry.metricsOut);
+    std::string tb = readFile(b_opts.telemetry.metricsOut);
+    EXPECT_NE(ta.find("run=\"mcf_pom\""), std::string::npos);
+    EXPECT_NE(ta.find("run=\"milc_pom\""), std::string::npos);
+    EXPECT_EQ(ta.find("lbm_mdm"), std::string::npos);
+    EXPECT_NE(tb.find("run=\"lbm_mdm\""), std::string::npos);
+    EXPECT_EQ(tb.find("mcf_pom"), std::string::npos);
+    EXPECT_EQ(tb.find("milc_pom"), std::string::npos);
 }
 
 TEST(RunTelemetry, WritesRunArtifacts)
@@ -632,71 +635,6 @@ TEST(ChromeTrace, CapsEventsAndCountsDrops)
                         "\"est_ns\":64000"),
               std::string::npos);
     EXPECT_NE(json.find("\"dropped\":2"), std::string::npos);
-}
-
-TEST(TelemetryConfig, ArgAndEnvParsing)
-{
-    ::unsetenv("PROFESS_TRACE");
-    ::unsetenv("PROFESS_TELEMETRY_OUT");
-    ::unsetenv("PROFESS_EPOCH_TICKS");
-    ::unsetenv("PROFESS_METRICS_OUT");
-
-    // Flags are applied and stripped; unrelated arguments survive.
-    const char *raw[] = {"bench",        "--trace", "--telemetry-out",
-                         "/tmp/x",       "--jobs",  "4",
-                         "--epoch-ticks=123", "--metrics-out",
-                         "/tmp/m.prom"};
-    std::vector<char *> argv;
-    for (const char *a : raw)
-        argv.push_back(const_cast<char *>(a));
-    argv.push_back(nullptr);
-    int argc = 9;
-    TelemetryConfig cfg;
-    cfg.initFromArgs(argc, argv.data());
-    EXPECT_TRUE(cfg.trace);
-    EXPECT_EQ(cfg.outDir, "/tmp/x");
-    EXPECT_EQ(cfg.epochInterval, 123u);
-    EXPECT_EQ(cfg.metricsOut, "/tmp/m.prom");
-    ASSERT_EQ(argc, 3);
-    EXPECT_STREQ(argv[1], "--jobs");
-    EXPECT_STREQ(argv[2], "4");
-
-    // The = spelling, alone, also enables telemetry.
-    const char *raw_eq[] = {"bench", "--metrics-out=/tmp/n.prom"};
-    std::vector<char *> argv_eq;
-    for (const char *a : raw_eq)
-        argv_eq.push_back(const_cast<char *>(a));
-    argv_eq.push_back(nullptr);
-    int argc_eq = 2;
-    TelemetryConfig eq_cfg;
-    eq_cfg.initFromArgs(argc_eq, argv_eq.data());
-    EXPECT_EQ(eq_cfg.metricsOut, "/tmp/n.prom");
-    EXPECT_TRUE(eq_cfg.enabled());
-    EXPECT_EQ(argc_eq, 1);
-
-    // Environment spellings.
-    ::setenv("PROFESS_TRACE", "1", 1);
-    ::setenv("PROFESS_TELEMETRY_OUT", "/tmp/y", 1);
-    ::setenv("PROFESS_EPOCH_TICKS", "777", 1);
-    ::setenv("PROFESS_METRICS_OUT", "/tmp/env.prom", 1);
-    TelemetryConfig env_cfg;
-    env_cfg.initFromEnv();
-    EXPECT_TRUE(env_cfg.trace);
-    EXPECT_EQ(env_cfg.outDir, "/tmp/y");
-    EXPECT_EQ(env_cfg.epochInterval, 777u);
-    EXPECT_EQ(env_cfg.metricsOut, "/tmp/env.prom");
-
-    // PROFESS_TRACE=0 means off.
-    ::setenv("PROFESS_TRACE", "0", 1);
-    TelemetryConfig off_cfg;
-    off_cfg.initFromEnv();
-    EXPECT_FALSE(off_cfg.trace);
-
-    ::unsetenv("PROFESS_TRACE");
-    ::unsetenv("PROFESS_TELEMETRY_OUT");
-    ::unsetenv("PROFESS_EPOCH_TICKS");
-    ::unsetenv("PROFESS_METRICS_OUT");
-    EXPECT_FALSE(TelemetryConfig{}.enabled());
 }
 
 TEST(Histogram, UnderflowOverflowAccounting)
