@@ -16,6 +16,9 @@ Subcommands:
                            gates on the aggregate ns/access instead
                            (less noisy; used by the telemetry
                            overhead gate)
+  counts BASE CAND         exit 1 unless BASE and CAND have the same
+                           runs with the same exact work counts
+                           (EXACT_COUNTS; CI perf gate and ctest)
   best FILE... --out OUT   keep the result file with the lowest
                            total ns/access (min over repeated runs,
                            the noise-robust estimator for tight
@@ -50,6 +53,10 @@ if hasattr(signal, "SIGPIPE"):
 
 TRAJ_SCHEMA = "profess-kernel-trajectory-v1"
 BENCH_SCHEMA = "profess-kernel-bench-v1"
+
+# Deterministic per-run work counts: a kernel change that keeps the
+# simulation bit-identical but does different work shows up here.
+EXACT_COUNTS = ("accesses", "swaps", "events", "sched_calls")
 
 
 def load(path):
@@ -217,6 +224,28 @@ def cmd_compare(args):
     return 0
 
 
+def cmd_counts(args):
+    base = {r["name"]: r for r in load(args.base)["runs"]}
+    cand = {r["name"]: r for r in load(args.cand)["runs"]}
+    diffs = [f"  {name}: missing from {args.cand}"
+             for name in base if name not in cand]
+    for name, r in cand.items():
+        b = base.get(name)
+        if b is None:
+            diffs.append(f"  {name}: missing from {args.base}")
+            continue
+        diffs += [f"  {name}: {k} {b.get(k)} -> {r.get(k)}"
+                  for k in EXACT_COUNTS if b.get(k) != r.get(k)]
+    if diffs:
+        print("work counts differ:")
+        print("\n".join(diffs))
+        print("FAIL: kernel work counts changed", file=sys.stderr)
+        return 1
+    print(f"OK: {len(cand)} runs, counts {', '.join(EXACT_COUNTS)} "
+          "identical")
+    return 0
+
+
 def cmd_best(args):
     best_path, best_doc = None, None
     for path in args.files:
@@ -279,6 +308,11 @@ def main():
         help="gate on total ns/access instead of per-run",
     )
     s.set_defaults(fn=cmd_compare)
+
+    s = sub.add_parser("counts", help="exact work-count gate")
+    s.add_argument("base")
+    s.add_argument("cand")
+    s.set_defaults(fn=cmd_counts)
 
     s = sub.add_parser("best", help="pick the fastest of N results")
     s.add_argument("files", nargs="+")

@@ -18,7 +18,9 @@
 #             ns/access regression on any run of the matrix.  The
 #             loose factor absorbs machine-to-machine and CI-noise
 #             variance while still catching algorithmic
-#             regressions of the simulation kernel.
+#             regressions of the simulation kernel.  Each run's
+#             exact work counts (accesses, swaps, events, scheduler
+#             entries) must equal the baseline's.
 #   telemetry Telemetry overhead: kernel_hotpath --quick twice
 #             more, telemetry off and fully on (--trace
 #             --telemetry-out --metrics-out, which also turns on
@@ -163,6 +165,10 @@ stage_perf() {
     python3 scripts/bench_report.py compare \
         bench/baselines/kernel_quick.json build/kernel_smoke.json \
         --max-regression 2.0
+    # Time is gated loosely; the work counts (accesses, swaps,
+    # events, scheduler entries) must match the baseline exactly.
+    python3 scripts/bench_report.py counts \
+        bench/baselines/kernel_quick.json build/kernel_smoke.json
 }
 
 stage_telemetry() {

@@ -16,8 +16,8 @@ Channel::Channel(EventQueue &eq, const TimingParams &m1t,
                  const ModuleGeometry &m2g, const EnergyParams &ep,
                  const ChannelConfig &cfg)
     : eq_(eq), m1t_(m1t), m2t_(m2t), m1g_(m1g), m2g_(m2g), cfg_(cfg),
-      m2BaseTwr_(m2t.tWR), banks1_(m1g.banks), banks2_(m2g.banks),
-      energy_(ep),
+      m2BaseTwr_(m2t.tWR), banks_(m1g.banks + m2g.banks),
+      hitRow_(m1g.banks + m2g.banks, noRow), energy_(ep),
       ctrDemandReads_(stats_.counterRef("demand_reads")),
       ctrDemandWrites_(stats_.counterRef("demand_writes")),
       ctrStReads_(stats_.counterRef("st_reads")),
@@ -30,26 +30,44 @@ Channel::Channel(EventQueue &eq, const TimingParams &m1t,
       ctrM2Accesses_(stats_.counterRef("m2_accesses")),
       ctrBusBusyCycles_(stats_.counterRef("bus_busy_cycles"))
 {
+    fatal_if(cfg.writeLowMark >= cfg.writeHighMark,
+             "write low mark %u must be below the high mark %u",
+             cfg.writeLowMark, cfg.writeHighMark);
+    // Rows are stored in 32 bits, with noRow kept free.
+    fatal_if(std::max(m1g.rowsPerBank, m2g.rowsPerBank) > noRow,
+             "too many rows per bank");
     nextRefresh_ = m1t_.tREFI == 0 ? tickNever : m1t_.tREFI;
     readQ_.reserve(64);
     writeQ_.reserve(64);
 }
 
+Channel::~Channel()
+{
+    dropQueued();
+}
+
 void
 Channel::push(RequestPtr req)
 {
-    req->enqueueTick = eq_.now();
-    DecodedAddr d = geometry(req->module).decode(req->addr);
-    req->bank = d.bank;
-    req->row = d.row;
-    if (req->cls == ReqClass::Demand)
-        ++(req->isWrite ? ctrDemandWrites_ : ctrDemandReads_);
+    Request *r = req.release(); // owned by its queue entry from here
+    Tick now = eq_.now();
+    r->enqueueTick = now;
+    DecodedAddr d = geometry(r->module).decode(r->addr);
+    if (r->cls == ReqClass::Demand)
+        ++(r->isWrite ? ctrDemandWrites_ : ctrDemandReads_);
     else
-        ++(req->isWrite ? ctrStWrites_ : ctrStReads_);
-    if (req->isWrite)
-        writeQ_.push_back(std::move(req));
-    else
-        readQ_.push_back(std::move(req));
+        ++(r->isWrite ? ctrStWrites_ : ctrStReads_);
+    (r->isWrite ? writeQ_ : readQ_)
+        .push_back(Queued{static_cast<std::uint32_t>(d.row),
+                          bankIndex(r->module, d.bank), r});
+    // With every slot busy and no swap waiting to start, nothing can
+    // commit before a completion re-runs the scheduler; the request
+    // only waits (a due refresh is still applied here, as the
+    // scheduler would).
+    if (inflight_ >= cfg_.maxInflight && swapQ_.empty()) {
+        applyRefresh(now);
+        return;
+    }
     trySchedule();
 }
 
@@ -79,12 +97,25 @@ Channel::setM2WriteScale(double scale)
 void
 Channel::injectBankBusy(Module m, Tick until)
 {
-    std::vector<Bank> &banks = m == Module::M1 ? banks1_ : banks2_;
-    for (Bank &b : banks) {
-        b.readyAct = std::max(b.readyAct, until);
-        b.readyCol = std::max(b.readyCol, until);
+    std::uint32_t first = bankIndex(m, 0);
+    for (std::uint32_t i = first; i < first + geometry(m).banks; ++i) {
+        banks_[i].readyAct = std::max(banks_[i].readyAct, until);
+        banks_[i].readyCol = std::max(banks_[i].readyCol, until);
     }
     requestWake(until);
+}
+
+void
+Channel::dropQueued()
+{
+    for (std::vector<Queued> *q : {&readQ_, &writeQ_}) {
+        for (const Queued &e : *q)
+            RequestDeleter{}(e.req);
+        q->clear();
+    }
+    swapQ_.clear();
+    for (InlineCallback &done : activeSwapDones_)
+        done = nullptr;
 }
 
 void
@@ -96,33 +127,43 @@ Channel::resetStats()
 }
 
 void
-Channel::applyRefresh(Tick now)
+Channel::applyDueRefreshes(Tick now)
 {
     if (m1t_.tREFI == 0)
-        return;
+        return; // nextRefresh_ is tickNever; now reached it
     while (nextRefresh_ <= now) {
         Tick end = nextRefresh_ + m1t_.tRFC;
-        for (auto &b : banks1_) {
+        for (std::uint32_t i = 0; i < m1g_.banks; ++i) {
+            Bank &b = banks_[i];
             b.open = false;
             b.readyAct = std::max(b.readyAct, end);
             b.readyCol = std::max(b.readyCol, end);
+            hitRow_[i] = noRow;
         }
         stats_.inc("m1_refreshes");
         nextRefresh_ += m1t_.tREFI;
     }
 }
 
-void
-Channel::requestWake(Tick when)
+bool
+Channel::claimWake(Tick when)
 {
     Tick now = eq_.now();
     if (when <= now)
         when = now;
     // An earlier-or-equal pending wake already covers this one.
     if (wakeAt_ != tickNever && wakeAt_ <= when && wakeAt_ > now)
-        return;
+        return false;
     wakeAt_ = when;
-    eq_.schedule(when, [this, when]() {
+    return true;
+}
+
+void
+Channel::requestWake(Tick when)
+{
+    if (!claimWake(when))
+        return;
+    eq_.schedule(wakeAt_, [this, when = wakeAt_]() {
         if (wakeAt_ == when)
             wakeAt_ = tickNever;
         trySchedule();
@@ -130,31 +171,28 @@ Channel::requestWake(Tick when)
 }
 
 std::size_t
-Channel::pickNext(const std::vector<RequestPtr> &q) const
+Channel::pickNext(const std::vector<Queued> &q) const
 {
     // FR-FCFS-Cap: oldest row hit whose row has not exhausted the
     // consecutive-hit cap; otherwise the oldest request.
+    const std::uint32_t *hit_row = hitRow_.data();
     for (std::size_t i = 0; i < q.size(); ++i) {
-        const Request &r = *q[i];
-        const Bank &bk = r.module == Module::M1 ? banks1_[r.bank]
-                                                : banks2_[r.bank];
-        if (bk.open && bk.row == r.row &&
-            bk.consecHits < cfg_.rowHitCap) {
+        if (hit_row[q[i].bank] == q[i].row)
             return i;
-        }
     }
     return 0;
 }
 
 void
-Channel::commit(RequestPtr req)
+Channel::commit(const Queued &e)
 {
+    Request *req = e.req;
     Tick now = eq_.now();
     bool m2 = req->module == Module::M2;
     const TimingParams &t = timing(req->module);
-    Bank &bk = bank(req->module, req->bank);
+    Bank &bk = banks_[e.bank];
 
-    bool hit = bk.open && bk.row == req->row;
+    bool hit = bk.open && bk.row == e.row;
     Tick col_ready;
     if (hit) {
         col_ready = std::max(now, bk.readyCol);
@@ -171,7 +209,7 @@ Channel::commit(RequestPtr req)
             act_start = std::max(now, bk.readyAct);
         }
         bk.open = true;
-        bk.row = req->row;
+        bk.row = e.row;
         bk.lastAct = act_start;
         bk.readyAct = act_start + t.tRC; // activate-to-activate
         bk.consecHits = 1;
@@ -204,6 +242,7 @@ Channel::commit(RequestPtr req)
         bk.consecHits = 0;
         bk.readyAct = std::max(bk.readyAct, pre_start + t.tRP);
     }
+    updateHitRow(e.bank);
     busFreeAt_ = data_end;
     lastBusWrite_ = req->isWrite;
     ctrBusBusyCycles_ += t.tBurst;
@@ -235,28 +274,25 @@ Channel::commit(RequestPtr req)
         energy_.addRead(m2);
     ++(m2 ? ctrM2Accesses_ : ctrM1Accesses_);
 
-    Request *raw = req.release();
-    eq_.schedule(data_end, [this, raw]() {
-        RequestPtr owner(raw); // recycled (or freed) on return
-        raw->completeTick = eq_.now();
-        if (!raw->isWrite && raw->cls == ReqClass::Demand) {
-            readLat_.add(static_cast<double>(raw->completeTick -
-                                             raw->enqueueTick));
+    eq_.schedule(data_end, [this, req]() {
+        RequestPtr owner(req); // recycled (or freed) on return
+        req->completeTick = eq_.now();
+        if (!req->isWrite && req->cls == ReqClass::Demand) {
+            readLat_.add(static_cast<double>(req->completeTick -
+                                             req->enqueueTick));
         }
         panic_if(inflight_ == 0, "completion with no inflight");
         --inflight_;
-        if (raw->onComplete)
-            raw->onComplete(*raw);
+        if (req->onComplete)
+            req->onComplete(*req);
         trySchedule();
     });
 }
 
 void
-Channel::maybeStartSwap()
+Channel::startSwap()
 {
     Tick now = eq_.now();
-    if (swapQ_.empty() || now < swapEndTick_)
-        return;
     Tick start = std::max(now, busFreeAt_);
     PendingSwap s = std::move(swapQ_.front());
     swapQ_.pop_front();
@@ -287,20 +323,21 @@ Channel::maybeStartSwap()
     stats_.inc("swap_busy_cycles", dur);
 
     // Involved banks end up with the swapped rows open.
+    auto open_row = [&](std::uint32_t i, std::uint64_t row) {
+        Bank &b = banks_[i];
+        b.open = true;
+        b.row = static_cast<std::uint32_t>(row);
+        b.readyCol = end;
+        b.readyAct = end;
+        b.lastAct = start;
+        b.wrRecoverEnd = end;
+        b.consecHits = 0;
+        updateHitRow(i);
+    };
     DecodedAddr d1 = m1g_.decode(s.m1Addr);
     DecodedAddr d2 = m2g_.decode(s.m2Addr);
-    Bank &b1 = banks1_[d1.bank];
-    Bank &b2 = banks2_[d2.bank];
-    for (Bank *b : {&b1, &b2}) {
-        b->open = true;
-        b->readyCol = end;
-        b->readyAct = end;
-        b->lastAct = start;
-        b->wrRecoverEnd = end;
-        b->consecHits = 0;
-    }
-    b1.row = d1.row;
-    b2.row = d2.row;
+    open_row(bankIndex(Module::M1, d1.bank), d1.row);
+    open_row(bankIndex(Module::M2, d2.bank), d2.row);
 
     activeSwapDones_.push_back(std::move(s.done));
     eq_.schedule(end, [this]() {
@@ -316,15 +353,16 @@ void
 Channel::trySchedule()
 {
     telemetry::ScopedTimer span(schedTimer_);
+    ++schedulerCalls_;
     Tick now = eq_.now();
     applyRefresh(now);
+    if (!swapQ_.empty() && now >= swapEndTick_)
+        startSwap();
     if (now < swapEndTick_) {
-        requestWake(swapEndTick_);
-        return;
-    }
-    maybeStartSwap();
-    if (now < swapEndTick_) {
-        requestWake(swapEndTick_);
+        // The swap's completion event re-runs the scheduler at its
+        // end; record that as the pending wake so a bank-busy wake
+        // is deduplicated against it as against any other.
+        claimWake(swapEndTick_);
         return;
     }
     while (inflight_ < cfg_.maxInflight) {
@@ -340,10 +378,10 @@ Channel::trySchedule()
         if (q.empty())
             break;
         std::size_t idx = pickNext(q);
-        RequestPtr r = std::move(q[idx]);
+        Queued e = q[idx];
         q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
         ++inflight_;
-        commit(std::move(r));
+        commit(e);
     }
 }
 

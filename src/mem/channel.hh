@@ -15,6 +15,28 @@
  * the timing parameters using the paper's overlap structure (read
  * phase dominated by tRCD_M2, write phase dominated by tWR_M2); the
  * resulting ~796 ns for default parameters is validated by tests.
+ *
+ * When the scheduler runs.  Only on a state change that can let a
+ * request commit or a swap start: a request's completion, a swap's
+ * completion, a new swap, the end of an injected bank-busy window,
+ * and a push that finds a free in-flight slot or a queued swap.  A
+ * push that finds every slot busy only enqueues, and no wake-up is
+ * scheduled for a swap's end because its completion event re-runs
+ * the scheduler at that tick.
+ *
+ * Refresh is lazy: the tREFI boundaries that have passed are applied
+ * at the first push or scheduler entry at or after them.  The bank
+ * state this yields does not depend on when that happens, but the
+ * `m1_refreshes` counter does whenever resetStats() falls between a
+ * boundary and its application, so refresh is not an event of its
+ * own: that would move the counter of warm-up-reset runs.
+ *
+ * FR-FCFS-Cap pick.  Queue entries carry their request's bank and
+ * row inline.  A per-bank table holds each bank's hittable row: the
+ * open row while it has served fewer than rowHitCap consecutive
+ * hits, else a sentinel no row equals.  The pick is the oldest entry
+ * whose row equals its bank's table entry, else the oldest entry;
+ * every scan step is one load and one compare.
  */
 
 #ifndef PROFESS_MEM_CHANNEL_HH
@@ -24,6 +46,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/event.hh"
@@ -53,7 +76,9 @@ struct ChannelConfig
 {
     unsigned rowHitCap = 4;     ///< FR-FCFS-Cap limit
     unsigned writeHighMark = 32; ///< start draining writes
-    unsigned writeLowMark = 16;  ///< stop draining writes
+    /** Stop draining writes; must be below writeHighMark, which
+     *  also makes a scheduler entry with nothing changed a no-op. */
+    unsigned writeLowMark = 16;
     unsigned maxInflight = 4;    ///< concurrently committed requests
 };
 
@@ -74,6 +99,12 @@ class Channel
             const TimingParams &m2t, const ModuleGeometry &m1g,
             const ModuleGeometry &m2g, const EnergyParams &ep = {},
             const ChannelConfig &cfg = {});
+
+    /** Drops queued requests (see dropQueued()). */
+    ~Channel();
+
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
 
     /** Enqueue a request; completion reported via req->onComplete. */
     void push(RequestPtr req);
@@ -140,6 +171,13 @@ class Channel
         attr_ = attr;
     }
 
+    /**
+     * @return scheduler entries since construction.  A count of host
+     * work for benchmarks, kept out of stats(), which holds only
+     * simulated quantities and is folded into result digests.
+     */
+    std::uint64_t schedulerCalls() const { return schedulerCalls_; }
+
     /** Demand-read latency distribution (MC cycles). */
     const RunningStat &readLatency() const { return readLat_; }
 
@@ -175,31 +213,45 @@ class Channel
 
     /**
      * Drop all queued (not yet committed) requests and swaps
-     * without executing them.  Called by request producers on
-     * teardown so pooled requests return to their pool while it is
-     * still alive; the channel itself stays usable.
+     * without executing them, and the completion callbacks of
+     * started swaps (their channel occupancy still ends as
+     * scheduled).  Called by request producers on teardown so
+     * pooled requests return to their pool while it is still alive
+     * and no callback reaches the producer; the channel itself
+     * stays usable.
      */
-    void
-    dropQueued()
-    {
-        readQ_.clear();
-        writeQ_.clear();
-        swapQ_.clear();
-        activeSwapDones_.clear();
-    }
+    void dropQueued();
 
   private:
     /** Per-bank device state. */
     struct Bank
     {
         bool open = false;
-        std::uint64_t row = 0;
+        std::uint32_t row = 0;
         Tick readyCol = 0;      ///< earliest next column command
         Tick readyAct = 0;      ///< earliest next activation
         Tick lastAct = 0;       ///< last activation tick (tRAS/tRC)
         Tick wrRecoverEnd = 0;  ///< write recovery for precharge
         unsigned consecHits = 0;
     };
+
+    /**
+     * A queued request.  The decoded bank and row sit inline so the
+     * FR-FCFS scan never touches the request.  The entry owns `req`
+     * as a raw pointer, which keeps it trivially copyable: push()
+     * releases it from its RequestPtr, and the completion event or
+     * dropQueued() hands it back to RequestDeleter.
+     */
+    struct Queued
+    {
+        std::uint32_t row;
+        std::uint32_t bank; ///< index into banks_
+        Request *req;
+    };
+    static_assert(std::is_trivially_copyable_v<Queued>);
+
+    /** hitRow_ value of a bank that cannot serve a row hit now. */
+    static constexpr std::uint32_t noRow = ~std::uint32_t{0};
 
     /** A queued swap awaiting the channel. */
     struct PendingSwap
@@ -219,13 +271,40 @@ class Channel
     {
         return m == Module::M1 ? m1g_ : m2g_;
     }
-    Bank &bank(Module m, std::uint32_t b)
+    /** @return index into banks_ of bank b of module m. */
+    std::uint32_t
+    bankIndex(Module m, std::uint32_t b) const
     {
-        return m == Module::M1 ? banks1_[b] : banks2_[b];
+        return m == Module::M1 ? b : m1g_.banks + b;
+    }
+
+    /** Recompute hitRow_[i] after bank i's open, row or consecHits
+     *  changed. */
+    void
+    updateHitRow(std::uint32_t i)
+    {
+        const Bank &b = banks_[i];
+        hitRow_[i] =
+            b.open && b.consecHits < cfg_.rowHitCap ? b.row : noRow;
     }
 
     /** Apply any M1 refresh windows that have begun by now. */
-    void applyRefresh(Tick now);
+    void
+    applyRefresh(Tick now)
+    {
+        if (nextRefresh_ <= now)
+            applyDueRefreshes(now);
+    }
+
+    /** applyRefresh()'s slow path: at least one window is due. */
+    void applyDueRefreshes(Tick now);
+
+    /**
+     * Record a scheduler wake-up at `when` unless an earlier or
+     * equal one is pending.  @return whether it was recorded (the
+     * caller then owns scheduling it).
+     */
+    bool claimWake(Tick when);
 
     /** Ensure a scheduler wake-up at the given tick. */
     void requestWake(Tick when);
@@ -233,14 +312,16 @@ class Channel
     /** Main scheduling entry: commit as many requests as allowed. */
     void trySchedule();
 
-    /** Pick the next request index in q per FR-FCFS-Cap, or npos. */
-    std::size_t pickNext(const std::vector<RequestPtr> &q) const;
+    /** @return index of q's next request per FR-FCFS-Cap (q is
+     *  not empty). */
+    std::size_t pickNext(const std::vector<Queued> &q) const;
 
     /** Commit one request: update state, schedule completion. */
-    void commit(RequestPtr req);
+    void commit(const Queued &e);
 
-    /** Start the next queued swap if the channel is free. */
-    void maybeStartSwap();
+    /** Start the next queued swap (one is queued and the channel
+     *  is free). */
+    void startSwap();
 
     EventQueue &eq_;
     TimingParams m1t_, m2t_;
@@ -248,8 +329,11 @@ class Channel
     ChannelConfig cfg_;
     Cycles m2BaseTwr_; ///< construction-time tWR_M2 (spike baseline)
 
-    std::vector<Bank> banks1_, banks2_;
-    std::vector<RequestPtr> readQ_, writeQ_;
+    std::vector<Bank> banks_; ///< M1 banks, then M2 banks
+    /** Per bank: the row a queued request must target to be a
+     *  FR-FCFS-Cap hit now, or noRow (see updateHitRow). */
+    std::vector<std::uint32_t> hitRow_;
+    std::vector<Queued> readQ_, writeQ_;
     std::deque<PendingSwap> swapQ_;
 
     Tick busFreeAt_ = 0;
@@ -258,13 +342,18 @@ class Channel
     unsigned inflight_ = 0;
     Tick swapEndTick_ = 0;
     Tick nextRefresh_ = 0;
+    /** Latest recorded wake-up (see claimWake).  While a swap runs
+     *  its end counts as one, since the swap's completion event
+     *  re-runs the scheduler then. */
     Tick wakeAt_ = tickNever;
+    std::uint64_t schedulerCalls_ = 0;
 
-    /** Completion callbacks of started swaps, FIFO.  Swaps finish
-     *  in start order (ends strictly increase), so the completion
-     *  event captures only `this` and pops the front.  Usually one
-     *  entry; two when a successor starts at the same tick an older
-     *  event fires. */
+    /** Completion callbacks of started swaps, FIFO, one slot per
+     *  started swap (dropQueued() empties a slot but keeps it).
+     *  Swaps finish in start order (ends strictly increase), so the
+     *  completion event captures only `this` and pops the front.
+     *  Usually one entry; two when a successor starts at the same
+     *  tick an older event fires. */
     std::deque<InlineCallback> activeSwapDones_;
 
     StatSet stats_;

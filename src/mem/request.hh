@@ -50,11 +50,6 @@ struct Request
     Tick enqueueTick = 0;      ///< set by the channel on push
     Tick completeTick = 0;     ///< set by the channel on completion
 
-    /** Decoded device coordinates, cached by the channel on push so
-     *  the FR-FCFS scan never re-decodes queued requests. */
-    std::uint32_t bank = 0;
-    std::uint64_t row = 0;
-
     /** Owning pool, or nullptr for a heap-allocated request.
      *  The 64-byte buffer fits a moved InlineCallback capture, so
      *  completion wrappers stay allocation-free. */
@@ -95,8 +90,6 @@ acquireRequest(ObjectPool<Request> &pool)
     r->program = invalidProgram;
     r->enqueueTick = 0;
     r->completeTick = 0;
-    r->bank = 0;
-    r->row = 0;
     r->pool = &pool;
     r->onComplete = nullptr;
     return RequestPtr(r);

@@ -60,7 +60,8 @@ const BenchmarkProfile *findProfile(const std::string &name);
  *
  * @param name Benchmark name (Table 9).
  * @param footprint_scale Scale factor applied to the paper footprint
- *        (the default 1/16 matches the scaled default memory sizes).
+ *        (defaultScale, 1/100, matches the scaled default memory
+ *        sizes).
  * @param seed RNG seed (vary per workload slot for repeats).
  */
 std::unique_ptr<TraceSource> makeSpecSource(const std::string &name,

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/rng.hh"
 #include "mem/channel.hh"
 
 using namespace profess;
@@ -227,6 +229,23 @@ TEST_F(ChannelFixture, DemandEnergyAndStats)
     EXPECT_EQ(ch->readLatency().count(), 1u);
 }
 
+TEST_F(ChannelFixture, DropQueuedMidSwapStaysUsable)
+{
+    // Teardown drops a started swap's callback while its completion
+    // event is still queued; the channel must keep running.
+    bool swap_ran = false;
+    ch->executeSwap(0, 0, 2048, [&]() { swap_ran = true; });
+    eq.runUntil(10);
+    ASSERT_TRUE(ch->swapActive());
+    ch->dropQueued();
+    Tick read_done = 0;
+    push(Module::M1, 64 * 1024, false, &read_done);
+    eq.run();
+    EXPECT_FALSE(swap_ran);
+    EXPECT_GT(read_done, ch->swapLatency(2048));
+    EXPECT_EQ(ch->readQueueSize(), 0u);
+}
+
 TEST_F(ChannelFixture, ResetStatsClearsCounters)
 {
     push(Module::M1, 0, false, nullptr);
@@ -278,6 +297,36 @@ TEST(ChannelRefresh, RefreshDelaysAccess)
     EXPECT_GE(eq.now(), m1.tREFI + m1.tRFC);
 }
 
+TEST(ChannelRefresh, BankBusyWakeDedupsAgainstRunningSwap)
+{
+    // A bank-busy window requested while a swap runs, and ending
+    // after the swap, shares the swap's wake-up (its completion
+    // event): the window's end is no scheduler entry.  So the
+    // refresh boundary passed while the channel idles is applied at
+    // the next push, after the statistics reset in between, and is
+    // counted.
+    EventQueue eq;
+    TimingParams m1 = m1Timing(); // refresh on
+    TimingParams m2 = m2Timing();
+    ModuleGeometry g1 = ModuleGeometry::withCapacity(1 * MiB);
+    ModuleGeometry g2 = ModuleGeometry::withCapacity(8 * MiB);
+    Channel ch(eq, m1, m2, g1, g2);
+
+    const Tick boundary = m1.tREFI;
+    ASSERT_LT(ch.swapLatency(2048), boundary);
+    ch.executeSwap(0, 0, 2048, {});
+    eq.runUntil(10);
+    ch.injectBankBusy(Module::M2, boundary + 50);
+    eq.schedule(boundary + 100, [&]() { ch.resetStats(); });
+    eq.schedule(boundary + 200, [&]() {
+        auto r = std::make_unique<Request>();
+        r->addr = 64 * 1024;
+        ch.push(std::move(r));
+    });
+    eq.run();
+    EXPECT_EQ(ch.stats().counter("m1_refreshes"), 1u);
+}
+
 TEST(ChannelWriteDrain, HighWatermarkTriggersDrain)
 {
     EventQueue eq;
@@ -302,4 +351,158 @@ TEST(ChannelWriteDrain, HighWatermarkTriggersDrain)
     }
     eq.run();
     EXPECT_EQ(writes_done, 16);
+}
+
+namespace
+{
+
+/**
+ * A seeded sustained request stream on one channel with refresh on.
+ * Requests spread over four banks and three rows of each module, so
+ * row hits, rowHitCap closes and row conflicts all occur.  Dense
+ * phases push the write queue past its high mark while reads wait;
+ * sparse phases let the queues drain and leave the channel idle
+ * across refresh boundaries.  Fast and slow swaps, an M2 bank-busy
+ * window and a statistics reset (as at the end of warm-up) fall
+ * mid-stream.
+ */
+class SustainedStream
+{
+  public:
+    static constexpr unsigned requests = 6000;
+
+    explicit SustainedStream(const ChannelConfig &cc)
+        : ch_(eq_, m1_, m2_, g1_, g2_, EnergyParams{}, cc)
+    {
+    }
+
+    /**
+     * Run the stream to completion.  @return one hash over every
+     * completion tick (in completion order, swaps included), the
+     * final counters, the read-latency account and the energy
+     * tallies.
+     */
+    std::uint64_t
+    run()
+    {
+        eq_.schedule(1, [this]() { arrive(); });
+        eq_.run();
+        EXPECT_EQ(completed_, requests);
+        EXPECT_EQ(swapsDone_, swapsIssued_);
+        for (const auto &[name, v] : ch_.stats().counters())
+            hash_ = hashCombine(hashCombine(hash_, name), v);
+        const EnergyAccount &e = ch_.energy();
+        for (std::uint64_t v :
+             {e.m1Activates(), e.m2Activates(), e.m1ReadBursts(),
+              e.m2ReadBursts(), e.m1WriteBursts(), e.m2WriteBursts()})
+            hash_ = hashCombine(hash_, v);
+        hash_ = hashCombine(hash_, std::bit_cast<std::uint64_t>(
+                                       e.dynamicNj()));
+        hash_ = hashCombine(hash_, ch_.readLatency().count());
+        hash_ = hashCombine(hash_, std::bit_cast<std::uint64_t>(
+                                       ch_.readLatency().mean()));
+        return hashCombine(hash_, eq_.now());
+    }
+
+    const StatSet &stats() const { return ch_.stats(); }
+
+  private:
+    Addr
+    addr(const ModuleGeometry &g, unsigned bank, unsigned row,
+         unsigned column) const
+    {
+        return (static_cast<Addr>(row) * g.banks + bank) * g.rowBytes +
+               static_cast<Addr>(column) * 64;
+    }
+
+    void
+    arrive()
+    {
+        unsigned burst = 1 + rng_.below(4);
+        for (unsigned i = 0; i < burst && issued_ < requests; ++i)
+            issue();
+        if (issued_ == requests)
+            return;
+        // Alternate dense and sparse phases of 400 requests.
+        bool dense = (issued_ / 400) % 2 == 0;
+        Tick gap = dense ? rng_.below(12) : 30 + rng_.below(400);
+        eq_.schedule(eq_.now() + gap, [this]() { arrive(); });
+    }
+
+    void
+    issue()
+    {
+        unsigned id = issued_++;
+        if (id == 1500)
+            ch_.resetStats();
+        if (id == 2500)
+            ch_.injectBankBusy(Module::M2, eq_.now() + 3000);
+        if (id % 700 == 350) {
+            unsigned k = swapsIssued_++;
+            ch_.executeSwap(
+                addr(g1_, k % 4, 4 + k % 2, 32 * (k % 4)),
+                addr(g2_, (k + 1) % 4, 5, 32 * (k % 4)), 2048,
+                [this, k]() {
+                    ++swapsDone_;
+                    hash_ = hashCombine(hashCombine(hash_, k),
+                                        eq_.now());
+                },
+                k % 2 == 1);
+        }
+        auto r = std::make_unique<Request>();
+        bool m2 = rng_.below(5) >= 3;
+        r->module = m2 ? Module::M2 : Module::M1;
+        unsigned bank = rng_.below(4);
+        unsigned row = rng_.below(3);
+        unsigned column = rng_.below(128);
+        r->addr = addr(m2 ? g2_ : g1_, bank, row, column);
+        r->isWrite = rng_.below(100) < 35;
+        r->onComplete = [this, id](Request &req) {
+            ++completed_;
+            hash_ = hashCombine(hashCombine(hash_, id),
+                                req.completeTick);
+        };
+        ch_.push(std::move(r));
+    }
+
+    EventQueue eq_;
+    TimingParams m1_ = m1Timing(); // refresh on
+    TimingParams m2_ = m2Timing();
+    ModuleGeometry g1_ = ModuleGeometry::withCapacity(1 * MiB);
+    ModuleGeometry g2_ = ModuleGeometry::withCapacity(8 * MiB);
+    Channel ch_;
+    Rng rng_{2024};
+    std::uint64_t hash_ = mix64(0x5eedu);
+    unsigned issued_ = 0;
+    unsigned completed_ = 0;
+    unsigned swapsIssued_ = 0;
+    unsigned swapsDone_ = 0;
+};
+
+} // anonymous namespace
+
+// The hashes pin every scheduling decision of the channel model: a
+// change to a pick, a commit tick, a counter or an energy tally
+// changes them.  Only a deliberate change to the timing model may
+// re-pin them.
+TEST(ChannelSustained, DefaultConfigIsPinned)
+{
+    SustainedStream s{ChannelConfig{}};
+    EXPECT_EQ(s.run(), 0x70c10e65e782ef1aull);
+    EXPECT_GT(s.stats().counter("row_hits"), 0u);
+    EXPECT_GT(s.stats().counter("row_misses"), 0u);
+    EXPECT_GT(s.stats().counter("m1_refreshes"), 0u);
+    EXPECT_GT(s.stats().counter("swaps"), 0u);
+}
+
+TEST(ChannelSustained, SingleSlotShallowDrainIsPinned)
+{
+    ChannelConfig cc;
+    cc.maxInflight = 1;
+    cc.writeHighMark = 4;
+    cc.writeLowMark = 1;
+    SustainedStream s{cc};
+    EXPECT_EQ(s.run(), 0x71989ee3cb48b9e9ull);
+    EXPECT_GT(s.stats().counter("row_hits"), 0u);
+    EXPECT_GT(s.stats().counter("m1_refreshes"), 0u);
 }
