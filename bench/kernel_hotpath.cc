@@ -11,9 +11,12 @@
  *   events/sec  simulation events executed per wall second
  *   peak RSS    ru_maxrss of the process after all runs
  *
- * and the exact work counts accesses, swaps, events and sched_calls
- * (channel scheduler entries), which the CI perf stage requires to
- * equal the checked-in baseline's.
+ * and the exact work counts accesses, swaps, events, sched_calls
+ * (channel scheduler entries), peak_events (most events pending at
+ * once) and request_pool_nodes / pending_pool_nodes (Request and
+ * PendingAccess nodes ever allocated: each pool's high-water mark),
+ * which the CI perf stage requires to equal the checked-in
+ * baseline's.
  *
  * Output is JSON (stdout, or --out FILE) so scripts/bench_report.py
  * can record the trajectory in BENCH_kernel.json and the CI
@@ -84,6 +87,9 @@ struct RunNumbers
     std::uint64_t events = 0;
     std::uint64_t swaps = 0;
     std::uint64_t schedCalls = 0;
+    std::uint64_t peakEvents = 0;
+    std::uint64_t requestNodes = 0;
+    std::uint64_t pendingNodes = 0;
     double wallNs = 0.0;
     double nsPerAccess = 0.0;
     double eventsPerSec = 0.0;
@@ -162,6 +168,9 @@ runOne(const RunSpec &spec, std::uint64_t quota,
     n.swaps = sys.controller().swapCount();
     for (unsigned c = 0; c < sys.memory().numChannels(); ++c)
         n.schedCalls += sys.memory().channel(c).schedulerCalls();
+    n.peakEvents = sys.eventQueue().peakSize();
+    n.requestNodes = sys.controller().requestPoolNodes();
+    n.pendingNodes = sys.controller().pendingPoolNodes();
     n.wallNs = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count());
@@ -303,13 +312,17 @@ main(int argc, char **argv)
             "    {\"name\": \"%s\", \"policy\": \"%s\", "
             "\"cores\": %u, \"accesses\": %llu, \"events\": %llu, "
             "\"swaps\": %llu, \"sched_calls\": %llu, "
-            "\"wall_ns\": %.0f, "
+            "\"peak_events\": %llu, \"request_pool_nodes\": %llu, "
+            "\"pending_pool_nodes\": %llu, \"wall_ns\": %.0f, "
             "\"ns_per_access\": %.3f, \"events_per_sec\": %.0f}%s\n",
             n.name.c_str(), n.policy.c_str(), n.cores,
             static_cast<unsigned long long>(n.accesses),
             static_cast<unsigned long long>(n.events),
             static_cast<unsigned long long>(n.swaps),
-            static_cast<unsigned long long>(n.schedCalls), n.wallNs,
+            static_cast<unsigned long long>(n.schedCalls),
+            static_cast<unsigned long long>(n.peakEvents),
+            static_cast<unsigned long long>(n.requestNodes),
+            static_cast<unsigned long long>(n.pendingNodes), n.wallNs,
             n.nsPerAccess, n.eventsPerSec,
             i + 1 < results.size() ? "," : "");
     }

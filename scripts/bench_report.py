@@ -56,7 +56,9 @@ BENCH_SCHEMA = "profess-kernel-bench-v1"
 
 # Deterministic per-run work counts: a kernel change that keeps the
 # simulation bit-identical but does different work shows up here.
-EXACT_COUNTS = ("accesses", "swaps", "events", "sched_calls")
+EXACT_COUNTS = ("accesses", "swaps", "events", "sched_calls",
+                "peak_events", "request_pool_nodes",
+                "pending_pool_nodes")
 
 
 def load(path):

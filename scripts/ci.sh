@@ -166,7 +166,8 @@ stage_perf() {
         bench/baselines/kernel_quick.json build/kernel_smoke.json \
         --max-regression 2.0
     # Time is gated loosely; the work counts (accesses, swaps,
-    # events, scheduler entries) must match the baseline exactly.
+    # events, scheduler entries, peak pending events, pool
+    # high-water marks) must match the baseline exactly.
     python3 scripts/bench_report.py counts \
         bench/baselines/kernel_quick.json build/kernel_smoke.json
 }

@@ -19,12 +19,18 @@
  * nothrow-move-constructible (true for every capture in this
  * codebase); throwing-move targets use the heap path so the
  * move constructor can stay noexcept.
+ *
+ * Inline targets that are trivially copyable and trivially
+ * destructible (a lambda capturing `this` and a few integers, as
+ * every kernel callback does) get no manager: a move copies the
+ * buffer and destruction only disengages the function.
  */
 
 #ifndef PROFESS_COMMON_INLINE_FUNCTION_HH
 #define PROFESS_COMMON_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -108,9 +114,9 @@ class InlineFunction<R(Args...), BufBytes>
     {
         if (manage_ != nullptr) {
             manage_(buf_, nullptr);
-            invoke_ = nullptr;
             manage_ = nullptr;
         }
+        invoke_ = nullptr;
     }
 
     /** @return true if a target of type F would be stored inline. */
@@ -127,7 +133,7 @@ class InlineFunction<R(Args...), BufBytes>
   private:
     using Invoke = R (*)(void *, Args &&...);
     /** dst == nullptr: destroy; else move-construct into dst and
-     *  destroy the source. */
+     *  destroy the source.  Null for trivial inline targets. */
     using Manage = void (*)(void *, void *);
 
     template <typename F>
@@ -176,7 +182,9 @@ class InlineFunction<R(Args...), BufBytes>
             ::new (static_cast<void *>(buf_))
                 D(std::forward<F>(f));
             invoke_ = &invokeInline<D>;
-            manage_ = &manageInline<D>;
+            if constexpr (!std::is_trivially_copyable_v<D> ||
+                          !std::is_trivially_destructible_v<D>)
+                manage_ = &manageInline<D>;
         } else {
             ::new (static_cast<void *>(buf_))
                 (D *)(new D(std::forward<F>(f)));
@@ -189,7 +197,10 @@ class InlineFunction<R(Args...), BufBytes>
     moveFrom(InlineFunction &o) noexcept
     {
         if (o.invoke_ != nullptr) {
-            o.manage_(o.buf_, buf_);
+            if (o.manage_ != nullptr)
+                o.manage_(o.buf_, buf_);
+            else
+                std::memcpy(buf_, o.buf_, BufBytes);
             invoke_ = o.invoke_;
             manage_ = o.manage_;
             o.invoke_ = nullptr;

@@ -178,12 +178,7 @@ HybridController::serve(std::uint64_t group, StcMeta &meta,
     req->program = pa->program;
     req->addr = gi.m1Addr +
                 (from_m1 ? 0 : (loc - 1) * m2Stride_) + pa->offset;
-    if (pa->done) {
-        req->onComplete =
-            [cb = std::move(pa->done)](mem::Request &) mutable {
-                cb();
-            };
-    }
+    req->onComplete = std::move(pa->done);
     paPool_.release(pa);
     gi.chan->push(std::move(req));
 
@@ -222,9 +217,7 @@ HybridController::startFill(std::uint64_t group, PendingAccess *pa)
     req->isWrite = false;
     req->cls = mem::ReqClass::St;
     req->addr = gi.stAddr;
-    req->onComplete = [this, group](mem::Request &) {
-        finishFill(group);
-    };
+    req->onComplete = [this, group]() { finishFill(group); };
     gi.chan->push(std::move(req));
 }
 

@@ -163,6 +163,11 @@ class HybridController : public policy::SwapHost
     /** @return served demand accesses (all programs). */
     std::uint64_t servedTotal() const;
 
+    /** @return Request / PendingAccess nodes ever allocated: each
+     *  recycling pool's high-water mark. */
+    std::size_t requestPoolNodes() const { return reqPool_.capacity(); }
+    std::size_t pendingPoolNodes() const { return paPool_.capacity(); }
+
     /** @return per-program counters. */
     const ProgramStats &programStats(ProgramId p) const;
 

@@ -284,7 +284,7 @@ Channel::commit(const Queued &e)
         panic_if(inflight_ == 0, "completion with no inflight");
         --inflight_;
         if (req->onComplete)
-            req->onComplete(*req);
+            req->onComplete();
         trySchedule();
     });
 }

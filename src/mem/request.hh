@@ -50,13 +50,12 @@ struct Request
     Tick enqueueTick = 0;      ///< set by the channel on push
     Tick completeTick = 0;     ///< set by the channel on completion
 
-    /** Owning pool, or nullptr for a heap-allocated request.
-     *  The 64-byte buffer fits a moved InlineCallback capture, so
-     *  completion wrappers stay allocation-free. */
+    /** Owning pool, or nullptr for a heap-allocated request. */
     ObjectPool<Request> *pool = nullptr;
 
-    /** Invoked at data completion (reads and writes). */
-    InlineFunction<void(Request &), 64> onComplete;
+    /** Invoked at data completion (reads and writes), after
+     *  completeTick is set; the request outlives the call. */
+    InlineCallback onComplete;
 };
 
 /** Returns a request to its pool, or frees an unpooled one. */

@@ -39,11 +39,6 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
     owner_.assign(numFrames_, invalidProgram);
     pageTables_.resize(num_programs);
     lastXlate_.resize(num_programs);
-    // A program can map at most the configured footprint (all
-    // frames); pre-sizing the hash tables for an even share avoids
-    // rehash-and-move cycles during first-touch warm-up.
-    for (auto &t : pageTables_)
-        t.reserve(numFrames_ / num_programs + 16);
     cursor_.resize(num_programs);
     for (unsigned p = 0; p < num_programs; ++p)
         cursor_[p] = rng_.below(num_regions);
@@ -124,20 +119,67 @@ PageAllocator::translate(ProgramId program, std::uint64_t vpage)
         ++ctrCacheHits_;
         return last.frame;
     }
-    auto &table = pageTables_[static_cast<unsigned>(program)];
-    std::uint64_t frame;
-    auto it = table.find(vpage);
-    if (it != table.end()) {
-        frame = it->second;
-    } else {
+    PageTable &table = pageTables_[static_cast<unsigned>(program)];
+    std::uint64_t frame = table.find(vpage);
+    if (frame == PageTable::noFrame) {
         frame = pickFrame(program);
         owner_[frame] = program;
-        table.emplace(vpage, frame);
+        table.insert(vpage, frame);
     }
     last.vpage = vpage;
     last.frame = frame;
     last.valid = true;
     return frame;
+}
+
+std::uint64_t
+PageAllocator::PageTable::find(std::uint64_t vpage) const
+{
+    std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(vpage);; i = (i + 1) & mask) {
+        const Slot &s = slots_[i];
+        if (s.frame == noFrame || s.vpage == vpage)
+            return s.frame;
+    }
+}
+
+void
+PageAllocator::PageTable::insert(std::uint64_t vpage,
+                                 std::uint64_t frame)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(vpage);
+    while (slots_[i].frame != noFrame)
+        i = (i + 1) & mask;
+    slots_[i] = Slot{vpage, frame};
+    ++size_;
+}
+
+void
+PageAllocator::PageTable::grow()
+{
+    std::vector<Slot> old(std::size_t{2} << bits_);
+    old.swap(slots_);
+    ++bits_;
+    size_ = 0;
+    for (const Slot &s : old) {
+        if (s.frame != noFrame)
+            insert(s.vpage, s.frame);
+    }
+}
+
+std::vector<std::uint64_t>
+PageAllocator::PageTable::frames() const
+{
+    std::vector<std::uint64_t> out;
+    out.reserve(size_);
+    for (const Slot &s : slots_) {
+        if (s.frame != noFrame)
+            out.push_back(s.frame);
+    }
+    return out;
 }
 
 std::uint64_t
@@ -160,10 +202,10 @@ PageAllocator::releaseProgram(ProgramId p)
 {
     panic_if(p < 0 || static_cast<unsigned>(p) >= numPrograms_,
              "bad program id %d", p);
-    auto &table = pageTables_[static_cast<unsigned>(p)];
-    for (const auto &kv : table) {
-        owner_[kv.second] = invalidProgram;
-        freeLists_[regionOfFrame(kv.second)].push_back(kv.second);
+    PageTable &table = pageTables_[static_cast<unsigned>(p)];
+    for (std::uint64_t frame : table.frames()) {
+        owner_[frame] = invalidProgram;
+        freeLists_[regionOfFrame(frame)].push_back(frame);
     }
     table.clear();
     lastXlate_[static_cast<unsigned>(p)] = LastXlate{};

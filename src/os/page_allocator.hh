@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -141,6 +140,58 @@ class PageAllocator : public BlockOwnerOracle
         bool valid = false;
     };
 
+    /**
+     * One program's vpage -> frame map: open addressing with linear
+     * probing over a power-of-two slot array that starts small and
+     * doubles when half full.  A program maps only ~10^3 pages, so
+     * a lookup touches one or two cache lines; vpages may be any
+     * 64-bit value (trace files map sparse addresses).
+     */
+    class PageTable
+    {
+      public:
+        static constexpr std::uint64_t noFrame = ~std::uint64_t{0};
+
+        /** @return the frame mapped to vpage, or noFrame. */
+        std::uint64_t find(std::uint64_t vpage) const;
+
+        /** Map a vpage that find() reported unmapped. */
+        void insert(std::uint64_t vpage, std::uint64_t frame);
+
+        /** @return number of mapped pages. */
+        std::size_t size() const { return size_; }
+
+        /** @return every mapped frame, in slot order. */
+        std::vector<std::uint64_t> frames() const;
+
+        void clear() { *this = PageTable{}; }
+
+      private:
+        struct Slot
+        {
+            std::uint64_t vpage = 0;
+            std::uint64_t frame = noFrame; ///< noFrame: empty
+        };
+
+        static constexpr unsigned initialBits = 6;
+
+        /** @return the slot index a vpage's probe starts at. */
+        std::size_t
+        home(std::uint64_t vpage) const
+        {
+            // Fibonacci hashing: the top bits of vpage * 2^64/phi.
+            return static_cast<std::size_t>(
+                (vpage * 0x9e3779b97f4a7c15ull) >> (64 - bits_));
+        }
+
+        void grow();
+
+        unsigned bits_ = initialBits;
+        std::size_t size_ = 0;
+        std::vector<Slot> slots_ =
+            std::vector<Slot>(std::size_t{1} << initialBits);
+    };
+
     std::uint64_t pickFrame(ProgramId program);
 
     std::uint64_t numGroups_;
@@ -156,8 +207,7 @@ class PageAllocator : public BlockOwnerOracle
     /** frame -> owner (invalidProgram if free). */
     std::vector<ProgramId> owner_;
     /** Per-program page table: vpage -> frame. */
-    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>>
-        pageTables_;
+    std::vector<PageTable> pageTables_;
     /** Per-program last-translation cache. */
     std::vector<LastXlate> lastXlate_;
 

@@ -301,25 +301,17 @@ System::run(Tick max_ticks)
                 measureStart_ = eq_.now();
             }
         });
+        c->setOnQuota([this]() { ++coresAtQuota_; });
         c->start();
     }
     controller_->startPeriodic();
     if (telemetry_ != nullptr)
         telemetry_->startSampler(eq_);
 
-    auto all_done = [this]() {
-        for (const auto &c : cores_) {
-            if (!c->quotaReached())
-                return false;
-        }
-        return true;
-    };
-    auto stop = [&]() {
-        if (all_done())
-            return true;
-        return max_ticks != 0 && eq_.now() >= max_ticks;
-    };
-    eq_.run(stop);
+    const Tick limit = max_ticks != 0 ? max_ticks : tickNever;
+    eq_.run([this, limit]() {
+        return coresAtQuota_ == cores_.size() || eq_.now() >= limit;
+    });
     controller_->stopPeriodic();
     if (telemetry_ != nullptr)
         telemetry_->stopSampler();
@@ -330,7 +322,7 @@ System::run(Tick max_ticks)
     // and catches corruption that slipped past the per-event hooks.
     PROFESS_AUDIT_ONLY(auditInvariants());
 
-    bool ok = all_done();
+    bool ok = coresAtQuota_ == cores_.size();
     if (!ok) {
         warn("simulation stopped before all quotas were reached "
              "(tick %llu)",

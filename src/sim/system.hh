@@ -250,6 +250,7 @@ class System : public cpu::MemPort
     std::vector<ProgramId> coreProgram_;
     unsigned numPrograms_ = 0;
     unsigned coresWarm_ = 0;
+    unsigned coresAtQuota_ = 0;
     Tick measureStart_ = 0;
     RunTelemetry *telemetry_ = nullptr;
 };

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The quick kernel_hotpath matrix must do exactly the work that
 # bench/baselines/kernel_quick.json records: per run, the accesses,
-# swaps, events and channel scheduler entries.
+# swaps, events, channel scheduler entries, most events pending at
+# once, and the Request and PendingAccess pools' high-water marks.
 #
 #   kernel_counts.sh KERNEL_HOTPATH PYTHON3 REPO_ROOT SCRATCH_DIR
 set -eu

@@ -46,8 +46,8 @@ struct ChannelFixture : public ::testing::Test
         r->addr = addr;
         r->isWrite = write;
         if (done) {
-            r->onComplete = [done](Request &req) {
-                *done = req.completeTick;
+            r->onComplete = [done, req = r.get()]() {
+                *done = req->completeTick;
             };
         }
         ch->push(std::move(r));
@@ -265,7 +265,7 @@ TEST_F(ChannelFixture, ManyRequestsAllComplete)
         r->module = i % 2 ? Module::M2 : Module::M1;
         r->addr = static_cast<Addr>(i % 64) * 64;
         r->isWrite = i % 5 == 0;
-        r->onComplete = [&](Request &) { ++completed; };
+        r->onComplete = [&]() { ++completed; };
         ch->push(std::move(r));
     }
     eq.run();
@@ -346,7 +346,7 @@ TEST(ChannelWriteDrain, HighWatermarkTriggersDrain)
         r->module = Module::M1;
         r->addr = static_cast<Addr>(i) * 64;
         r->isWrite = true;
-        r->onComplete = [&](Request &) { ++writes_done; };
+        r->onComplete = [&]() { ++writes_done; };
         ch.push(std::move(r));
     }
     eq.run();
@@ -457,10 +457,10 @@ class SustainedStream
         unsigned column = rng_.below(128);
         r->addr = addr(m2 ? g2_ : g1_, bank, row, column);
         r->isWrite = rng_.below(100) < 35;
-        r->onComplete = [this, id](Request &req) {
+        r->onComplete = [this, id, req = r.get()]() {
             ++completed_;
             hash_ = hashCombine(hashCombine(hash_, id),
-                                req.completeTick);
+                                req->completeTick);
         };
         ch_.push(std::move(r));
     }

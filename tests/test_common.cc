@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for src/common: RNG, statistics, key=value parsing,
- * event queue.
+ * event queue, inline callbacks, fast division.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/fastdiv.hh"
+#include "common/inline_function.hh"
 #include "common/key_value.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -282,4 +287,149 @@ TEST(EventQueue, EmptyBehaviour)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.nextTick(), tickNever);
     EXPECT_FALSE(eq.runOne());
+}
+
+namespace
+{
+
+/** Counts live instances so tests can check destruction. */
+struct Tracked
+{
+    explicit Tracked(int *live) : live_(live) { ++*live_; }
+    Tracked(const Tracked &o) : live_(o.live_) { ++*live_; }
+    Tracked(Tracked &&o) noexcept : live_(o.live_) { ++*live_; }
+    ~Tracked() { --*live_; }
+    Tracked &operator=(const Tracked &) = delete;
+
+    int *live_;
+};
+
+} // anonymous namespace
+
+TEST(InlineFunction, TrivialTargetMovesByCopy)
+{
+    int hits = 0;
+    int *p = &hits;
+    auto add = [p, n = 3]() { *p += n; };
+    static_assert(std::is_trivially_copyable_v<decltype(add)>);
+    static_assert(InlineCallback::storedInline<decltype(add)>());
+    InlineCallback a = add;
+    InlineCallback b = std::move(a);
+    EXPECT_FALSE(a); // moved-from is empty
+    ASSERT_TRUE(b);
+    b();
+    EXPECT_EQ(hits, 3);
+    InlineCallback c;
+    c = std::move(b);
+    EXPECT_FALSE(b);
+    c();
+    EXPECT_EQ(hits, 6);
+    c.reset();
+    EXPECT_FALSE(c);
+    c = add; // reusable after reset
+    c();
+    EXPECT_EQ(hits, 9);
+}
+
+TEST(InlineFunction, NonTrivialCaptureDestroyedExactlyOnce)
+{
+    int live = 0;
+    int calls = 0;
+    {
+        InlineCallback a = [t = Tracked(&live), &calls]() {
+            ++calls;
+        };
+        EXPECT_EQ(live, 1);
+        InlineCallback b = std::move(a);
+        EXPECT_EQ(live, 1); // the move destroyed the source capture
+        EXPECT_FALSE(a);
+        b();
+        InlineCallback c;
+        c = std::move(b);
+        EXPECT_EQ(live, 1);
+        c();
+        EXPECT_EQ(calls, 2);
+        c = nullptr;
+        EXPECT_EQ(live, 0);
+        c = [t = Tracked(&live)]() {};
+        EXPECT_EQ(live, 1);
+    }
+    EXPECT_EQ(live, 0);
+}
+
+TEST(InlineFunction, HeapTargetWorks)
+{
+    int live = 0;
+    long sum = 0;
+    {
+        // 64 bytes of capture: past the 48-byte buffer.
+        std::array<long, 8> big{1, 2, 3, 4, 5, 6, 7, 8};
+        auto fn = [big, t = Tracked(&live), &sum]() {
+            for (long v : big)
+                sum += v;
+        };
+        static_assert(!InlineCallback::storedInline<decltype(fn)>());
+        InlineCallback a = std::move(fn);
+        InlineCallback b = std::move(a);
+        EXPECT_FALSE(a);
+        b();
+        EXPECT_EQ(sum, 36);
+        EXPECT_EQ(live, 2); // fn's moved-from copy and the heap one
+    }
+    EXPECT_EQ(live, 0);
+}
+
+TEST(InlineFunction, EventQueueRunsEveryKind)
+{
+    int live = 0;
+    std::vector<int> order;
+    std::array<long, 8> big{};
+    {
+        EventQueue eq;
+        eq.schedule(3, [&order]() { order.push_back(3); });
+        eq.schedule(1, [&order, t = Tracked(&live)]() {
+            order.push_back(1);
+        });
+        eq.schedule(2, [&order, big]() {
+            order.push_back(2 + static_cast<int>(big[0]));
+        });
+        EXPECT_EQ(live, 1);
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+        EXPECT_EQ(live, 0); // run callbacks are destroyed
+        eq.schedule(10, [t = Tracked(&live)]() {});
+        EXPECT_EQ(live, 1);
+    }
+    EXPECT_EQ(live, 0); // so are pending ones, with the queue
+}
+
+TEST(FastDivMod, MatchesHardwareDivision)
+{
+    const std::uint32_t divisors[] = {1u,          2u,
+                                      3u,          448u,
+                                      1472u,       1u << 31,
+                                      0xffffffffu};
+    Rng rng(2024, 5);
+    for (std::uint32_t d : divisors) {
+        FastDivMod f(d);
+        EXPECT_EQ(f.divisor(), d);
+        std::vector<std::uint32_t> ns = {0u,
+                                         1u,
+                                         2u,
+                                         d - 1,
+                                         d,
+                                         d + 1,
+                                         2 * d - 1,
+                                         2 * d,
+                                         0x7fffffffu,
+                                         0x80000000u,
+                                         0xfffffffeu,
+                                         0xffffffffu};
+        for (int i = 0; i < 20000; ++i)
+            ns.push_back(rng.next());
+        for (std::uint32_t n : ns) {
+            ASSERT_EQ(f.div(n), n / d) << n << " / " << d;
+            ASSERT_EQ(f.mod(n), n % d) << n << " % " << d;
+        }
+    }
 }

@@ -142,9 +142,9 @@ TEST_F(MemSysFixture, RequestCompleteTickMonotone)
     auto r = std::make_unique<Request>();
     r->module = Module::M2;
     r->addr = 4096;
-    r->onComplete = [&](Request &req) {
-        enq = req.enqueueTick;
-        done = req.completeTick;
+    r->onComplete = [&, req = r.get()]() {
+        enq = req->enqueueTick;
+        done = req->completeTick;
     };
     sys->channel(0).push(std::move(r));
     eq.run();

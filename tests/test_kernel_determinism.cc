@@ -1,34 +1,37 @@
 /**
  * @file
- * Determinism contract of the calendar-queue simulation kernel.
+ * Determinism contract of the simulation kernel.
  *
- * The event queue replaced a binary heap with a bucketed calendar
- * wheel plus an overflow tier (common/event.hh); the contract is
- * that the globally minimal (when, seq) event always runs next, so
- * same-tick events keep FIFO scheduling order no matter which tier
- * or bucket they sit in.  These tests pin that contract directly
- * (tie-breaking, overflow migration, wheel wrap-around) and then
- * differentially: the end-to-end golden metrics must come out
- * bit-identical through the serial (--jobs 1) and threaded
- * (--jobs 8) experiment paths.
+ * The event queue (common/event.hh) promises that the globally
+ * minimal (when, seq) event always runs next, so same-tick events
+ * keep FIFO scheduling order however far ahead they were scheduled.
+ * These tests pin that contract directly (tie-breaking, far-future
+ * events, long self-rescheduling chains), differentially against an
+ * ordered set of (when, seq) pairs, and end to end: the golden
+ * metrics must come out bit-identical through the serial (--jobs 1)
+ * and threaded (--jobs 8) experiment paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/rng.hh"
 #include "sim/parallel_runner.hh"
 
 using namespace profess;
 using namespace profess::sim;
 
 // ---------------------------------------------------------------
-// Calendar-queue ordering.
+// Event ordering.
 // ---------------------------------------------------------------
 
-TEST(CalendarQueue, SameTickFifoBySeq)
+TEST(EventOrder, SameTickFifoBySeq)
 {
     EventQueue eq;
     std::vector<int> order;
@@ -41,7 +44,7 @@ TEST(CalendarQueue, SameTickFifoBySeq)
     EXPECT_EQ(eq.now(), 100u);
 }
 
-TEST(CalendarQueue, TickOrderBeatsInsertionOrder)
+TEST(EventOrder, TickOrderBeatsInsertionOrder)
 {
     EventQueue eq;
     std::vector<int> order;
@@ -57,51 +60,48 @@ TEST(CalendarQueue, TickOrderBeatsInsertionOrder)
     EXPECT_EQ(order, expect);
 }
 
-TEST(CalendarQueue, OverflowTierMigration)
+TEST(EventOrder, FarEventsRunAfterNearOnes)
 {
     EventQueue eq;
     std::vector<int> order;
-    // Far beyond the 16384-tick wheel horizon: overflow tier.
+    // Far ahead (periodic policy events live this far out) ...
     for (int i = 0; i < 8; ++i) {
         eq.schedule(1000000 + 10 * i,
                     [&order, i]() { order.push_back(i); });
     }
-    EXPECT_EQ(eq.overflowSize(), 8u);
-    // Near events go straight into the wheel.
+    // ... scheduled before near ones.
     for (int i = 8; i < 12; ++i) {
         eq.schedule(static_cast<Tick>(i),
                     [&order, i]() { order.push_back(i); });
     }
-    EXPECT_EQ(eq.overflowSize(), 8u);
     EXPECT_EQ(eq.size(), 12u);
+    EXPECT_EQ(eq.nextTick(), 8u);
     eq.run();
-    // Near events first, then the migrated far events in tick order.
+    // Near events first, then the far events in tick order.
     std::vector<int> expect{8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 7};
     EXPECT_EQ(order, expect);
-    EXPECT_EQ(eq.overflowSize(), 0u);
     EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.peakSize(), 12u);
 }
 
-TEST(CalendarQueue, OverflowSameTickKeepsFifo)
+TEST(EventOrder, FarSameTickKeepsFifo)
 {
     EventQueue eq;
     std::vector<int> order;
-    // Same far tick: FIFO must survive heap + migration.
     for (int i = 0; i < 16; ++i) {
         eq.schedule(500000,
                     [&order, i]() { order.push_back(i); });
     }
-    EXPECT_EQ(eq.overflowSize(), 16u);
     eq.run();
     ASSERT_EQ(order.size(), 16u);
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(CalendarQueue, WheelWrapAroundChain)
+TEST(EventOrder, SelfReschedulingChain)
 {
-    // A self-rescheduling event crosses the wheel horizon many
-    // times; time must advance strictly monotonically.
+    // A self-rescheduling event that runs far past its start; time
+    // must advance strictly monotonically.
     EventQueue eq;
     int fired = 0;
     Tick last = 0;
@@ -115,19 +115,21 @@ TEST(CalendarQueue, WheelWrapAroundChain)
     eq.run();
     EXPECT_EQ(fired, 200);
     EXPECT_EQ(eq.now(), 199u * 1777u);
+    EXPECT_EQ(eq.peakSize(), 1u);
 }
 
-TEST(CalendarQueue, MixedHorizonGlobalOrdering)
+TEST(EventOrder, MixedDelaysGlobalOrdering)
 {
-    // Pseudo-random delays straddling the horizon; execution order
-    // must be globally nondecreasing in time with now() == when.
+    // Pseudo-random ticks, most of them more than 16384 ahead;
+    // execution order must be globally nondecreasing in time with
+    // now() == when.
     EventQueue eq;
     std::uint64_t lcg = 99;
     std::vector<Tick> fireTicks;
     for (int i = 0; i < 500; ++i) {
         lcg = lcg * 6364136223846793005ull +
               1442695040888963407ull;
-        Tick when = (lcg >> 33) % 40000; // ~60% beyond horizon
+        Tick when = (lcg >> 33) % 40000;
         eq.schedule(when, [&eq, &fireTicks]() {
             fireTicks.push_back(eq.now());
         });
@@ -138,7 +140,7 @@ TEST(CalendarQueue, MixedHorizonGlobalOrdering)
         EXPECT_LE(fireTicks[i - 1], fireTicks[i]);
 }
 
-TEST(CalendarQueue, RunUntilAdvancesToLimitWhenDrained)
+TEST(EventOrder, RunUntilAdvancesToLimitWhenDrained)
 {
     EventQueue eq;
     int fired = 0;
@@ -148,6 +150,122 @@ TEST(CalendarQueue, RunUntilAdvancesToLimitWhenDrained)
     EXPECT_EQ(eq.runUntil(100), 1u);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 100u); // drained: clock moves to the limit
+}
+
+namespace
+{
+
+/**
+ * Drives an EventQueue and a reference std::set of (when, seq)
+ * pairs with the same seeded schedule, and checks every extraction
+ * against the set's minimum.  Events schedule more events from
+ * inside their callbacks.
+ */
+class OrderOracle
+{
+  public:
+    explicit OrderOracle(std::uint64_t seed) : rng_(seed, 17) {}
+
+    /** Schedule one event at `when` in both queues. */
+    void
+    add(Tick when)
+    {
+        std::uint64_t seq = nextSeq_++;
+        ref_.emplace(when, seq);
+        eq_.schedule(when, [this, when, seq]() { fire(when, seq); });
+    }
+
+    /** A delay mix: same tick, near, within 16384, far beyond. */
+    Tick
+    delay()
+    {
+        std::uint32_t r = rng_.below(100);
+        if (r < 30)
+            return 0;
+        if (r < 70)
+            return rng_.below(64);
+        if (r < 90)
+            return rng_.below(16384);
+        return 16384 + rng_.below(200000);
+    }
+
+    /** Schedule a burst of 1-24 events at one tick. */
+    void
+    burst()
+    {
+        Tick when = eq_.now() + delay();
+        unsigned n = 1 + rng_.below(24);
+        for (unsigned i = 0; i < n; ++i)
+            add(when);
+    }
+
+    void
+    fire(Tick when, std::uint64_t seq)
+    {
+        ASSERT_FALSE(ref_.empty());
+        EXPECT_EQ(*ref_.begin(), std::make_pair(when, seq));
+        EXPECT_EQ(eq_.now(), when);
+        ref_.erase(ref_.begin());
+        ++fired_;
+        if (nextSeq_ >= cap)
+            return;
+        unsigned kids = rng_.below(3);
+        for (unsigned i = 0; i < kids; ++i)
+            add(eq_.now() + delay());
+        if (rng_.below(16) == 0)
+            burst();
+    }
+
+    /** Queue and reference agree on size and next tick. */
+    void
+    checkAgree() const
+    {
+        ASSERT_EQ(eq_.size(), ref_.size());
+        EXPECT_EQ(eq_.nextTick(),
+                  ref_.empty() ? tickNever : ref_.begin()->first);
+        eq_.auditInvariants();
+    }
+
+    static constexpr std::uint64_t cap = 20000;
+
+    Rng rng_;
+    EventQueue eq_;
+    std::set<std::pair<Tick, std::uint64_t>> ref_;
+    std::uint64_t nextSeq_ = 0;
+    std::uint64_t fired_ = 0;
+};
+
+} // anonymous namespace
+
+TEST(EventOrder, DifferentialAgainstOrderedSet)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        OrderOracle o(seed);
+        for (int i = 0; i < 100; ++i)
+            o.burst();
+        o.checkAgree();
+        std::size_t most_pending = o.ref_.size();
+        while (!o.ref_.empty()) {
+            if (o.rng_.below(2) == 0) {
+                Tick before = o.eq_.now();
+                Tick limit = before + o.rng_.below(5000);
+                o.eq_.runUntil(limit);
+                if (o.ref_.empty())
+                    EXPECT_EQ(o.eq_.now(), limit);
+                else
+                    EXPECT_GT(o.ref_.begin()->first, limit);
+            } else {
+                EXPECT_TRUE(o.eq_.runOne());
+            }
+            o.checkAgree();
+            most_pending = std::max(most_pending, o.ref_.size());
+        }
+        EXPECT_FALSE(o.eq_.runOne());
+        EXPECT_EQ(o.fired_, o.nextSeq_) << "seed " << seed;
+        EXPECT_EQ(o.eq_.executed(), o.nextSeq_);
+        EXPECT_GE(o.nextSeq_, OrderOracle::cap);
+        EXPECT_GE(o.eq_.peakSize(), most_pending);
+    }
 }
 
 // ---------------------------------------------------------------

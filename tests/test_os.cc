@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hh"
 #include "os/page_allocator.hh"
 
 using namespace profess;
@@ -179,6 +184,55 @@ TEST(PageAllocator, ReleaseReturnsFrames)
     EXPECT_LT(a.freeFramesInRegion(10), before + 1);
     a.releaseProgram(3);
     EXPECT_EQ(a.allocatedFrames(3), 0u);
+    std::uint64_t total_free = 0;
+    for (unsigned r = 0; r < regions; ++r)
+        total_free += a.freeFramesInRegion(r);
+    EXPECT_EQ(total_free, a.numFrames());
+}
+
+TEST(PageAllocator, SparseVpagesMatchReferenceMap)
+{
+    // Trace files map arbitrary 64-bit pages: random ones, strided
+    // ones whose low bits all agree, and the extremes.  Every
+    // translation must agree with a reference map through many
+    // doublings of the page table.
+    PageAllocator a = makeAlloc();
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::set<std::uint64_t> frames;
+    std::vector<std::uint64_t> seen;
+    Rng rng(99, 3);
+    for (int i = 0; i < 7000; ++i) {
+        std::uint64_t v;
+        std::uint32_t kind = rng.below(6);
+        if (i == 0) {
+            v = 0;
+        } else if (i == 1) {
+            v = ~std::uint64_t{0};
+        } else if (kind < 3 && !seen.empty()) {
+            v = seen[rng.below(static_cast<std::uint32_t>(
+                seen.size()))];
+        } else if (kind == 3) {
+            v = static_cast<std::uint64_t>(rng.below(4096)) << 40;
+        } else {
+            v = (static_cast<std::uint64_t>(rng.next()) << 32) |
+                rng.next();
+        }
+        std::uint64_t f = a.translate(1, v);
+        auto [it, fresh] = ref.emplace(v, f);
+        if (fresh) {
+            seen.push_back(v);
+            EXPECT_TRUE(frames.insert(f).second) << "frame reused";
+            EXPECT_EQ(a.ownerOfBlock(2 * f), 1);
+        } else {
+            ASSERT_EQ(f, it->second) << "vpage " << v;
+        }
+    }
+    EXPECT_GT(ref.size(), 2000u);
+    EXPECT_EQ(a.allocatedFrames(1), ref.size());
+    for (const auto &[v, f] : ref)
+        ASSERT_EQ(a.translate(1, v), f);
+    a.releaseProgram(1);
+    EXPECT_EQ(a.allocatedFrames(1), 0u);
     std::uint64_t total_free = 0;
     for (unsigned r = 0; r < regions; ++r)
         total_free += a.freeFramesInRegion(r);
