@@ -113,13 +113,54 @@ BM_EventQueue(benchmark::State &state)
 BENCHMARK(BM_EventQueue);
 
 void
+BM_EventQueueModelShape(benchmark::State &state)
+{
+    // The simulator's pending set (about 13 keys, EventQueue::
+    // peakSize() in the quad-core runs): four core wake-ups 1-3
+    // ticks ahead, eight memory completions 10-60 ticks ahead and
+    // one far periodic sweep.  Each event schedules its successor,
+    // so one iteration is one pop and one insert; the time is ns
+    // per event.
+    struct Shape
+    {
+        EventQueue eq;
+        std::uint64_t lcg = 12345;
+
+        Cycles
+        draw(Cycles lo, Cycles span)
+        {
+            lcg = lcg * 6364136223846793005ull +
+                  1442695040888963407ull;
+            return lo + (((lcg >> 32) * span) >> 32);
+        }
+        void core() { eq.scheduleIn(draw(1, 3), [this]() { core(); }); }
+        void
+        completion()
+        {
+            eq.scheduleIn(draw(10, 51), [this]() { completion(); });
+        }
+        void periodic() { eq.scheduleIn(100000, [this]() { periodic(); }); }
+    };
+    Shape s;
+    for (int i = 0; i < 4; ++i)
+        s.core();
+    for (int i = 0; i < 8; ++i)
+        s.completion();
+    s.periodic();
+    for (auto _ : state)
+        s.eq.runOne();
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations()));
+}
+BENCHMARK(BM_EventQueueModelShape);
+
+void
 BM_EventQueueSteadyState(benchmark::State &state)
 {
     // Hold `range(0)` events pending and measure one pop + one
-    // schedule per iteration -- the calendar queue's steady state.
-    // Delays stay inside the wheel horizon (16384 ticks), matching
-    // the simulator's behaviour where only periodic policy events
-    // overflow.
+    // schedule per iteration, at uniform delays of 1-8000 ticks.
+    // Inserts are O(pending): the deep cases show where the sorted
+    // key array stops paying off, far beyond the model's depth.
     const std::uint64_t pending =
         static_cast<std::uint64_t>(state.range(0));
     EventQueue eq;
@@ -140,7 +181,7 @@ BM_EventQueueSteadyState(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations()));
 }
-BENCHMARK(BM_EventQueueSteadyState)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EventQueueSteadyState)->Arg(13)->Arg(100)->Arg(1000);
 
 template <std::size_t Bytes>
 void
@@ -149,15 +190,17 @@ eventQueueCaptureBench(benchmark::State &state)
     // Schedule+run 1000 events whose lambdas capture `Bytes` of
     // payload plus a reference.  40 B of capture stays inside the
     // InlineCallback buffer (48 B); 104 B spills to the heap path.
+    // At most 8 events are pending, as in the model, so the time is
+    // the callbacks' and not an O(pending) insert into a deep queue.
     std::array<std::uint64_t, Bytes / 8> payload{};
     payload[0] = 1;
     std::uint64_t sink = 0;
     for (auto _ : state) {
         EventQueue eq;
         for (Tick t = 0; t < 1000; ++t) {
-            eq.schedule(t % 500, [payload, &sink]() {
-                sink += payload[0];
-            });
+            eq.schedule(t, [payload, &sink]() { sink += payload[0]; });
+            if (eq.size() == 8)
+                eq.runOne();
         }
         eq.run();
     }

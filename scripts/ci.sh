@@ -20,7 +20,11 @@
 #             variance while still catching algorithmic
 #             regressions of the simulation kernel.  Each run's
 #             exact work counts (accesses, swaps, events, scheduler
-#             entries) must equal the baseline's.
+#             entries) must equal the baseline's.  Then a 3-second
+#             perfbench/run.py run per benchmark workload (every
+#             PROFESS_* variable unset: perfbench refuses them) must
+#             report "correct": true, i.e. every job's simulated
+#             result equals its pinned digest.
 #   telemetry Telemetry overhead: kernel_hotpath --quick twice
 #             more, telemetry off and fully on (--trace
 #             --telemetry-out --metrics-out, which also turns on
@@ -170,6 +174,25 @@ stage_perf() {
     # high-water marks) must match the baseline exactly.
     python3 scripts/bench_report.py counts \
         bench/baselines/kernel_quick.json build/kernel_smoke.json
+    # A host-path change that moves a simulated result fails here,
+    # not only in a benchmark run: each workload's job digests must
+    # equal the pinned ones (the last line's "correct").
+    local w last
+    for w in fig13_slice fig5_slice quad_write; do
+        last="$(
+            for v in $(compgen -e | grep '^PROFESS_' || true); do
+                unset "$v"
+            done
+            python3 perfbench/run.py --workload "$w" --seconds 3 |
+                tail -n 1
+        )"
+        if ! python3 -c 'import json, sys
+sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "$last"
+        then
+            echo "perfbench $w: simulated results moved: $last" >&2
+            exit 1
+        fi
+    done
 }
 
 stage_telemetry() {

@@ -11,15 +11,26 @@
  * tick execute in scheduling order (a monotone sequence number breaks
  * ties), which keeps simulations deterministic.
  *
- * Implementation: a binary min-heap of small `{when, seq, slot}`
- * keys.  The callbacks themselves (`InlineCallback`: no heap
+ * Implementation: an array of small `{when, seq, slot}` keys kept
+ * sorted latest-first, so the next event is the last key and a pop
+ * is a pop_back().  A new key's seq exceeds every pending one, so it
+ * belongs right after the keys with a later tick: its index is their
+ * count.  The insert walks the other keys from the back, shifting
+ * each up by one, so it is O(pending) and touches only the keys that
+ * run before the new one.  That wins at the model's queue depth:
+ * about a dozen events are pending (13 in the quad-core runs), and
+ * the most frequent new keys (core wake-ups a few ticks ahead) land
+ * near the back, where a binary heap pays a data-dependent branch
+ * per level on both push and pop.  bench/micro_components.cc's
+ * BM_EventQueueModelShape reports ns per event at the model's shape,
+ * so the choice can be checked again; DESIGN.md Sec. 4c has the
+ * numbers.  The callbacks themselves (`InlineCallback`: no heap
  * allocation for captures up to 48 bytes) stay put in a free-listed
- * slab that the keys index, so heap sifts move 24-byte keys and never
- * a callback.  The model keeps only a dozen or so events pending, so
- * the heap is a few levels deep.  (when, seq) is a total order: the
- * globally minimal pair runs next, same-tick events keep FIFO
- * scheduling order, and the extraction order is the same as any
- * other exact priority queue's (tests/test_kernel_determinism.cc).
+ * slab that the keys index, so inserts move 24-byte keys and never a
+ * callback.  (when, seq) is a total order: the globally minimal pair
+ * runs next, same-tick events keep FIFO scheduling order, and the
+ * extraction order is the same as any other exact priority queue's
+ * (tests/test_kernel_determinism.cc).
  */
 
 #ifndef PROFESS_COMMON_EVENT_HH
@@ -75,19 +86,19 @@ class EventQueue
             freeSlots_.pop_back();
             slots_[slot] = std::forward<F>(cb);
         }
-        // Sift the new key up from a hole at the end.
-        Key k{when, seq_++, slot};
-        std::size_t i = heap_.size();
-        heap_.emplace_back();
-        while (i > 0) {
-            std::size_t parent = (i - 1) / 2;
-            if (!Later{}(heap_[parent], k))
-                break;
-            heap_[i] = heap_[parent];
-            i = parent;
+        // Latest-first order: the new key goes right after the keys
+        // with a later tick.  Same-tick keys have a smaller seq and
+        // run first, so they stay behind it with the earlier ticks;
+        // walk those from the back, shifting each up by one.
+        std::size_t i = keys_.size();
+        keys_.emplace_back();
+        Key *k = keys_.data();
+        while (i > 0 && k[i - 1].when <= when) {
+            k[i] = k[i - 1];
+            --i;
         }
-        heap_[i] = k;
-        peak_ = std::max(peak_, heap_.size());
+        k[i] = Key{when, seq_++, slot};
+        peak_ = std::max(peak_, keys_.size());
     }
 
     /** Schedule a callback delay ticks from now. */
@@ -99,10 +110,10 @@ class EventQueue
     }
 
     /** @return true if no events are pending. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return keys_.empty(); }
 
     /** @return number of pending events. */
-    std::size_t size() const { return heap_.size(); }
+    std::size_t size() const { return keys_.size(); }
 
     /** @return the most events ever pending at once. */
     std::size_t peakSize() const { return peak_; }
@@ -111,7 +122,7 @@ class EventQueue
     Tick
     nextTick() const
     {
-        return heap_.empty() ? tickNever : heap_.front().when;
+        return keys_.empty() ? tickNever : keys_.back().when;
     }
 
     /** @return total events executed since construction. */
@@ -131,25 +142,10 @@ class EventQueue
     bool
     runOne()
     {
-        if (heap_.empty())
+        if (keys_.empty())
             return false;
-        // Take the root and sift the last key down from the hole.
-        Key k = heap_.front();
-        Key last = heap_.back();
-        heap_.pop_back();
-        std::size_t n = heap_.size();
-        if (n != 0) {
-            std::size_t i = 0;
-            for (std::size_t c = 1; c < n; c = 2 * i + 1) {
-                if (c + 1 < n && Later{}(heap_[c], heap_[c + 1]))
-                    ++c;
-                if (!Later{}(last, heap_[c]))
-                    break;
-                heap_[i] = heap_[c];
-                i = c;
-            }
-            heap_[i] = last;
-        }
+        Key k = keys_.back();
+        keys_.pop_back();
         PROFESS_AUDIT_ONLY(auditExtraction(k.when, k.seq));
 #if PROFESS_DETSAN
         // Fingerprint the extraction order the (when, seq)
@@ -204,7 +200,7 @@ class EventQueue
     runUntil(Tick limit)
     {
         std::uint64_t n = 0;
-        while (!heap_.empty() && heap_.front().when <= limit) {
+        while (!keys_.empty() && keys_.back().when <= limit) {
             runOne();
             ++n;
         }
@@ -214,27 +210,31 @@ class EventQueue
     }
 
     /**
-     * Audit the queue's structural invariants: the keys form a
-     * (when, seq) min-heap, none lies in the past, and every slab
-     * slot is either the engaged target of exactly one key or on
-     * the free list.  Panics on violation.  Callable in any build;
-     * the per-extraction ordering check additionally runs on every
-     * runOne() in PROFESS_AUDIT builds.
+     * Audit the queue's structural invariants: the keys are sorted
+     * strictly latest-first by (when, seq), none lies in the past,
+     * and every slab slot is either the engaged target of exactly
+     * one key or on the free list.  Panics on violation.  Callable
+     * in any build, also from inside a callback; the per-extraction
+     * ordering check additionally runs on every runOne() in
+     * PROFESS_AUDIT builds.
      */
     void
     auditInvariants() const
     {
-        profess_audit(std::is_heap(heap_.begin(), heap_.end(),
-                                   Later{}),
-                      "pending events are not a (when, seq) "
-                      "min-heap");
-        profess_audit(heap_.size() + freeSlots_.size() ==
+        profess_audit(std::adjacent_find(keys_.begin(), keys_.end(),
+                                         [](const Key &a,
+                                            const Key &b) {
+                                             return !Later{}(a, b);
+                                         }) == keys_.end(),
+                      "pending events are not sorted latest-first "
+                      "by (when, seq)");
+        profess_audit(keys_.size() + freeSlots_.size() ==
                           slots_.size(),
                       "%zu pending + %zu free slots but the slab "
                       "holds %zu",
-                      heap_.size(), freeSlots_.size(), slots_.size());
+                      keys_.size(), freeSlots_.size(), slots_.size());
         std::vector<bool> used(slots_.size(), false);
-        for (const Key &k : heap_) {
+        for (const Key &k : keys_) {
             profess_audit(k.when >= now_,
                           "event at %llu is in the past (now %llu)",
                           static_cast<unsigned long long>(k.when),
@@ -250,7 +250,7 @@ class EventQueue
     }
 
   private:
-    /** Heap key of one pending event; the callback is slots_[slot]. */
+    /** Key of one pending event; the callback is slots_[slot]. */
     struct Key
     {
         Tick when;
@@ -258,7 +258,7 @@ class EventQueue
         std::uint32_t slot;
     };
 
-    /** Heap comparator: true if a runs later than b. */
+    /** Key order: true if a runs later than b. */
     struct Later
     {
         bool
@@ -291,7 +291,7 @@ class EventQueue
         lastSeq_ = seq;
     }
 
-    std::vector<Key> heap_; ///< min-heap by (when, seq)
+    std::vector<Key> keys_; ///< sorted latest-first by (when, seq)
     std::vector<Callback> slots_; ///< callbacks, indexed by Key::slot
     std::vector<std::uint32_t> freeSlots_; ///< unused slots_ entries
     std::size_t peak_ = 0;

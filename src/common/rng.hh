@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/fastdiv.hh"
+
 namespace profess
 {
 
@@ -52,6 +54,51 @@ hashCombine(std::uint64_t h, std::string_view s)
     return hashCombine(h, f);
 }
 
+/**
+ * A bound for Rng::below() with its rejection threshold and its
+ * remainder reciprocal computed once, so a draw costs a multiply
+ * instead of two 32-bit divides.  Draws are identical to
+ * below(bound).
+ */
+class BoundedDraw
+{
+  public:
+    /** @param bound Exclusive upper bound, > 0. */
+    explicit BoundedDraw(std::uint32_t bound = 1)
+        : div_(bound), threshold_((-bound) % bound)
+    {
+    }
+
+    std::uint32_t bound() const { return div_.divisor(); }
+
+  private:
+    friend class Rng;
+
+    FastDivMod div_;
+    std::uint32_t threshold_;
+};
+
+/**
+ * A geometric distribution with log(1 - p) computed once; draws are
+ * identical to Rng::geometric(p).
+ */
+class GeometricDraw
+{
+  public:
+    /** @param p Success probability per trial, 0 < p <= 1. */
+    explicit GeometricDraw(double p = 1.0)
+        : certain_(p >= 1.0),
+          logFail_(certain_ ? 0.0 : __builtin_log(1.0 - p))
+    {
+    }
+
+  private:
+    friend class Rng;
+
+    bool certain_;   ///< p >= 1: always 0, no draw consumed
+    double logFail_; ///< log(1 - p)
+};
+
 /** PCG32 pseudo-random generator: 64-bit state, 32-bit output. */
 class Rng
 {
@@ -82,12 +129,28 @@ class Rng
         return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
     }
 
-    /** @return uniform integer in [0, bound); bound must be > 0. */
+    /**
+     * @return uniform integer in [0, b.bound()): raw draws below the
+     *         biased region's threshold are rejected, the first
+     *         accepted one is reduced modulo the bound.
+     */
+    std::uint32_t
+    below(const BoundedDraw &b)
+    {
+        for (;;) {
+            std::uint32_t r = next();
+            if (r >= b.threshold_)
+                return b.div_.mod(r);
+        }
+    }
+
+    /**
+     * below() for a one-off bound (> 0): the same draw, with two
+     * divides instead of building a BoundedDraw's reciprocal.
+     */
     std::uint32_t
     below(std::uint32_t bound)
     {
-        // Lemire-style rejection-free-ish bounded generation with
-        // rejection of the biased region.
         std::uint32_t threshold = (-bound) % bound;
         for (;;) {
             std::uint32_t r = next();
@@ -102,11 +165,11 @@ class Rng
     {
         if (bound <= 0xffffffffull)
             return below(static_cast<std::uint32_t>(bound));
-        // Compose two 32-bit draws; slight bias is irrelevant for
-        // workload generation at these magnitudes.
-        std::uint64_t r =
-            (static_cast<std::uint64_t>(next()) << 32) | next();
-        return r % bound;
+        // Compose two 32-bit draws, high word first; slight bias is
+        // irrelevant for workload generation at these magnitudes.
+        std::uint64_t hi = next();
+        std::uint64_t lo = next();
+        return ((hi << 32) | lo) % bound;
     }
 
     /** @return uniform double in [0, 1). */
@@ -119,22 +182,27 @@ class Rng
     /**
      * Geometric inter-arrival sample.
      *
-     * @param p Success probability per trial, 0 < p <= 1.
      * @return Number of failures before the first success (>= 0).
      */
     std::uint64_t
-    geometric(double p)
+    geometric(const GeometricDraw &g)
     {
-        if (p >= 1.0)
+        if (g.certain_)
             return 0;
         double u = uniform();
         // Avoid log(0).
         if (u <= 0.0)
             u = 1e-12;
-        double v = 1.0 - p;
         // floor(log(u) / log(1-p))
-        double g = __builtin_log(u) / __builtin_log(v);
-        return g < 0 ? 0 : static_cast<std::uint64_t>(g);
+        double x = __builtin_log(u) / g.logFail_;
+        return x < 0 ? 0 : static_cast<std::uint64_t>(x);
+    }
+
+    /** geometric() for a one-off p, 0 < p <= 1. */
+    std::uint64_t
+    geometric(double p)
+    {
+        return geometric(GeometricDraw(p));
     }
 
   private:

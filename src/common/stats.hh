@@ -280,6 +280,34 @@ class StatSet
 };
 
 /**
+ * A counter of a StatSet that joins the set on its first increment,
+ * as StatSet::inc() does, but looks its name up only that once.  For
+ * counters whose absence shows (a dump or a digest that lists every
+ * name), where a counterRef() taken up front would add a zero entry
+ * to runs that never count one.
+ */
+class LazyCounter
+{
+  public:
+    LazyCounter(StatSet &set, const char *name) : set_(set), name_(name)
+    {
+    }
+
+    void
+    inc(std::uint64_t v = 1)
+    {
+        if (ref_ == nullptr)
+            ref_ = &set_.counterRef(name_);
+        *ref_ += v;
+    }
+
+  private:
+    StatSet &set_;
+    const char *name_;
+    std::uint64_t *ref_ = nullptr; ///< stable: reset() zeroes in place
+};
+
+/**
  * Box-plot style summary of a data series (Fig. 5 reporting):
  * min, first quartile, median, third quartile, max and geometric mean.
  */

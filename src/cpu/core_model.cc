@@ -11,10 +11,37 @@ namespace profess
 namespace cpu
 {
 
+CoreFrontier::CoreFrontier(unsigned width, unsigned cycles_per_tick)
+    : width_(width), cpt_(cycles_per_tick)
+{
+    fatal_if(width == 0 || cycles_per_tick == 0, "bad core parameters");
+    widthDiv_ = FastDivMod(width);
+    cptDiv_ = FastDivMod(cycles_per_tick);
+}
+
+void
+CoreFrontier::charge(std::uint32_t gap)
+{
+    // New cycles: (debt_ + gap + 1) / width.  With gap = q * width +
+    // r that is q plus a carry, since debt_ + r + 1 < 2 * width.
+    std::uint32_t q = widthDiv_.div(gap);
+    std::uint64_t debt = std::uint64_t{debt_} + (gap - q * width_) + 1;
+    std::uint32_t carry = debt >= width_;
+    debt_ = static_cast<std::uint32_t>(debt - (carry ? width_ : 0));
+    // The same split of the q + carry new cycles at tick boundaries:
+    // rem_ + q % cpt + carry < 2 * cpt.
+    std::uint32_t qt = cptDiv_.div(q);
+    std::uint64_t rem = std::uint64_t{rem_} + (q - qt * cpt_) + carry;
+    std::uint32_t tick_carry = rem >= cpt_;
+    rem_ = static_cast<std::uint32_t>(rem - (tick_carry ? cpt_ : 0));
+    tick_ += std::uint64_t{qt} + tick_carry;
+}
+
 CoreModel::CoreModel(EventQueue &eq, const CoreParams &params,
                      trace::TraceSource &source, MemPort &port,
                      ProgramId id)
-    : eq_(eq), params_(params), source_(source), port_(port), id_(id)
+    : eq_(eq), params_(params), source_(source), port_(port), id_(id),
+      frontier_(params.width, params.coreCyclesPerTick)
 {
     fatal_if(params.width == 0 || params.robSize == 0 ||
                  params.maxOutstanding == 0 ||
@@ -98,22 +125,14 @@ CoreModel::advance()
         // (syncFrontier_); a self-scheduled wake-up keeps the
         // sub-tick frontier so no phantom cycles accrue.
         if (syncFrontier_) {
-            std::uint64_t now_cycles =
-                now * params_.coreCyclesPerTick;
-            if (frontierCycles_ < now_cycles)
-                frontierCycles_ = now_cycles;
+            frontier_.syncTo(now);
             syncFrontier_ = false;
         }
         if (!pendingCharged_) {
-            // Accumulate instructions and convert whole core cycles
-            // so sub-cycle fractions carry across accesses.
-            instrDebt_ += pending_.instGap + 1;
-            frontierCycles_ += instrDebt_ / params_.width;
-            instrDebt_ %= params_.width;
+            frontier_.charge(pending_.instGap);
             pendingCharged_ = true;
         }
-        Tick issue_tick =
-            ceilDiv(frontierCycles_, params_.coreCyclesPerTick);
+        Tick issue_tick = frontier_.issueTick();
         if (issue_tick > now) {
             if (!scheduled_) {
                 scheduled_ = true;
@@ -129,7 +148,7 @@ CoreModel::advance()
         instrCount_ = issue_instr;
         if (!warmupDone_ && instrCount_ >= params_.warmupInstr) {
             warmupDone_ = true;
-            warmupCycles_ = frontierCycles_;
+            warmupCycles_ = frontier_.cycles();
             warmupInstrCount_ = instrCount_;
             if (onWarmup_)
                 onWarmup_();
@@ -141,7 +160,7 @@ CoreModel::advance()
                 warmupInstrCount_ + params_.instrQuota) {
             quotaReached_ = true;
             quotaTick_ = now;
-            quotaCycles_ = frontierCycles_;
+            quotaCycles_ = frontier_.cycles();
             quotaInstrCount_ = instrCount_;
             if (onQuota_)
                 onQuota_();

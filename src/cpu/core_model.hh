@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/event.hh"
+#include "common/fastdiv.hh"
 #include "common/inline_function.hh"
 #include "common/types.hh"
 #include "trace/access.hh"
@@ -73,6 +74,51 @@ struct CoreParams
      * over [warmupInstr, warmupInstr + instrQuota).
      */
     std::uint64_t warmupInstr = 1'000'000;
+};
+
+/**
+ * A core's compute-time frontier: retired instructions converted to
+ * core cycles at the core width, with sub-cycle fractions carried
+ * across accesses, and the first MC tick at or after it.  The
+ * frontier is kept split at MC tick boundaries and each charge is
+ * split with reciprocal multiplies on 32-bit values, so no step
+ * divides 64-bit numbers; the results are exact for every width and
+ * cycles-per-tick (tests/test_core_model.cc checks them against the
+ * plain divides).
+ */
+class CoreFrontier
+{
+  public:
+    CoreFrontier(unsigned width, unsigned cycles_per_tick);
+
+    /** Account one access and the `gap` instructions before it. */
+    void charge(std::uint32_t gap);
+
+    /** Move the frontier forward to tick `now` if it is behind. */
+    void
+    syncTo(Tick now)
+    {
+        // cycles() < now * cpt exactly when tick_ < now (rem_ < cpt).
+        if (tick_ < now) {
+            tick_ = now;
+            rem_ = 0;
+        }
+    }
+
+    /** @return the frontier in core cycles. */
+    std::uint64_t cycles() const { return tick_ * cpt_ + rem_; }
+
+    /** @return ceil(cycles() / cycles_per_tick). */
+    Tick issueTick() const { return tick_ + (rem_ != 0); }
+
+  private:
+    std::uint32_t width_;
+    std::uint32_t cpt_;      ///< core cycles per MC tick
+    FastDivMod widthDiv_;
+    FastDivMod cptDiv_;
+    Tick tick_ = 0;          ///< whole MC ticks of the frontier
+    std::uint32_t rem_ = 0;  ///< core cycles past tick_, < cpt_
+    std::uint32_t debt_ = 0; ///< instructions short of a cycle
 };
 
 /** The core proper. */
@@ -152,8 +198,7 @@ class CoreModel
     bool pendingCharged_ = false; ///< gap compute time accounted
 
     std::uint64_t instrCount_ = 0;
-    std::uint64_t frontierCycles_ = 0; ///< core-cycle time frontier
-    std::uint64_t instrDebt_ = 0; ///< instructions < one core cycle
+    CoreFrontier frontier_;
     /** Outstanding read instruction indices.  Reads issue with
      *  strictly increasing indices, so the vector stays sorted and
      *  the oldest is front(); completion removes by linear scan

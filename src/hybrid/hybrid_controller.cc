@@ -158,7 +158,8 @@ HybridController::serve(std::uint64_t group, StcMeta &meta,
     policy::AccessInfo info;
     info.group = group;
     info.slot = pa->slot;
-    info.m1Slot = st_.slotInM1(group);
+    // A block served from M1 is the slot there; no ATB scan.
+    info.m1Slot = from_m1 ? pa->slot : st_.slotInM1(group);
     info.region = gi.region;
     info.isWrite = pa->isWrite;
     info.fromM1 = from_m1;
@@ -237,10 +238,10 @@ HybridController::finishFill(std::uint64_t group)
         return;
     }
     if (ev.valid) {
-        stats_.inc("stc_evictions");
+        ctrStcEvictions_.inc();
         policy_.onStcEvict(ev.group, ev.meta, st_.entry(ev.group));
         if (ev.dirty) {
-            stats_.inc("st_writebacks");
+            ctrStWritebacks_.inc();
             if (params_.modelStTraffic) {
                 mem::RequestPtr wb = mem::acquireRequest(reqPool_);
                 wb->module = mem::Module::M1;
@@ -551,7 +552,7 @@ HybridController::foldLongResidents()
         }
         meta.dirty = true;
         meta.lastFold = now;
-        stats_.inc("stats_folds");
+        ctrStatsFolds_.inc();
     });
 }
 

@@ -377,6 +377,11 @@ class HybridController : public policy::SwapHost
     bool foldEnabled_ = false;
     StatSet stats_;
     std::uint64_t &ctrStFills_;
+    // Dumps list every counter name, so these join stats_ only at
+    // their first increment, as StatSet::inc() would.
+    LazyCounter ctrStcEvictions_{stats_, "stc_evictions"};
+    LazyCounter ctrStWritebacks_{stats_, "st_writebacks"};
+    LazyCounter ctrStatsFolds_{stats_, "stats_folds"};
     /** First-abort to final-outcome time of retried swaps (MC
      *  cycles); fed only on the abort path, surfaced through the
      *  registry as hybrid.swap_retry_latency. */

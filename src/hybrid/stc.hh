@@ -11,7 +11,9 @@
  *
  * This class is the tag/metadata store; the entry *contents* stay in
  * the authoritative SwapGroupTable, and the controller models the
- * fill/writeback traffic to M1.
+ * fill/writeback traffic to M1.  The tags sit in their own array, so
+ * a lookup scans one set's 8-byte tags and touches a way's metadata
+ * only on a hit.
  */
 
 #ifndef PROFESS_HYBRID_STC_HH
@@ -167,9 +169,9 @@ class StCache
     void
     forEach(Fn &&fn)
     {
-        for (auto &w : store_) {
-            if (w.valid)
-                fn(w.group, w.meta);
+        for (std::size_t i = 0; i < store_.size(); ++i) {
+            if (tags_[i] != noGroup)
+                fn(tags_[i], store_[i].meta);
         }
     }
 
@@ -178,9 +180,9 @@ class StCache
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &w : store_) {
-            if (w.valid)
-                fn(w.group, w.meta);
+        for (std::size_t i = 0; i < store_.size(); ++i) {
+            if (tags_[i] != noGroup)
+                fn(tags_[i], store_[i].meta);
         }
     }
 
@@ -213,26 +215,43 @@ class StCache
     }
 
   private:
+    /** Metadata of one way; its tag is in tags_. */
     struct Way
     {
-        bool valid = false;
-        std::uint64_t group = 0;
         std::uint64_t lastUse = 0;
         StcMeta meta{};
     };
 
-    std::uint64_t setOf(std::uint64_t group) const
+    /** Tag of an invalid way (groups are 32-bit). */
+    static constexpr std::uint64_t noGroup = ~std::uint64_t{0};
+
+    /** @return index in tags_ / store_ of the set's first way. */
+    std::size_t
+    setBase(std::uint64_t group) const
     {
         // Set counts are powers of two in every configuration; the
         // mask form keeps the per-access lookup divide-free, with a
         // modulo fallback for odd test geometries.
-        return setMask_ != 0 ? (group & setMask_)
-                             : group % numSets_;
+        return (setMask_ != 0 ? (group & setMask_) : group % numSets_) *
+               ways_;
+    }
+
+    /** @return way index of `group` in its set's tags, or ways_. */
+    unsigned
+    wayOf(const std::uint64_t *tags, std::uint64_t group) const
+    {
+        unsigned w = 0;
+        while (w < ways_ && tags[w] != group)
+            ++w;
+        return w;
     }
 
     std::uint64_t numSets_;
     std::uint64_t setMask_ = 0; ///< numSets_-1 when a power of two
     unsigned ways_;
+    /** Cached group per way, noGroup if invalid; numSets_ x ways_,
+     *  row-major, parallel to store_. */
+    std::vector<std::uint64_t> tags_;
     std::vector<Way> store_; ///< numSets_ x ways_, row-major
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;

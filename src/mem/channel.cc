@@ -317,10 +317,10 @@ Channel::startSwap()
     }
     energy_.addActivate(false);
     energy_.addActivate(true);
-    stats_.inc("m1_activates");
-    stats_.inc("m2_activates");
-    stats_.inc("swaps");
-    stats_.inc("swap_busy_cycles", dur);
+    ++ctrM1Activates_;
+    ++ctrM2Activates_;
+    ctrSwaps_.inc();
+    ctrSwapBusyCycles_.inc(dur);
 
     // Involved banks end up with the swapped rows open.
     auto open_row = [&](std::uint32_t i, std::uint64_t row) {

@@ -376,6 +376,11 @@ class Channel
     std::uint64_t &ctrM1Accesses_;
     std::uint64_t &ctrM2Accesses_;
     std::uint64_t &ctrBusBusyCycles_;
+    // Swap counters join stats_ at the first swap: every per-channel
+    // counter name enters the result digests, so a run without swaps
+    // must not list them.
+    LazyCounter ctrSwaps_{stats_, "swaps"};
+    LazyCounter ctrSwapBusyCycles_{stats_, "swap_busy_cycles"};
 };
 
 } // namespace mem

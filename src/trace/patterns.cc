@@ -20,14 +20,26 @@ alignDown(std::uint64_t x, std::uint64_t a)
     return x - x % a;
 }
 
+/** A precomputed uniform draw over [0, n); n must fit 32 bits. */
+BoundedDraw
+drawBelow(std::uint64_t n)
+{
+    fatal_if(n == 0 || n > 0xffffffffull,
+             "pattern draw over %llu values: need 1 to 2^32 - 1 "
+             "(footprint too large?)",
+             static_cast<unsigned long long>(n));
+    return BoundedDraw(static_cast<std::uint32_t>(n));
+}
+
 } // anonymous namespace
 
 SequentialPattern::SequentialPattern(std::uint64_t footprint,
                                      Addr start)
-    : footprint_(alignDown(footprint, lineBytes)), pos_(start)
+    : footprint_(alignDown(footprint, lineBytes)), start_(start)
 {
     panic_if(footprint_ == 0, "footprint smaller than one line");
-    pos_ %= footprint_;
+    start_ %= footprint_;
+    pos_ = start_;
 }
 
 Addr
@@ -47,19 +59,25 @@ MultiStreamPattern::MultiStreamPattern(std::uint64_t footprint,
 {
     panic_if(footprint_ == 0, "footprint smaller than one line");
     panic_if(num_streams == 0, "need at least one stream");
-    pos_.assign(num_streams, tickNever);
+    stream_ = BoundedDraw(num_streams);
+    startLine_ = drawBelow(footprint_ / lineBytes);
+    MultiStreamPattern::reset();
+}
+
+void
+MultiStreamPattern::reset()
+{
+    pos_.assign(stream_.bound(), tickNever);
 }
 
 Addr
 MultiStreamPattern::next(Rng &rng)
 {
-    std::size_t i = pos_.size() == 1
-        ? 0
-        : rng.below(static_cast<std::uint32_t>(pos_.size()));
+    std::size_t i = pos_.size() == 1 ? 0 : rng.below(stream_);
     if (pos_[i] == tickNever) {
         // Lazy random start: real programs' arrays sit at unrelated
         // offsets, so streams must not align on bank boundaries.
-        pos_[i] = rng.below64(footprint_ / lineBytes) * lineBytes;
+        pos_[i] = Addr{rng.below(startLine_)} * lineBytes;
     }
     Addr a = pos_[i];
     pos_[i] += lineBytes;
@@ -110,8 +128,16 @@ HotspotPattern::HotspotPattern(std::uint64_t footprint, double zipf_s,
     }
     for (auto &c : cdf_)
         c /= acc;
-    // Identity permutation until the first rebuild.
+    lineInPage_ =
+        drawBelow(std::max<std::uint64_t>(1, pageBytes_ / lineBytes));
     perm_.resize(numPages_);
+    HotspotPattern::reset();
+}
+
+void
+HotspotPattern::reset()
+{
+    // A fixed shuffle of the identity, the same for every instance.
     for (std::size_t i = 0; i < numPages_; ++i)
         perm_[i] = static_cast<std::uint32_t>(i);
     Rng seeder(0x9e3779b97f4a7c15ull, 0x5bd1e995u);
@@ -132,15 +158,12 @@ Addr
 HotspotPattern::next(Rng &rng)
 {
     double u = rng.uniform();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    std::size_t rank = static_cast<std::size_t>(it - cdf_.begin());
+    std::size_t rank = cdfLowerBound(cdf_.data(), numPages_, u);
     if (rank >= numPages_)
         rank = numPages_ - 1;
     std::uint64_t page = perm_[rank];
-    std::uint64_t lines_per_page =
-        std::max<std::uint64_t>(1, pageBytes_ / lineBytes);
     Addr a = page * pageBytes_ +
-             rng.below64(lines_per_page) * lineBytes;
+             Addr{rng.below(lineInPage_)} * lineBytes;
     if (a >= footprint_)
         a = footprint_ - lineBytes;
     return a;
@@ -150,12 +173,13 @@ UniformPattern::UniformPattern(std::uint64_t footprint)
     : footprint_(alignDown(footprint, lineBytes))
 {
     panic_if(footprint_ == 0, "footprint smaller than one line");
+    line_ = drawBelow(footprint_ / lineBytes);
 }
 
 Addr
 UniformPattern::next(Rng &rng)
 {
-    return rng.below64(footprint_ / lineBytes) * lineBytes;
+    return Addr{rng.below(line_)} * lineBytes;
 }
 
 ClusteredPattern::ClusteredPattern(std::uint64_t footprint,
@@ -170,6 +194,9 @@ ClusteredPattern::ClusteredPattern(std::uint64_t footprint,
     panic_if(mean_dwell < 1.0, "mean dwell must be >= 1");
     if (windowBytes_ > footprint_)
         windowBytes_ = footprint_;
+    window_ = drawBelow(
+        std::max<std::uint64_t>(1, footprint_ / windowBytes_));
+    lineInWindow_ = drawBelow(windowBytes_ / lineBytes);
     jumpProb_ = 1.0 / mean_dwell;
 }
 
@@ -177,13 +204,10 @@ Addr
 ClusteredPattern::next(Rng &rng)
 {
     if (!primed_ || rng.uniform() < jumpProb_) {
-        std::uint64_t windows =
-            std::max<std::uint64_t>(1, footprint_ / windowBytes_);
-        windowBase_ = rng.below64(windows) * windowBytes_;
+        windowBase_ = Addr{rng.below(window_)} * windowBytes_;
         primed_ = true;
     }
-    std::uint64_t lines = windowBytes_ / lineBytes;
-    Addr a = windowBase_ + rng.below64(lines) * lineBytes;
+    Addr a = windowBase_ + Addr{rng.below(lineInWindow_)} * lineBytes;
     if (a >= footprint_)
         a = footprint_ - lineBytes;
     return a;
@@ -203,11 +227,13 @@ MixedPattern::next(Rng &rng)
 {
     panic_if(parts_.empty(), "empty mixture");
     double u = rng.uniform() * totalWeight_;
-    auto it =
-        std::lower_bound(cumWeight_.begin(), cumWeight_.end(), u);
-    std::size_t i = static_cast<std::size_t>(it - cumWeight_.begin());
-    if (i >= parts_.size())
-        i = parts_.size() - 1;
+    // First component whose cumulative weight reaches u, the last
+    // one if rounding leaves u above them all.  Mixtures have at
+    // most four parts, so a linear scan beats a binary search.
+    std::size_t i = 0;
+    std::size_t last = parts_.size() - 1;
+    while (i < last && cumWeight_[i] < u)
+        ++i;
     return parts_[i]->next(rng);
 }
 
@@ -216,6 +242,13 @@ MixedPattern::rebuild(Rng &rng)
 {
     for (auto &p : parts_)
         p->rebuild(rng);
+}
+
+void
+MixedPattern::reset()
+{
+    for (auto &p : parts_)
+        p->reset();
 }
 
 } // namespace trace

@@ -29,6 +29,24 @@ namespace profess
 namespace trace
 {
 
+/**
+ * Index of the first of the n >= 1 ascending values in `cdf` that is
+ * >= u (std::lower_bound's answer, n when every value is below u),
+ * found without a data-dependent branch: each step halves the range
+ * with a conditional move, so a random u costs no mispredictions.
+ */
+inline std::size_t
+cdfLowerBound(const double *cdf, std::size_t n, double u)
+{
+    const double *base = cdf;
+    while (n > 1) {
+        std::size_t half = n / 2;
+        base = base[half] < u ? base + half : base;
+        n -= half;
+    }
+    return static_cast<std::size_t>(base - cdf) + (*base < u);
+}
+
 /** Generator of line-aligned offsets within [0, footprint). */
 class AddressPattern
 {
@@ -40,6 +58,10 @@ class AddressPattern
 
     /** Phase change: re-randomize internal structure (optional). */
     virtual void rebuild(Rng &rng) { (void)rng; }
+
+    /** Restore the state the pattern had right after construction,
+     *  so the same draws replay the same offsets. */
+    virtual void reset() = 0;
 };
 
 /** Linear sweep over the footprint, wrapping around. */
@@ -54,9 +76,11 @@ class SequentialPattern : public AddressPattern
                                Addr start = 0);
 
     Addr next(Rng &rng) override;
+    void reset() override { pos_ = start_; }
 
   private:
     std::uint64_t footprint_;
+    Addr start_;
     Addr pos_;
 };
 
@@ -79,9 +103,12 @@ class MultiStreamPattern : public AddressPattern
     MultiStreamPattern(std::uint64_t footprint, unsigned num_streams);
 
     Addr next(Rng &rng) override;
+    void reset() override;
 
   private:
     std::uint64_t footprint_;
+    BoundedDraw stream_;    ///< which stream advances
+    BoundedDraw startLine_; ///< a stream's random first line
     std::vector<Addr> pos_;
 };
 
@@ -96,6 +123,13 @@ class StridedPattern : public AddressPattern
     StridedPattern(std::uint64_t footprint, std::uint64_t stride);
 
     Addr next(Rng &rng) override;
+
+    void
+    reset() override
+    {
+        pos_ = 0;
+        phase_ = 0;
+    }
 
   private:
     std::uint64_t footprint_;
@@ -125,11 +159,13 @@ class HotspotPattern : public AddressPattern
 
     Addr next(Rng &rng) override;
     void rebuild(Rng &rng) override;
+    void reset() override;
 
   private:
     std::uint64_t footprint_;
     std::uint64_t pageBytes_;
     std::size_t numPages_;
+    BoundedDraw lineInPage_;
     std::vector<double> cdf_;
     std::vector<std::uint32_t> perm_;
 };
@@ -141,9 +177,11 @@ class UniformPattern : public AddressPattern
     explicit UniformPattern(std::uint64_t footprint);
 
     Addr next(Rng &rng) override;
+    void reset() override {}
 
   private:
     std::uint64_t footprint_;
+    BoundedDraw line_;
 };
 
 /**
@@ -169,9 +207,18 @@ class ClusteredPattern : public AddressPattern
 
     Addr next(Rng &rng) override;
 
+    void
+    reset() override
+    {
+        windowBase_ = 0;
+        primed_ = false;
+    }
+
   private:
     std::uint64_t footprint_;
     std::uint64_t windowBytes_;
+    BoundedDraw window_;      ///< which window a jump lands in
+    BoundedDraw lineInWindow_;
     double jumpProb_; ///< per-access probability of leaving
     Addr windowBase_ = 0;
     bool primed_ = false;
@@ -186,6 +233,7 @@ class MixedPattern : public AddressPattern
 
     Addr next(Rng &rng) override;
     void rebuild(Rng &rng) override;
+    void reset() override;
 
   private:
     std::vector<double> cumWeight_;

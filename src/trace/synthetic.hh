@@ -7,11 +7,22 @@
  * fraction, and optional working-set phase changes.  The mean gap is
  * calibrated so that the stream realizes a target MPKI (L3 misses per
  * kilo-instruction, Table 9).
+ *
+ * The source generates in batches: when its in-object buffer of
+ * `batchSize` accesses runs dry, one tight loop refills it, drawing
+ * the same RNG values in the same order as one-at-a-time generation
+ * would, so the stream is unchanged and next() is a copy.  Nothing
+ * else draws from the source's RNG or touches its pattern, so
+ * generating ahead is invisible to the simulation.  The batch length
+ * is coprime to telemetry::TimerSlot::samplePeriod (64): with a
+ * multiple of it, a call-sampled timer around next() (perfbench's
+ * trace layer) would time every refill or none of them.
  */
 
 #ifndef PROFESS_TRACE_SYNTHETIC_HH
 #define PROFESS_TRACE_SYNTHETIC_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -55,12 +66,26 @@ class SyntheticTraceSource : public TraceSource
     /** @return the stream parameters. */
     const SyntheticParams &params() const { return params_; }
 
+    /** Accesses generated per refill (see the file comment). */
+    static constexpr unsigned batchSize = 255;
+
   private:
+    /** Generate the next batchSize accesses into buf_. */
+    void refill();
+
+    /** Restart the RNG, the phase countdown and the buffer (the
+     *  pattern is reset separately: it is fresh at construction). */
+    void restart();
+
     SyntheticParams params_;
     std::unique_ptr<AddressPattern> pattern_;
     Rng rng_;
-    std::uint64_t accessCount_ = 0;
-    double meanGeomGap_ = 0.0;
+    BoundedDraw burstGap_{3}; ///< bursty gaps: 0..2, mean 1
+    GeometricDraw gap_;       ///< the other gaps
+    /** Accesses to generate before the next phase rebuild. */
+    std::uint64_t untilRebuild_ = 0;
+    unsigned head_ = batchSize; ///< next buf_ entry to hand out
+    std::array<MemAccess, batchSize> buf_;
 };
 
 } // namespace trace

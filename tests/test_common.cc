@@ -77,6 +77,55 @@ TEST(Rng, Below64Bounds)
         EXPECT_LT(r.below64(bound), bound);
 }
 
+TEST(Rng, BoundedDrawMatchesBelow)
+{
+    const std::uint32_t bounds[] = {1u,   2u,      3u,
+                                    4u,   7u,      64u,
+                                    448u, 1u << 31, 0xffffffffu};
+    for (std::uint32_t b : bounds) {
+        BoundedDraw d(b);
+        EXPECT_EQ(d.bound(), b);
+        Rng x(77, b), y(77, b);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(x.below(d), y.below(b)) << b;
+        // Same raw draws consumed, rejections included.
+        EXPECT_EQ(x.next(), y.next()) << b;
+    }
+}
+
+TEST(Rng, Below64DrawsHighWordFirst)
+{
+    const std::uint64_t bound = (1ull << 40) + 12345;
+    Rng pinned(5);
+    EXPECT_EQ(pinned.below64(bound), 0xc2fc0cc8c6ull);
+    Rng r(6), words(6);
+    for (int i = 0; i < 100; ++i) {
+        std::uint64_t hi = words.next();
+        std::uint64_t lo = words.next();
+        ASSERT_EQ(r.below64(bound), ((hi << 32) | lo) % bound);
+    }
+}
+
+TEST(Rng, GeometricDrawMatchesClosedForm)
+{
+    for (double p : {1.0, 0.999, 0.5, 0.25, 1.0 / 31.0}) {
+        GeometricDraw g(p);
+        Rng x(9), ref(9);
+        for (int i = 0; i < 2000; ++i) {
+            std::uint64_t want = 0;
+            if (p < 1.0) {
+                double u = ref.uniform();
+                if (u <= 0.0)
+                    u = 1e-12;
+                double v = std::log(u) / std::log(1.0 - p);
+                want = v < 0 ? 0 : static_cast<std::uint64_t>(v);
+            }
+            ASSERT_EQ(x.geometric(g), want) << p;
+        }
+        EXPECT_EQ(x.next(), ref.next()) << p;
+    }
+}
+
 TEST(Rng, UniformRange)
 {
     Rng r(3);

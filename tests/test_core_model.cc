@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/event.hh"
+#include "common/rng.hh"
 #include "cpu/core_model.hh"
 #include "trace/access.hh"
 
@@ -259,4 +260,53 @@ TEST(CoreModel, DeterministicTiming)
         return core.quotaTick();
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(CoreFrontier, MatchesPlainDivision)
+{
+    // The divide-free frontier against the 64-bit divides it
+    // replaces, for odd and power-of-two widths and clock ratios,
+    // gaps up to 2^32 - 1 and stall resyncs.
+    const unsigned widths[] = {1, 2, 3, 4, 5, 7, 8, 0xffffffffu};
+    const unsigned ratios[] = {1, 2, 3, 4, 5, 0xffffffffu};
+    Rng rng(31);
+    for (unsigned w : widths) {
+        for (unsigned cpt : ratios) {
+            CoreFrontier f(w, cpt);
+            std::uint64_t cycles = 0, debt = 0;
+            Tick now = 0;
+            for (int i = 0; i < 3000; ++i) {
+                std::uint32_t gap;
+                switch (rng.below(4)) {
+                case 0:
+                    gap = rng.below(3);
+                    break;
+                case 1:
+                    gap = rng.below(200);
+                    break;
+                case 2:
+                    gap = rng.next();
+                    break;
+                default:
+                    gap = 0xffffffffu - rng.below(2);
+                    break;
+                }
+                debt += std::uint64_t{gap} + 1;
+                cycles += debt / w;
+                debt %= w;
+                f.charge(gap);
+                if (rng.below(8) == 0) {
+                    // A stall ending at or one tick past the issue
+                    // tick; either can move the frontier.
+                    now = ceilDiv(cycles, cpt) + rng.below(2);
+                    if (cycles < now * cpt)
+                        cycles = now * cpt;
+                    f.syncTo(now);
+                }
+                ASSERT_EQ(f.cycles(), cycles) << w << " " << cpt;
+                ASSERT_EQ(f.issueTick(), ceilDiv(cycles, cpt))
+                    << w << " " << cpt;
+            }
+        }
+    }
 }

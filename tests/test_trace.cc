@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "trace/patterns.hh"
@@ -24,7 +28,63 @@ namespace
 
 constexpr std::uint64_t fp = 1 * MiB;
 
+/** Order-sensitive hash of a source's next n accesses. */
+std::uint64_t
+streamHash(TraceSource &src, std::uint64_t n)
+{
+    std::uint64_t h = 0;
+    MemAccess a;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (!src.next(a))
+            return 0;
+        h = hashCombine(h, a.vaddr);
+        h = hashCombine(h, a.isWrite ? 1u : 0u);
+        h = hashCombine(h, a.instGap);
+    }
+    return h;
+}
+
 } // anonymous namespace
+
+TEST(Patterns, CdfLowerBoundMatchesStdLowerBound)
+{
+    std::vector<double> cdf = {0.1, 0.25, 0.25, 0.5, 0.75, 0.9, 1.0};
+    for (std::size_t n = 1; n <= cdf.size(); ++n) {
+        std::vector<double> us = {0.0, 0.05, 0.3, 0.99, 1.0, 1.5};
+        // Every edge, and just below and above it.
+        for (std::size_t i = 0; i < n; ++i) {
+            us.push_back(cdf[i]);
+            us.push_back(std::nextafter(cdf[i], 0.0));
+            us.push_back(std::nextafter(cdf[i], 2.0));
+        }
+        for (double u : us) {
+            auto want = static_cast<std::size_t>(
+                std::lower_bound(cdf.begin(), cdf.begin() + n, u) -
+                cdf.begin());
+            EXPECT_EQ(cdfLowerBound(cdf.data(), n, u), want)
+                << "n=" << n << " u=" << u;
+        }
+    }
+    // A Zipf-sized table against random draws.
+    std::vector<double> big(1000);
+    double acc = 0.0;
+    for (std::size_t r = 0; r < big.size(); ++r) {
+        acc += 1.0 / static_cast<double>(r + 1);
+        big[r] = acc;
+    }
+    for (auto &c : big)
+        c /= acc;
+    Rng rng(8);
+    for (int i = 0; i < 20000; ++i) {
+        double u = i % 2 == 0 ? rng.uniform()
+                              : big[rng.below(1000)]; // an edge
+        auto want = static_cast<std::size_t>(
+            std::lower_bound(big.begin(), big.end(), u) -
+            big.begin());
+        ASSERT_EQ(cdfLowerBound(big.data(), big.size(), u), want)
+            << u;
+    }
+}
 
 TEST(Patterns, SequentialWraps)
 {
@@ -180,6 +240,27 @@ TEST(Synthetic, WriteFractionCalibrated)
     EXPECT_NEAR(static_cast<double>(writes) / n, 0.35, 0.02);
 }
 
+TEST(Synthetic, PhasedStreamGolden)
+{
+    // Every stateful pattern's draws, 20 phase rebuilds and the gap
+    // model, bit for bit, as one-at-a-time generation produced them.
+    SyntheticParams sp;
+    sp.footprintBytes = fp;
+    sp.mpki = 20.0;
+    sp.writeFraction = 0.3;
+    sp.burstFraction = 0.3;
+    sp.phaseAccesses = 997;
+    sp.seed = 21;
+    auto mix = std::make_unique<MixedPattern>();
+    mix->add(1.0, std::make_unique<MultiStreamPattern>(fp, 3));
+    mix->add(0.5, std::make_unique<StridedPattern>(fp, 256));
+    mix->add(1.0, std::make_unique<HotspotPattern>(fp, 1.0));
+    mix->add(1.0,
+             std::make_unique<ClusteredPattern>(fp, 8 * KiB, 4.0));
+    SyntheticTraceSource src(sp, std::move(mix));
+    EXPECT_EQ(streamHash(src, 20000), 0xfaf06c5c5d9d63f0ull);
+}
+
 TEST(Synthetic, ResetReproduces)
 {
     SyntheticParams sp;
@@ -228,6 +309,54 @@ TEST_P(ProfileSweep, BuildsAndStaysInFootprint)
     double mpki =
         1000.0 * static_cast<double>(n) / static_cast<double>(instr);
     EXPECT_NEAR(mpki, p->mpki, p->mpki * 0.10) << name;
+}
+
+TEST_P(ProfileSweep, ResetRestartsIdenticalStream)
+{
+    // Past the first phase rebuild when the profile has one (the
+    // Zipf permutation changes there), and ending mid-batch.
+    const BenchmarkProfile *p = findProfile(GetParam());
+    ASSERT_NE(p, nullptr);
+    const std::uint64_t n = p->phaseAccesses + 1001;
+    ASSERT_NE(n % SyntheticTraceSource::batchSize, 0u);
+    auto src = makeSpecSource(GetParam(), defaultScale, 13);
+    std::uint64_t first = streamHash(*src, n);
+    src->reset();
+    EXPECT_EQ(streamHash(*src, n), first) << GetParam();
+}
+
+TEST_P(ProfileSweep, StreamGolden)
+{
+    // Hashes of the first 200k accesses at two seeds, as
+    // one-at-a-time generation with plain divides produced them.
+    struct Golden
+    {
+        const char *name;
+        std::uint64_t seed13;
+        std::uint64_t seed4099;
+    };
+    static const Golden goldens[] = {
+        {"bwaves", 0x829bf356187efed7ull, 0x9f55845eb6a15360ull},
+        {"GemsFDTD", 0x9d7c2d7ee7d54f05ull, 0xd7af19f8c4583000ull},
+        {"lbm", 0xb53c0b73416df397ull, 0x60b3f7d65768738eull},
+        {"leslie3d", 0x10fc869a3c635d5bull, 0x60074433071dd088ull},
+        {"libquantum", 0x44d55aee8700d29full, 0x2437a7685b042895ull},
+        {"mcf", 0x2b3ab058ce600f4dull, 0xf4af1e1e47bc331full},
+        {"milc", 0xe7eb5ba2b9f90b3bull, 0xe161df9e6580dffcull},
+        {"omnetpp", 0x74a4323686765806ull, 0x59d713f14a6b3944ull},
+        {"soplex", 0x8c15b44a25eaaf7cull, 0xb7a2423edc7acd62ull},
+        {"zeusmp", 0xe3bef14e5722be1eull, 0x4c30f40c5b3102faull},
+    };
+    const Golden *g = nullptr;
+    for (const Golden &c : goldens) {
+        if (std::strcmp(c.name, GetParam()) == 0)
+            g = &c;
+    }
+    ASSERT_NE(g, nullptr);
+    auto a = makeSpecSource(g->name, defaultScale, 13);
+    EXPECT_EQ(streamHash(*a, 200000), g->seed13);
+    auto b = makeSpecSource(g->name, defaultScale, 4099);
+    EXPECT_EQ(streamHash(*b, 200000), g->seed4099);
 }
 
 INSTANTIATE_TEST_SUITE_P(
