@@ -34,18 +34,21 @@ main(int argc, char **argv)
     BenchEnv env = benchEnv();
     header("Ablation: ProFess thresholds and Msamp",
            "Sec. 3.3 / Sec. 3.1.3 design choices");
+    const std::uint64_t msamp = sim::SystemConfig::quadCore().msamp;
     std::printf("\n(first six Table 10 workloads, ProFess "
-                "normalized to PoM)\n\n");
+                "normalized to PoM; threshold rows at the default "
+                "Msamp=%llu)\n\n",
+                static_cast<unsigned long long>(msamp));
 
     const double t32 = 1.0 + 1.0 / 32.0;
     const double t16 = 1.0 + 1.0 / 16.0;
     const AblationPoint points[] = {
-        {"no hysteresis (t=1.0)", 1.0, 1.0, 2048},
-        {"paper t=1/32, tp=1/16", t32, t16, 2048},
-        {"strong t=1/8, tp=1/4", 1.125, 1.25, 2048},
-        {"guidance off (t=1e9)", 1e9, 1e9, 2048},
+        {"no hysteresis (t=1.0)", 1.0, 1.0, msamp},
+        {"paper t=1/32, tp=1/16", t32, t16, msamp},
+        {"strong t=1/8, tp=1/4", 1.125, 1.25, msamp},
+        {"guidance off (t=1e9)", 1e9, 1e9, msamp},
         {"Msamp=512", t32, t16, 512},
-        {"Msamp=2048 (default)", t32, t16, 2048},
+        {"Msamp=2048", t32, t16, 2048},
         {"Msamp=8192", t32, t16, 8192},
     };
     const std::size_t num_points =

@@ -15,9 +15,9 @@
  *
  * The process-global Journal stores each run's digests under its
  * identity key (label, policy, programs, seed).  When the same
- * identity is recorded again — e.g. kernel_hotpath's serial pass
- * followed by its threaded verification pass — the digests are
- * cross-checked and any mismatch is fatal with both values printed.
+ * identity is recorded again — e.g. a test running one batch at
+ * --jobs 1 and again at --jobs 8 — the digests are cross-checked
+ * and any mismatch is fatal with both values printed.
  *
  * The instrumentation in EventQueue / EpochSampler / the runners is
  * compiled only under -DPROFESS_DETSAN=ON (CMake option); Release

@@ -3,8 +3,9 @@
  * OpenMetrics text-exposition writer (DESIGN.md Sec. 4g).
  *
  * Maps the registry's dotted statistic names onto OpenMetrics
- * families and labels so any run can be compared with standard
- * tooling (promtool, scripts/metrics_diff.py):
+ * families and labels so any two runs can be compared with standard
+ * tooling (promtool, or scripts/metrics_diff.py as in the
+ * EXPERIMENTS.md metrics recipe):
  *
  *   - instance segments "p3" / "ch0" / "core1" become labels
  *     program="3" / channel="0" / core="1";
@@ -21,8 +22,9 @@
  * "<name>.count"/"<name>.sum" probes (tests/test_metrics.cc).
  *
  * Snapshots are plain data: they are captured while a run's
- * registry is alive and exported later (atexit), after the
- * components the registry pointed into are gone.
+ * registry is alive and exported later (a run's shard, merged by
+ * sim::mergeShards), after the components the registry pointed
+ * into are gone.
  */
 
 #ifndef PROFESS_COMMON_OPENMETRICS_HH

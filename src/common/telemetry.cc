@@ -42,9 +42,9 @@ void
 StatRegistry::addEntry(Entry e)
 {
     // Duplicate dotted names would silently shadow each other in
-    // value() and produce ambiguous report columns; scripts/
-    // lint_profess.py checks the literals statically, this catches
-    // runtime-composed prefixes.  The hash set keeps registration
+    // value() and produce ambiguous report columns; the analyzer's
+    // stat-names rule (scripts/profess_analyze) checks the literals
+    // statically, this catches runtime-composed prefixes.  The hash set keeps registration
     // O(1) per entry (a linear contains() made it O(n^2) overall).
     panic_if(!names_.insert(e.name).second,
              "duplicate statistic name '%s'", e.name.c_str());

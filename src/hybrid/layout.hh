@@ -54,6 +54,7 @@ struct HybridLayout
           unsigned regions = 128, unsigned slots_per_group = 9,
           std::uint64_t block_bytes = 2 * KiB)
     {
+        fatal_if(regions == 0, "num_regions must be at least 1");
         HybridLayout l;
         l.slotsPerGroup = slots_per_group;
         l.numChannels = channels;

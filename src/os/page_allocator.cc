@@ -23,6 +23,7 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
 {
     fatal_if(num_groups == 0 || num_groups % 2 != 0,
              "number of swap groups must be even");
+    fatal_if(num_regions == 0, "num_regions must be at least 1");
     fatal_if((num_groups / 2) % num_regions != 0,
              "G/2 (%llu) must be a multiple of the region count (%u) "
              "for uniform regions",

@@ -18,7 +18,7 @@
  * mergeShards     - the one exposition writer: rebuilds the
  *                   --metrics-out file from the shards of the runs
  *                   its owner (ParallelRunner, SweepDriver,
- *                   kernel_hotpath) executed.
+ *                   telemetry_overhead) executed.
  *
  * Attachment point: System::attachTelemetry() registers every
  * component and forwards the sinks; ExperimentRunner::run() creates

@@ -158,6 +158,7 @@ System::System(
       coreProgram_(std::move(core_program))
 {
     fatal_if(sources_.empty(), "system needs at least one program");
+    fatal_if(cfg.core.instrQuota == 0, "instr must be at least 1");
     if (coreProgram_.empty()) {
         // Default single-threaded mapping: core i runs program i.
         for (std::size_t i = 0; i < sources_.size(); ++i)

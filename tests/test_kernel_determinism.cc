@@ -9,20 +9,28 @@
  * events, long self-rescheduling chains), differentially against an
  * ordered set of (when, seq) pairs, and end to end: the golden
  * metrics must come out bit-identical through the serial (--jobs 1)
- * and threaded (--jobs 8) experiment paths.
+ * and threaded (--jobs 8) experiment paths.  The quick kernel
+ * matrix (bench/quick_matrix.hh) pins the kernel's exact work counts
+ * and every final statistic.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "common/detsan.hh"
 #include "common/event.hh"
 #include "common/rng.hh"
+#include "common/telemetry.hh"
+#include "quick_matrix.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/run_telemetry.hh"
 
 using namespace profess;
 using namespace profess::sim;
@@ -334,5 +342,84 @@ TEST(KernelDeterminism, GoldenMetricsSerialAndThreaded)
         EXPECT_EQ(r1[i].run.meanReadLatencyNs,
                   r8[i].run.meanReadLatencyNs);
         EXPECT_EQ(r1[i].run.joules, r8[i].run.joules);
+    }
+}
+
+// ---------------------------------------------------------------
+// The quick kernel matrix, pinned exactly.
+//
+// Work counts are deterministic, so they are gated exactly where
+// host time cannot be: a change to what the kernel does (another
+// scheduler pick, one more event, a higher pool high-water mark)
+// fails here even when every simulated result stays the same.
+// With telemetry attached, the digest of the final registry covers
+// every statistic, and the named series say which layer moved.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+struct QuickPin
+{
+    const char *label;
+    // The bare run's work.
+    std::uint64_t accesses, swaps, events, schedCalls, peakEvents,
+        requestPoolNodes, pendingPoolNodes;
+    // The telemetry-attached run's final registry.
+    std::uint64_t registryDigest;
+    double stcHits, stFills, ch0RowHits, translations;
+};
+
+const QuickPin quickPins[] = {
+    {"single_mcf_pom", 7361, 304, 16088, 14694, 7, 54, 19,
+     0xa7d3cc994ebc3c17ull, 4289, 1970, 6827, 7361},
+    {"single_mcf_mdm", 7226, 17, 15519, 13087, 7, 58, 20,
+     0x71b6bca5469e273full, 4284, 1927, 6604, 7226},
+    {"single_mcf_profess", 7133, 14, 15425, 13082, 7, 53, 21,
+     0x93accd79dc93aa23ull, 4129, 1972, 6594, 7133},
+    {"quad_w01_pom", 12060, 794, 22333, 23436, 13, 104, 62,
+     0x16795a3e23c6ace2ull, 9656, 1607, 4456, 12063},
+    {"quad_w01_mdm", 11715, 1, 21046, 16732, 13, 109, 37,
+     0xd55a1e965e2bff17ull, 9500, 1544, 4099, 11731},
+    {"quad_w01_profess", 12009, 1, 21563, 17215, 13, 106, 48,
+     0xad061f8219228723ull, 9672, 1602, 4335, 12048},
+};
+
+} // anonymous namespace
+
+TEST(KernelDeterminism, QuickMatrixWorkAndRegistryPinned)
+{
+    ASSERT_EQ(std::size(bench::quickMatrix), std::size(quickPins));
+    for (std::size_t i = 0; i < std::size(quickPins); ++i) {
+        const bench::QuickRun &r = bench::quickMatrix[i];
+        const QuickPin &pin = quickPins[i];
+        SCOPED_TRACE(pin.label);
+        ASSERT_EQ(r.label(), pin.label);
+
+        std::unique_ptr<System> bare = r.build();
+        bare->run();
+        std::uint64_t sched_calls = 0;
+        for (unsigned c = 0; c < bare->memory().numChannels(); ++c)
+            sched_calls += bare->memory().channel(c).schedulerCalls();
+        EXPECT_EQ(bare->controller().servedTotal(), pin.accesses);
+        EXPECT_EQ(bare->controller().swapCount(), pin.swaps);
+        EXPECT_EQ(bare->eventQueue().executed(), pin.events);
+        EXPECT_EQ(sched_calls, pin.schedCalls);
+        EXPECT_EQ(bare->eventQueue().peakSize(), pin.peakEvents);
+        EXPECT_EQ(bare->controller().requestPoolNodes(),
+                  pin.requestPoolNodes);
+        EXPECT_EQ(bare->controller().pendingPoolNodes(),
+                  pin.pendingPoolNodes);
+
+        std::unique_ptr<System> sys = r.build();
+        RunTelemetry telemetry(TelemetryConfig{}, r.label());
+        sys->attachTelemetry(telemetry);
+        sys->run();
+        const telemetry::StatRegistry &reg = telemetry.registry();
+        EXPECT_EQ(reg.value("hybrid.stc.hits"), pin.stcHits);
+        EXPECT_EQ(reg.value("hybrid.st_fills"), pin.stFills);
+        EXPECT_EQ(reg.value("mem.ch0.row_hits"), pin.ch0RowHits);
+        EXPECT_EQ(reg.value("os.alloc.translations"), pin.translations);
+        EXPECT_EQ(detsan::registryDigest(reg), pin.registryDigest);
     }
 }

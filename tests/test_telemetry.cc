@@ -189,7 +189,7 @@ TEST(StatRegistryDeathTest, RejectsDuplicateNames)
 {
     // Duplicate dotted names would silently shadow each other in
     // value() and produce ambiguous report columns; registration
-    // panics instead (scripts/lint_profess.py catches the literal
+    // panics instead (scripts/profess_analyze catches the literal
     // cases statically, this covers runtime-composed prefixes).
     StatRegistry reg;
     std::uint64_t c = 0;
