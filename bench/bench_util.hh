@@ -24,7 +24,7 @@
  *   --trace           record decision + chrome traces
  *   --telemetry-out DIR
  *                     artifact directory for per-run manifests,
- *                     stats and time-series
+ *                     expositions and time-series
  *   --epoch-ticks N   epoch-sampler period in MC ticks
  *                     (default 25000)
  *   --metrics-out FILE
@@ -34,9 +34,9 @@
  *
  * The last five form the sim::RunOptions value the runner is built
  * with; nothing is read from process-global state.  With
- * --metrics-out each run writes a shard as it finishes and the
- * runner rebuilds FILE from its own shards after every batch
- * (sim::mergeShards, the one exposition writer).
+ * --metrics-out each run writes its exposition as a shard when it
+ * finishes, and after every batch the runner rebuilds FILE from its
+ * own runs' shards (sim::mergeShards).
  *
  * Results are bit-identical for every worker count: job seeds are
  * derived from (policy, mix, sweep point), never from scheduling

@@ -7,7 +7,9 @@
  *
  * Expands the declarative spec (see src/sim/sweep.hh for the
  * format), runs the grid over the parallel runner, and journals
- * each completed run to DIR/sweep.journal.jsonl.  A killed sweep
+ * each completed run to DIR/sweep.journal (one key=value record per
+ * run).  Each run's exposition lands as a shard under
+ * DIR/metrics.prom.shards/ as it finishes.  A killed sweep
  * resumes by re-invoking the same command line: journaled runs are
  * skipped, and the finalized outputs (journal + merged
  * DIR/metrics.prom) are byte-identical to an uninterrupted sweep

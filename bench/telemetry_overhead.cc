@@ -12,8 +12,8 @@
  * (scripts/ci.sh) runs it three times bare and three times with
  * --trace --telemetry-out --metrics-out, interleaved, and bounds the
  * best "on" total against the best "off" one.  Only System::run()
- * is timed; --metrics-out FILE is merged from the runs' shards once
- * every run finished.
+ * is timed; --metrics-out FILE is merged from the runs' shards (each
+ * run's own exposition) once every run finished.
  */
 
 #include <chrono>
@@ -42,7 +42,7 @@ main(int argc, char **argv)
 
     double total_ns = 0.0;
     std::uint64_t total_accesses = 0;
-    std::vector<std::string> shards;
+    std::vector<std::string> labels;
     for (const bench::QuickRun &r : bench::quickMatrix) {
         std::unique_ptr<sim::System> sys = r.build();
         std::unique_ptr<sim::RunTelemetry> telemetry;
@@ -68,11 +68,11 @@ main(int argc, char **argv)
         std::fprintf(stderr, "[telemetry_overhead] %-20s %8.1f ns/access\n",
                      r.label().c_str(),
                      ns / static_cast<double>(accesses));
-        shards.push_back(sim::shardFileName(r.label()));
+        labels.push_back(r.label());
     }
 
     if (!tc.metricsOut.empty())
-        sim::mergeShards(tc.metricsOut, std::move(shards));
+        sim::mergeShards(tc.metricsOut, std::move(labels));
     std::printf("%.3f\n", total_ns / static_cast<double>(total_accesses));
     return 0;
 }

@@ -65,7 +65,7 @@ _SINK_CALLS = {
     "fprintf", "printf", "vfprintf", "fputs", "fputc", "fwrite",
     "puts", "putc", "sprintf", "snprintf",
     "warn", "info", "fatal", "record", "emit", "requestSwap",
-    "write", "dump", "dumpJson", "dumpCsv", "flushJsonl",
+    "write", "dump", "flushJsonl",
 }
 
 #: Stream-ish identifiers: `x << ...` with x in this set is output.

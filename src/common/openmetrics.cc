@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
-#include <sstream>
-#include <thread>
-
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/telemetry.hh"
@@ -123,72 +117,22 @@ escapeLabelValue(const std::string &s)
     return out;
 }
 
-MetricsSnapshot
-MetricsSnapshot::capture(const StatRegistry &registry,
-                         const std::string &run_label)
-{
-    MetricsSnapshot snap;
-    snap.run = run_label;
-
-    // The derived "<h>.count"/"<h>.sum" probes duplicate what the
-    // histogram family itself exports; skip them here.
-    std::vector<std::string> derived;
-    for (const auto &he : registry.histograms()) {
-        derived.push_back(he.name + ".count");
-        derived.push_back(he.name + ".sum");
-
-        Hist h;
-        h.name = he.name;
-        h.bucketWidth = he.histogram->bucketWidth();
-        h.buckets.reserve(he.histogram->numBuckets());
-        for (std::size_t i = 0; i < he.histogram->numBuckets(); ++i)
-            h.buckets.push_back(he.histogram->bucket(i));
-        h.underflow = he.histogram->underflow();
-        h.count = he.histogram->summary().count();
-        h.sum = he.histogram->sum();
-        snap.histograms.push_back(std::move(h));
-    }
-    std::sort(derived.begin(), derived.end());
-
-    for (const auto &e : registry.entries()) {
-        if (std::binary_search(derived.begin(), derived.end(),
-                               e.name))
-            continue;
-        Scalar s;
-        s.name = e.name;
-        s.isCounter = e.counter != nullptr;
-        s.value = e.counter ? static_cast<double>(*e.counter)
-                            : e.probe();
-        snap.scalars.push_back(std::move(s));
-    }
-    return snap;
-}
-
 namespace
 {
 
-struct ScalarSample
+/** One sample of a family: a scalar entry or a histogram. */
+struct Sample
 {
-    std::string run;
-    std::string dotted;
     std::vector<std::pair<std::string, std::string>> labels;
-    double value;
-};
-
-struct HistSample
-{
-    std::string run;
-    std::string dotted;
-    std::vector<std::pair<std::string, std::string>> labels;
-    const MetricsSnapshot::Hist *hist;
+    const StatRegistry::Entry *scalar = nullptr;
+    const Histogram *hist = nullptr;
 };
 
 /** One exposition family: scalar-typed or histogram-typed. */
 struct Family
 {
     const char *type = nullptr; ///< "counter"/"gauge"/"histogram"
-    std::vector<ScalarSample> scalars;
-    std::vector<HistSample> hists;
+    std::vector<Sample> samples; ///< in dotted-name order
 };
 
 void
@@ -204,289 +148,186 @@ setType(Family &fam, const char *type, const std::string &name)
 }
 
 void
-printLabels(std::FILE *f,
-            const std::vector<std::pair<std::string, std::string>>
-                &labels,
-            const std::string &run, const char *le = nullptr)
+appendG17(std::string &out, double v)
 {
-    std::fputc('{', f);
-    bool first = true;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+}
+
+/** Append `{k="v",...,run="<run>"[,le="<le>"]}`; `run` comes
+ *  already escaped. */
+void
+appendLabels(std::string &out,
+             const std::vector<std::pair<std::string, std::string>>
+                 &labels,
+             const std::string &run, const std::string *le = nullptr)
+{
+    out += '{';
     for (const auto &kv : labels) {
-        std::fprintf(f, "%s%s=\"%s\"", first ? "" : ",",
-                     kv.first.c_str(),
-                     escapeLabelValue(kv.second).c_str());
-        first = false;
+        out += kv.first;
+        out += "=\"";
+        out += escapeLabelValue(kv.second);
+        out += "\",";
     }
-    std::fprintf(f, "%srun=\"%s\"", first ? "" : ",",
-                 escapeLabelValue(run).c_str());
-    if (le != nullptr)
-        std::fprintf(f, ",le=\"%s\"", le);
-    std::fputc('}', f);
+    out += "run=\"";
+    out += run;
+    out += '"';
+    if (le != nullptr) {
+        out += ",le=\"";
+        out += *le;
+        out += '"';
+    }
+    out += '}';
 }
 
 } // anonymous namespace
 
-void
-writeOpenMetrics(std::FILE *f,
-                 const std::vector<MetricsSnapshot> &runs)
+std::string
+renderOpenMetrics(const StatRegistry &registry,
+                  const std::string &run_label)
 {
+    // entries() and histograms() are sorted by name, so appending
+    // in their order leaves every family's samples sorted.
     std::map<std::string, Family> families;
-
-    for (const MetricsSnapshot &snap : runs) {
-        for (const auto &s : snap.scalars) {
-            MetricName mn = mapDottedName(s.name, false);
-            Family &fam = families[mn.family];
-            setType(fam, s.isCounter ? "counter" : "gauge",
-                    mn.family);
-            fam.scalars.push_back(ScalarSample{
-                snap.run, s.name, std::move(mn.labels), s.value});
-        }
-        for (const auto &h : snap.histograms) {
-            MetricName mn = mapDottedName(h.name, true);
-            Family &fam = families[mn.family];
-            setType(fam, "histogram", mn.family);
-            fam.hists.push_back(HistSample{
-                snap.run, h.name, std::move(mn.labels), &h});
-        }
+    std::vector<std::string> derived;
+    for (const auto &he : registry.histograms()) {
+        derived.push_back(he.name + ".count");
+        derived.push_back(he.name + ".sum");
+        MetricName mn = mapDottedName(he.name, true);
+        Family &fam = families[mn.family];
+        setType(fam, "histogram", mn.family);
+        fam.samples.push_back(
+            Sample{std::move(mn.labels), nullptr, he.histogram});
+    }
+    std::sort(derived.begin(), derived.end());
+    for (const auto &e : registry.entries()) {
+        if (std::binary_search(derived.begin(), derived.end(),
+                               e.name))
+            continue;
+        MetricName mn = mapDottedName(e.name, false);
+        Family &fam = families[mn.family];
+        setType(fam, e.counter ? "counter" : "gauge", mn.family);
+        fam.samples.push_back(Sample{std::move(mn.labels), &e, nullptr});
     }
 
-    for (auto &fkv : families) {
-        const std::string &name = fkv.first;
-        Family &fam = fkv.second;
-        std::fprintf(f, "# TYPE %s %s\n", name.c_str(), fam.type);
-
-        auto byRunThenName = [](const auto &a, const auto &b) {
-            if (a.run != b.run)
-                return a.run < b.run;
-            return a.dotted < b.dotted;
-        };
-        std::sort(fam.scalars.begin(), fam.scalars.end(),
-                  byRunThenName);
-        std::sort(fam.hists.begin(), fam.hists.end(),
-                  byRunThenName);
-
-        bool counter = std::strcmp(fam.type, "counter") == 0;
-        for (const ScalarSample &s : fam.scalars) {
-            std::fprintf(f, "%s%s", name.c_str(),
-                         counter ? "_total" : "");
-            printLabels(f, s.labels, s.run);
-            std::fprintf(f, " %.17g\n", s.value);
-        }
-
-        for (const HistSample &hs : fam.hists) {
-            const MetricsSnapshot::Hist &h = *hs.hist;
+    const std::string run = escapeLabelValue(run_label);
+    std::string out;
+    for (const auto &[name, fam] : families) {
+        out += "# TYPE " + name + " " + fam.type + "\n";
+        for (const Sample &s : fam.samples) {
+            if (s.scalar != nullptr) {
+                const StatRegistry::Entry &e = *s.scalar;
+                out += name;
+                if (e.counter)
+                    out += "_total";
+                appendLabels(out, s.labels, run);
+                out += ' ';
+                appendG17(out, e.counter
+                                   ? static_cast<double>(*e.counter)
+                                   : e.probe());
+                out += '\n';
+                continue;
+            }
             // Cumulative buckets: underflow samples (x < 0) fall in
             // every bucket; the last stored bucket is the overflow
             // count and only contributes to +Inf.
-            std::uint64_t cum = h.underflow;
-            for (std::size_t i = 0; i + 1 < h.buckets.size(); ++i) {
-                cum += h.buckets[i];
-                char le[32];
-                std::snprintf(le, sizeof(le), "%.17g",
-                              h.bucketWidth *
+            const Histogram &h = *s.hist;
+            const std::string count =
+                std::to_string(h.summary().count());
+            std::uint64_t cum = h.underflow();
+            std::string le;
+            for (std::size_t i = 0; i + 1 < h.numBuckets(); ++i) {
+                cum += h.bucket(i);
+                le.clear();
+                appendG17(le, h.bucketWidth() *
                                   static_cast<double>(i + 1));
-                std::fprintf(f, "%s_bucket", name.c_str());
-                printLabels(f, hs.labels, hs.run, le);
-                std::fprintf(f, " %llu\n",
-                             static_cast<unsigned long long>(cum));
+                out += name + "_bucket";
+                appendLabels(out, s.labels, run, &le);
+                out += ' ' + std::to_string(cum) + '\n';
             }
-            std::fprintf(f, "%s_bucket", name.c_str());
-            printLabels(f, hs.labels, hs.run, "+Inf");
-            std::fprintf(f, " %llu\n",
-                         static_cast<unsigned long long>(h.count));
-            std::fprintf(f, "%s_count", name.c_str());
-            printLabels(f, hs.labels, hs.run);
-            std::fprintf(f, " %llu\n",
-                         static_cast<unsigned long long>(h.count));
-            std::fprintf(f, "%s_sum", name.c_str());
-            printLabels(f, hs.labels, hs.run);
-            std::fprintf(f, " %.17g\n", h.sum);
+            le = "+Inf";
+            out += name + "_bucket";
+            appendLabels(out, s.labels, run, &le);
+            out += ' ' + count + '\n';
+            out += name + "_count";
+            appendLabels(out, s.labels, run);
+            out += ' ' + count + '\n';
+            out += name + "_sum";
+            appendLabels(out, s.labels, run);
+            out += ' ';
+            appendG17(out, h.sum());
+            out += '\n';
         }
     }
-    std::fputs("# EOF\n", f);
+    out += "# EOF\n";
+    return out;
 }
 
-void
-writeOpenMetricsFile(const std::string &path,
-                     const std::vector<MetricsSnapshot> &runs)
+std::string
+mergeOpenMetrics(const std::vector<std::string> &paths)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    fatal_if(f == nullptr, "cannot write metrics file '%s'",
-             path.c_str());
-    writeOpenMetrics(f, runs);
-    std::fclose(f);
-}
+    struct Block
+    {
+        std::string type;
+        std::string where; ///< "file:line" of its first "# TYPE"
+        std::string lines; ///< every file's samples, in file order
+    };
+    std::map<std::string, Block> families;
 
-namespace
-{
-
-/** fflush + fsync + fclose + rename(tmp -> path); fatal on error. */
-void
-commitFile(std::FILE *f, const std::string &tmp,
-           const std::string &path)
-{
-    fatal_if(std::fflush(f) != 0, "cannot flush '%s': %s",
-             tmp.c_str(), std::strerror(errno));
-    fatal_if(::fsync(::fileno(f)) != 0, "cannot fsync '%s': %s",
-             tmp.c_str(), std::strerror(errno));
-    std::fclose(f);
-    fatal_if(std::rename(tmp.c_str(), path.c_str()) != 0,
-             "cannot rename '%s' to '%s': %s", tmp.c_str(),
-             path.c_str(), std::strerror(errno));
-}
-
-} // anonymous namespace
-
-void
-writeOpenMetricsFileAtomic(const std::string &path,
-                           const std::vector<MetricsSnapshot> &runs)
-{
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    fatal_if(f == nullptr, "cannot write metrics file '%s'",
-             tmp.c_str());
-    writeOpenMetrics(f, runs);
-    commitFile(f, tmp, path);
-}
-
-void
-writeMetricsShardFile(const std::string &path,
-                      const MetricsSnapshot &snap)
-{
-    // One temporary per writing thread: two workers finishing runs
-    // that share a label never write the same file.
-    std::size_t tid = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    char suffix[32];
-    std::snprintf(suffix, sizeof(suffix), ".%zx.tmp", tid);
-    std::string tmp = path + suffix;
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    fatal_if(f == nullptr, "cannot write metrics shard '%s'",
-             tmp.c_str());
-    // Run labels may contain spaces; "run" consumes the rest of the
-    // line.  Dotted names never contain whitespace (the stat-name
-    // lint), so the remaining records are space-tokenized.
-    std::fprintf(f, "profess-shard 1\n");
-    std::fprintf(f, "run %s\n", snap.run.c_str());
-    for (const auto &s : snap.scalars) {
-        std::fprintf(f, "scalar %s %c %.17g\n", s.name.c_str(),
-                     s.isCounter ? 'c' : 'g', s.value);
-    }
-    for (const auto &h : snap.histograms) {
-        std::fprintf(f, "hist %s %.17g %llu %llu %.17g %zu",
-                     h.name.c_str(), h.bucketWidth,
-                     static_cast<unsigned long long>(h.underflow),
-                     static_cast<unsigned long long>(h.count), h.sum,
-                     h.buckets.size());
-        for (std::uint64_t b : h.buckets) {
-            std::fprintf(f, " %llu",
-                         static_cast<unsigned long long>(b));
-        }
-        std::fputc('\n', f);
-    }
-    std::fprintf(f, "end\n");
-    commitFile(f, tmp, path);
-}
-
-namespace
-{
-
-std::uint64_t
-shardU64(const std::string &path, int lineno, const std::string &tok)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    fatal_if(end == tok.c_str() || *end != '\0',
-             "%s:%d: bad integer '%s' in metrics shard",
-             path.c_str(), lineno, tok.c_str());
-    return v;
-}
-
-double
-shardDouble(const std::string &path, int lineno,
-            const std::string &tok)
-{
-    char *end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    fatal_if(end == tok.c_str() || *end != '\0',
-             "%s:%d: bad number '%s' in metrics shard", path.c_str(),
-             lineno, tok.c_str());
-    return v;
-}
-
-} // anonymous namespace
-
-MetricsSnapshot
-readMetricsShardFile(const std::string &path)
-{
-    std::ifstream in(path);
-    fatal_if(!in.is_open(), "cannot open metrics shard '%s'",
-             path.c_str());
-    MetricsSnapshot snap;
-    std::string line;
-    int lineno = 0;
-    bool have_run = false;
-    bool have_end = false;
-
-    fatal_if(!std::getline(in, line) || line != "profess-shard 1",
-             "%s:1: not a profess-shard v1 file", path.c_str());
-    lineno = 1;
-
-    while (std::getline(in, line)) {
-        ++lineno;
-        fatal_if(have_end, "%s:%d: content after 'end'",
-                 path.c_str(), lineno);
-        if (line.rfind("run ", 0) == 0) {
-            snap.run = line.substr(4);
-            have_run = true;
-            continue;
-        }
-        if (line == "end") {
-            have_end = true;
-            continue;
-        }
-        std::istringstream is(line);
-        std::string rec;
-        is >> rec;
-        if (rec == "scalar") {
-            std::string name, kind, val;
-            is >> name >> kind >> val;
-            fatal_if(is.fail() || (kind != "c" && kind != "g"),
-                     "%s:%d: malformed scalar record", path.c_str(),
-                     lineno);
-            MetricsSnapshot::Scalar s;
-            s.name = name;
-            s.isCounter = (kind == "c");
-            s.value = shardDouble(path, lineno, val);
-            snap.scalars.push_back(std::move(s));
-        } else if (rec == "hist") {
-            std::string name, width, under, count, sum, nbuckets;
-            is >> name >> width >> under >> count >> sum >> nbuckets;
-            fatal_if(is.fail(), "%s:%d: malformed hist record",
+    for (const std::string &path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        fatal_if(!in.is_open(), "cannot open metrics shard '%s'",
+                 path.c_str());
+        Block *cur = nullptr;
+        bool eof = false;
+        int lineno = 0;
+        for (std::string line; std::getline(in, line);) {
+            ++lineno;
+            fatal_if(eof, "%s:%d: content after '# EOF'",
                      path.c_str(), lineno);
-            MetricsSnapshot::Hist h;
-            h.name = name;
-            h.bucketWidth = shardDouble(path, lineno, width);
-            h.underflow = shardU64(path, lineno, under);
-            h.count = shardU64(path, lineno, count);
-            h.sum = shardDouble(path, lineno, sum);
-            std::size_t n = shardU64(path, lineno, nbuckets);
-            for (std::size_t i = 0; i < n; ++i) {
-                std::string b;
-                is >> b;
-                fatal_if(is.fail(), "%s:%d: hist record truncated",
-                         path.c_str(), lineno);
-                h.buckets.push_back(shardU64(path, lineno, b));
+            if (line == "# EOF") {
+                eof = true;
+                continue;
             }
-            snap.histograms.push_back(std::move(h));
-        } else {
-            fatal("%s:%d: unknown shard record '%s'", path.c_str(),
-                  lineno, rec.c_str());
+            if (line.starts_with("# TYPE ")) {
+                std::size_t sp = line.find(' ', 7);
+                fatal_if(sp == std::string::npos,
+                         "%s:%d: malformed '# TYPE' line",
+                         path.c_str(), lineno);
+                std::string name = line.substr(7, sp - 7);
+                std::string type = line.substr(sp + 1);
+                std::string where =
+                    path + ":" + std::to_string(lineno);
+                auto [it, fresh] = families.try_emplace(
+                    name, Block{type, where, ""});
+                fatal_if(!fresh && it->second.type != type,
+                         "%s: family '%s' is typed %s here but %s "
+                         "at %s",
+                         where.c_str(), name.c_str(), type.c_str(),
+                         it->second.type.c_str(),
+                         it->second.where.c_str());
+                cur = &it->second;
+                continue;
+            }
+            fatal_if(cur == nullptr,
+                     "%s:%d: sample before any '# TYPE' line",
+                     path.c_str(), lineno);
+            cur->lines += line;
+            cur->lines += '\n';
         }
+        fatal_if(!eof, "%s:%d: truncated metrics shard (no final "
+                       "'# EOF')",
+                 path.c_str(), lineno);
     }
-    fatal_if(!have_run || !have_end,
-             "%s: truncated metrics shard (missing %s)",
-             path.c_str(), have_run ? "'end'" : "'run'");
-    return snap;
+
+    std::string out;
+    for (const auto &[name, block] : families) {
+        out += "# TYPE " + name + " " + block.type + "\n";
+        out += block.lines;
+    }
+    out += "# EOF\n";
+    return out;
 }
 
 } // namespace telemetry

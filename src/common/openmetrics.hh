@@ -1,6 +1,7 @@
 /**
  * @file
- * OpenMetrics text-exposition writer (DESIGN.md Sec. 4g).
+ * OpenMetrics text exposition: one run's renderer and the merge of
+ * several runs' expositions (DESIGN.md Sec. 4g).
  *
  * Maps the registry's dotted statistic names onto OpenMetrics
  * families and labels so any two runs can be compared with standard
@@ -21,17 +22,15 @@
  * values reconcile exactly with the registry's derived
  * "<name>.count"/"<name>.sum" probes (tests/test_metrics.cc).
  *
- * Snapshots are plain data: they are captured while a run's
- * registry is alive and exported later (a run's shard, merged by
- * sim::mergeShards), after the components the registry pointed
- * into are gone.
+ * A run's exposition is rendered once, while its registry is alive,
+ * and is itself the run's shard: the combined file of several runs
+ * is their family blocks copied verbatim, so no exposition is ever
+ * parsed back into numbers.
  */
 
 #ifndef PROFESS_COMMON_OPENMETRICS_HH
 #define PROFESS_COMMON_OPENMETRICS_HH
 
-#include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,80 +60,30 @@ MetricName mapDottedName(const std::string &dotted,
 /** Escape a label value (backslash, quote, newline). */
 std::string escapeLabelValue(const std::string &s);
 
-/** Plain-data capture of one run's registry. */
-struct MetricsSnapshot
-{
-    struct Scalar
-    {
-        std::string name;     ///< dotted registry name
-        bool isCounter = false;
-        double value = 0.0;
-    };
-
-    struct Hist
-    {
-        std::string name;     ///< dotted registry name
-        double bucketWidth = 0.0;
-        std::vector<std::uint64_t> buckets; ///< incl. overflow last
-        std::uint64_t underflow = 0;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-    };
-
-    std::string run; ///< run label, becomes the run="..." label
-    std::vector<Scalar> scalars;
-    std::vector<Hist> histograms;
-
-    /**
-     * Snapshot every registry entry.  The scalar probes derived by
-     * StatRegistry::addHistogram ("<h>.count"/"<h>.sum") are
-     * skipped: the histogram family exports those totals itself.
-     */
-    static MetricsSnapshot capture(const StatRegistry &registry,
-                                   const std::string &run_label);
-};
+/**
+ * Render every registry entry as one exposition, terminated by
+ * "# EOF": families sorted by name, one "# TYPE" line each, samples
+ * sorted by dotted name within the family, every sample labelled
+ * run="<run_label>".  The scalar probes derived by
+ * StatRegistry::addHistogram ("<h>.count"/"<h>.sum") are skipped:
+ * the histogram family exports those totals itself.  Doubles are
+ * rendered with %.17g, which round-trips binary64 exactly.
+ */
+std::string renderOpenMetrics(const StatRegistry &registry,
+                              const std::string &run_label);
 
 /**
- * Write one exposition of all runs, terminated by "# EOF".
+ * Merge the single-run expositions at `paths`, in that order, into
+ * one: families in name order with one "# TYPE" line each, and
+ * within a family each file's sample lines copied verbatim in
+ * file order.  Given files in run-label order this is exactly the
+ * exposition one renderer would write for all those runs.
  *
- * Families are emitted sorted by name, one "# TYPE" line each,
- * samples sorted by (run, dotted name) within the family — the
- * output is deterministic for a deterministic set of snapshots.
+ * The files are outside input: a missing file, one without its
+ * final "# EOF", a sample before any "# TYPE" line and a family
+ * typed differently in two files are fatal, naming file and line.
  */
-void writeOpenMetrics(std::FILE *f,
-                      const std::vector<MetricsSnapshot> &runs);
-
-/** As above, to a named file (panics if unwritable). */
-void writeOpenMetricsFile(const std::string &path,
-                          const std::vector<MetricsSnapshot> &runs);
-
-/**
- * As above, crash-atomically: the exposition is written to
- * "<path>.tmp", fsync'd, then renamed over `path`, so a reader (or
- * a killed writer) can never observe a half-written file.
- */
-void writeOpenMetricsFileAtomic(
-    const std::string &path,
-    const std::vector<MetricsSnapshot> &runs);
-
-/**
- * Write one snapshot as a self-contained per-run shard file
- * (crash-atomically, as above).
- *
- * The shard is the exporter's O(runs) unit of work: one run's
- * registry capture in a line-based text format ("profess-shard 1"
- * header, "run"/"scalar"/"hist" records, "end" trailer).  Doubles
- * are rendered with %.17g, which round-trips IEEE binary64
- * exactly, so reading a shard back and re-rendering it — in C++
- * (sim::mergeShards) or Python
- * (scripts/metrics_merge.py) — reproduces the exposition rendered
- * from the live registry byte for byte.
- */
-void writeMetricsShardFile(const std::string &path,
-                           const MetricsSnapshot &snap);
-
-/** Read a shard back (panics on a malformed or truncated file). */
-MetricsSnapshot readMetricsShardFile(const std::string &path);
+std::string mergeOpenMetrics(const std::vector<std::string> &paths);
 
 } // namespace telemetry
 

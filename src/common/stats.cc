@@ -24,40 +24,6 @@ Histogram::Histogram(double bucket_width, std::size_t num_buckets)
              bucket_width, num_buckets);
 }
 
-void
-Histogram::dumpJson(std::FILE *f) const
-{
-    std::fprintf(f, "{\"bucket_width\":%.17g,\"underflow\":%llu,"
-                 "\"overflow\":%llu,\"counts\":[",
-                 width_,
-                 static_cast<unsigned long long>(underflow_),
-                 static_cast<unsigned long long>(overflow()));
-    for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-        std::fprintf(f, "%s%llu", i ? "," : "",
-                     static_cast<unsigned long long>(buckets_[i]));
-    }
-    std::fprintf(f, "],\"count\":%llu,\"sum\":%.17g,\"mean\":%.17g}\n",
-                 static_cast<unsigned long long>(stat_.count()),
-                 sum_, stat_.mean());
-}
-
-void
-Histogram::dumpText(std::FILE *f) const
-{
-    std::fprintf(f, "%12s %12s\n", "edge", "count");
-    if (underflow_ != 0) {
-        std::fprintf(f, "%12s %12llu\n", "< 0",
-                     static_cast<unsigned long long>(underflow_));
-    }
-    for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-        std::fprintf(f, "%12g %12llu\n",
-                     width_ * static_cast<double>(i + 1),
-                     static_cast<unsigned long long>(buckets_[i]));
-    }
-    std::fprintf(f, "%12s %12llu\n", "overflow",
-                 static_cast<unsigned long long>(overflow()));
-}
-
 double
 Histogram::quantile(double q) const
 {

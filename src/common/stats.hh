@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -184,15 +183,6 @@ class Histogram
         sum_ = 0.0;
         stat_.reset();
     }
-
-    /**
-     * Dump as one JSON object: bucket edges and counts plus
-     * explicit "underflow" and "overflow" fields.
-     */
-    void dumpJson(std::FILE *f) const;
-
-    /** Dump as an aligned text table (same content as the JSON). */
-    void dumpText(std::FILE *f) const;
 
   private:
     double width_;

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
-#include <sstream>
 
 #include "common/event.hh"
 #include "common/logging.hh"
@@ -17,22 +16,6 @@ namespace profess
 
 namespace telemetry
 {
-
-namespace
-{
-
-/** Print a double the way the JSON writers below expect. */
-void
-printValue(std::FILE *f, const StatRegistry::Entry &e)
-{
-    if (e.counter) {
-        std::fprintf(f, "%" PRIu64, *e.counter);
-    } else {
-        std::fprintf(f, "%.17g", e.probe());
-    }
-}
-
-} // namespace
 
 //
 // StatRegistry
@@ -63,7 +46,7 @@ StatRegistry::addSet(const std::string &prefix, const StatSet &set)
         addEntry(std::move(e));
     }
     // Values are doubles set late in a run; sample them via a probe
-    // so the current value is read at dump/sample time.
+    // so the current value is read at export/sample time.
     for (const auto &kv : set.values()) {
         const std::string name = kv.first;
         const StatSet *s = &set;
@@ -168,73 +151,20 @@ StatRegistry::names() const
     return out;
 }
 
-void
-StatRegistry::dumpJson(std::FILE *f) const
-{
-    std::fputs("{", f);
-    bool first = true;
-    for (const Entry &e : entries()) {
-        std::fprintf(f, "%s\n  %s: ", first ? "" : ",",
-                     jsonQuote(e.name).c_str());
-        printValue(f, e);
-        first = false;
-    }
-    std::fputs("\n}\n", f);
-}
-
-void
-StatRegistry::dumpCsv(std::FILE *f) const
-{
-    std::fputs("name,value\n", f);
-    for (const Entry &e : entries()) {
-        std::fprintf(f, "%s,", e.name.c_str());
-        printValue(f, e);
-        std::fputc('\n', f);
-    }
-}
-
 //
 // EpochSampler
 //
 
 EpochSampler::EpochSampler(const StatRegistry &registry,
-                           Tick interval_ticks,
-                           std::size_t ring_capacity)
-    : registry_(registry), interval_(interval_ticks),
-      capacity_(ring_capacity)
+                           Tick interval_ticks)
+    : registry_(registry), interval_(interval_ticks)
 {
     panic_if(interval_ == 0, "EpochSampler interval must be > 0");
-    panic_if(capacity_ == 0, "EpochSampler ring capacity must be > 0");
-}
-
-void
-EpochSampler::select(const std::vector<std::string> &names)
-{
-    selected_.clear();
-    resolved_.clear();
-    for (const std::string &n : names) {
-        const StatRegistry::Entry *found = nullptr;
-        for (const auto &e : registry_.entries()) {
-            if (e.name == n) {
-                found = &e;
-                break;
-            }
-        }
-        if (!found) {
-            warn("EpochSampler: unknown stat '%s' dropped",
-                 n.c_str());
-            continue;
-        }
-        selected_.push_back(n);
-        resolved_.push_back(found);
-    }
 }
 
 void
 EpochSampler::start(EventQueue &eq)
 {
-    if (selected_.empty())
-        select(registry_.names());
     running_ = true;
     arm(eq);
 }
@@ -253,55 +183,31 @@ EpochSampler::arm(EventQueue &eq)
 void
 EpochSampler::sampleNow(Tick tick)
 {
-    if (resolved_.empty() && !selected_.empty())
-        return; // selection got invalidated; nothing to read
-    Sample s;
-    s.tick = tick;
-    s.epoch = epoch_;
-    s.values.reserve(resolved_.size());
-    for (const StatRegistry::Entry *e : resolved_) {
-        s.values.push_back(e->counter
-                               ? static_cast<double>(*e->counter)
-                               : e->probe());
-    }
 #if PROFESS_DETSAN
-    detsan_.mix(s.tick);
-    detsan_.mix(s.epoch);
-    for (double v : s.values)
-        detsan_.mixDouble(v);
+    detsan_.mix(tick);
+    detsan_.mix(epoch_);
 #endif
     if (out_) {
         std::fprintf(out_, "{\"tick\":%" PRIu64 ",\"epoch\":%" PRIu64
                            ",\"v\":{",
                      static_cast<std::uint64_t>(tick), epoch_);
-        for (std::size_t i = 0; i < selected_.size(); ++i) {
-            std::fprintf(out_, "%s%s:%.17g", i ? "," : "",
-                         jsonQuote(selected_[i]).c_str(),
-                         s.values[i]);
+    }
+    const char *sep = "";
+    for (const StatRegistry::Entry &e : registry_.entries()) {
+        double v = e.counter ? static_cast<double>(*e.counter)
+                             : e.probe();
+#if PROFESS_DETSAN
+        detsan_.mixDouble(v);
+#endif
+        if (out_) {
+            std::fprintf(out_, "%s%s:%.17g", sep,
+                         jsonQuote(e.name).c_str(), v);
+            sep = ",";
         }
+    }
+    if (out_)
         std::fputs("}}\n", out_);
-    }
-    if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(s));
-    } else {
-        ring_[head_] = std::move(s);
-    }
-    head_ = (head_ + 1) % capacity_;
     ++epoch_;
-}
-
-std::vector<EpochSampler::Sample>
-EpochSampler::retained() const
-{
-    std::vector<Sample> out;
-    out.reserve(ring_.size());
-    if (ring_.size() < capacity_) {
-        out = ring_;
-    } else {
-        for (std::size_t i = 0; i < capacity_; ++i)
-            out.push_back(ring_[(head_ + i) % capacity_]);
-    }
-    return out;
 }
 
 //
@@ -318,6 +224,8 @@ RunManifest::write(std::FILE *f) const
     std::fprintf(f, "  \"workload\": %s,\n",
                  jsonQuote(workload).c_str());
     std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", seed);
+    std::fprintf(f, "  \"completed\": %s,\n",
+                 completed ? "true" : "false");
     std::fprintf(f, "  \"git_sha\": %s,\n", jsonQuote(gitSha).c_str());
     std::fprintf(f, "  \"started\": %s,\n",
                  jsonQuote(startedIso).c_str());

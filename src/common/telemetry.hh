@@ -1,16 +1,15 @@
 /**
  * @file
- * Simulation observability layer (gem5-style stat dumps plus
+ * Simulation observability layer (a gem5-style stat registry plus
  * time-series sampling and wall-clock profiling).
  *
  * StatRegistry  - hierarchical registry of component statistics.
  *                 Components register their StatSet (or individual
  *                 probe lambdas) under a stable dotted prefix
- *                 ("hybrid.ch0.stc"); the registry dumps everything
- *                 uniformly as JSON or CSV.
+ *                 ("hybrid.ch0.stc"); the OpenMetrics renderer
+ *                 (common/openmetrics.hh) exports all of it.
  * EpochSampler  - scheduled on the event queue; every N ticks it
- *                 snapshots a selected subset of probes into an
- *                 in-memory ring and (optionally) appends a JSONL
+ *                 appends every registry entry's value as one JSONL
  *                 line, producing per-run time-series of the paper's
  *                 dynamic quantities (SF_A/SF_B, swap counters, STC
  *                 hit rate, queue depths).
@@ -19,8 +18,8 @@
  *                 down to one predictable branch; an active slot
  *                 accumulates nanoseconds + call counts.
  * RunManifest   - reproducibility record of one run (config
- *                 fingerprint inputs, seed, git sha, wall-clock,
- *                 peak RSS) written as manifest.json.
+ *                 fingerprint inputs, seed, completion, git sha,
+ *                 wall-clock, peak RSS) written as manifest.json.
  *
  * Everything here is off by default and allocation-free on the
  * simulation hot path when off; see DESIGN.md Sec. 4d.
@@ -103,8 +102,8 @@ class StatRegistry
      * The histogram must outlive the registry.  Besides recording
      * the pointer for bucket-level exporters (OpenMetrics), this
      * derives two scalar probes — "<name>.count" and "<name>.sum" —
-     * so epoch sampling and JSON dumps see the distribution's
-     * totals without new plumbing.
+     * so epoch sampling sees the distribution's totals without new
+     * plumbing.
      */
     void addHistogram(const std::string &name, const Histogram &h);
 
@@ -125,12 +124,6 @@ class StatRegistry
 
     /** @return all registered dotted names, sorted. */
     std::vector<std::string> names() const;
-
-    /** Dump every statistic as one JSON object. */
-    void dumpJson(std::FILE *f) const;
-
-    /** Dump every statistic as "name,value" CSV rows. */
-    void dumpCsv(std::FILE *f) const;
 
   private:
     /** Append after checking name uniqueness (panics on dupes). */
@@ -213,11 +206,10 @@ class ScopedTimer
 };
 
 /**
- * Periodic snapshotting of selected registry entries.
+ * Periodic snapshotting of every registry entry.
  *
- * The sampler keeps the most recent `ringCapacity` epochs in memory
- * (tests and in-process consumers) and, when given a file, appends
- * one JSONL object per epoch: {"tick":T,"epoch":K,"v":{name:value}}.
+ * When given a file, the sampler appends one JSONL object per epoch:
+ * {"tick":T,"epoch":K,"v":{name:value}}, names in registry order.
  *
  * Scheduling is cooperative: the owner calls start(eq) once running
  * begins and stop() before tearing down; the sampler re-arms itself
@@ -227,34 +219,12 @@ class ScopedTimer
 class EpochSampler
 {
   public:
-    /** One recorded epoch. */
-    struct Sample
-    {
-        Tick tick = 0;
-        std::uint64_t epoch = 0;
-        std::vector<double> values; ///< parallel to selection()
-    };
-
     /**
-     * @param registry Source of values (must outlive the sampler).
+     * @param registry Source of values (must outlive the sampler
+     *        and be complete before the first sample).
      * @param interval_ticks Sampling period in MC ticks (>0).
-     * @param ring_capacity Epochs retained in memory (>0).
      */
-    EpochSampler(const StatRegistry &registry, Tick interval_ticks,
-                 std::size_t ring_capacity = 1024);
-
-    /**
-     * Select the names to sample (default: every registered entry).
-     * Unknown names are dropped with a warning.  Must be called
-     * before start().
-     */
-    void select(const std::vector<std::string> &names);
-
-    /** @return the selected names, in sampling order. */
-    const std::vector<std::string> &selection() const
-    {
-        return selected_;
-    }
+    EpochSampler(const StatRegistry &registry, Tick interval_ticks);
 
     /** Stream epochs to a JSONL file (not owned; may be null). */
     void setOutput(std::FILE *f) { out_ = f; }
@@ -268,11 +238,8 @@ class EpochSampler
     /** Take one snapshot immediately (also used internally). */
     void sampleNow(Tick tick);
 
-    /** @return epochs recorded so far (including overwritten). */
+    /** @return epochs recorded so far. */
     std::uint64_t epochs() const { return epoch_; }
-
-    /** @return retained samples, oldest first. */
-    std::vector<Sample> retained() const;
 
 #if PROFESS_DETSAN
     /** @return chained FNV-1a over every epoch's tick, index and
@@ -285,11 +252,6 @@ class EpochSampler
 
     const StatRegistry &registry_;
     Tick interval_;
-    std::size_t capacity_;
-    std::vector<std::string> selected_;
-    std::vector<const StatRegistry::Entry *> resolved_;
-    std::vector<Sample> ring_;
-    std::size_t head_ = 0;   ///< next ring slot to write
     std::uint64_t epoch_ = 0;
     bool running_ = false;
     std::FILE *out_ = nullptr;
@@ -305,6 +267,7 @@ struct RunManifest
     std::string policy;
     std::string workload;
     std::uint64_t seed = 0;
+    bool completed = false;  ///< every core reached its quota
     std::string gitSha;      ///< resolved at collection time
     std::string config;      ///< pre-rendered JSON object
     double wallSeconds = 0.0;

@@ -190,11 +190,11 @@ ParallelRunner::run(const std::vector<RunJob> &batch)
     const std::string &prom = options_.telemetry.metricsOut;
     if (!prom.empty()) {
         // Every run wrote its shard in RunTelemetry::finish; merging
-        // only this runner's shards keeps any an earlier process
+        // only this runner's runs keeps any shard an earlier process
         // left in the directory out of the exposition.
         for (const RunJob &job : batch)
-            shards_.push_back(shardFileName(jobLabel(job) + "_" + job.policy));
-        mergeShards(prom, shards_);
+            runLabels_.push_back(jobLabel(job) + "_" + job.policy);
+        mergeShards(prom, runLabels_);
     }
     return results;
 }

@@ -140,8 +140,8 @@ class ParallelRunner
     unsigned jobs_;
     RunOptions options_;
     AloneIpcCache cache_;
-    /** Shard files of every run so far (with --metrics-out). */
-    std::vector<std::string> shards_;
+    /** Run label of every run so far (with --metrics-out). */
+    std::vector<std::string> runLabels_;
     bool progress_;
     std::atomic<std::size_t> done_{0}; ///< progress numerator
 };

@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <functional>
+#include <thread>
 #include <type_traits>
 
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include "common/latency_attr.hh"
 #include "common/logging.hh"
+#include "common/openmetrics.hh"
 #include "common/rng.hh"
 #include "core/rsm.hh"
 #include "sim/system.hh"
@@ -78,27 +82,52 @@ shardFileName(const std::string &run_label)
     // hash of the exact label keeps the file names one-to-one.
     std::uint64_t h = hashCombine(mix64(0x54a8d0ull), run_label);
     char suffix[32];
-    std::snprintf(suffix, sizeof(suffix), "-%016llx.shard",
+    std::snprintf(suffix, sizeof(suffix), "-%016llx.prom",
                   static_cast<unsigned long long>(h));
     return sanitizeLabel(run_label) + suffix;
 }
 
 void
-mergeShards(const std::string &path, std::vector<std::string> shards)
+writeFileAtomic(const std::string &path, const std::string &text)
 {
-    std::sort(shards.begin(), shards.end());
-    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+    // One temporary per writing thread: two workers finishing runs
+    // that share a label never write the same file.
+    std::size_t tid =
+        std::hash<std::thread::id>{}(std::this_thread::get_id());
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), ".%zx.tmp", tid);
+    const std::string tmp = path + suffix;
+    std::FILE *f = std::fopen(tmp.c_str(), "w");
+    fatal_if(f == nullptr, "cannot write '%s': %s", tmp.c_str(),
+             std::strerror(errno));
+    fatal_if(std::fwrite(text.data(), 1, text.size(), f) !=
+                     text.size() ||
+                 std::fflush(f) != 0,
+             "cannot write '%s': %s", tmp.c_str(),
+             std::strerror(errno));
+    fatal_if(::fsync(::fileno(f)) != 0, "cannot fsync '%s': %s",
+             tmp.c_str(), std::strerror(errno));
+    std::fclose(f);
+    fatal_if(std::rename(tmp.c_str(), path.c_str()) != 0,
+             "cannot rename '%s' to '%s': %s", tmp.c_str(),
+             path.c_str(), std::strerror(errno));
+}
+
+void
+mergeShards(const std::string &path, std::vector<std::string> run_labels)
+{
+    // Shards in label order give the same bytes as one exposition
+    // rendered for all runs: samples sorted by (run, name) within
+    // every family.
+    std::sort(run_labels.begin(), run_labels.end());
+    run_labels.erase(std::unique(run_labels.begin(), run_labels.end()),
+                     run_labels.end());
     const std::string dir = shardDir(path);
-    std::vector<telemetry::MetricsSnapshot> runs;
-    runs.reserve(shards.size());
-    for (const std::string &name : shards)
-        runs.push_back(telemetry::readMetricsShardFile(dir + "/" + name));
-    std::sort(runs.begin(), runs.end(),
-              [](const telemetry::MetricsSnapshot &a,
-                 const telemetry::MetricsSnapshot &b) {
-                  return a.run < b.run;
-              });
-    telemetry::writeOpenMetricsFileAtomic(path, runs);
+    std::vector<std::string> files;
+    files.reserve(run_labels.size());
+    for (const std::string &label : run_labels)
+        files.push_back(dir + "/" + shardFileName(label));
+    writeFileAtomic(path, telemetry::mergeOpenMetrics(files));
 }
 
 void
@@ -224,28 +253,29 @@ RunTelemetry::finish(const std::string &policy,
     if (epochsFile_ != nullptr)
         std::fflush(epochsFile_);
 
-    // The shard makes the run durable the moment it completes (a
-    // killed sweep loses at most the in-flight run); it must be
-    // captured while the registry's live pointers are valid and
-    // before the no-output-directory early return below.
+    // The run's exposition is rendered once, while the registry's
+    // live pointers are valid.  As a shard it makes the run durable
+    // the moment it completes (a killed sweep loses at most the
+    // in-flight run).
+    if (cfg_.metricsOut.empty() && dir_.empty())
+        return;
+    const std::string exposition =
+        telemetry::renderOpenMetrics(registry_, label_);
     if (!cfg_.metricsOut.empty()) {
         const std::string dir = shardDir(cfg_.metricsOut);
         makeDirs(dir);
-        telemetry::writeMetricsShardFile(
-            dir + "/" + shardFileName(label_),
-            telemetry::MetricsSnapshot::capture(registry_, label_));
+        writeFileAtomic(dir + "/" + shardFileName(label_), exposition);
     }
     if (dir_.empty())
         return;
-    telemetry::writeOpenMetricsFile(
-        dir_ + "/metrics.prom",
-        {telemetry::MetricsSnapshot::capture(registry_, label_)});
+    writeFileAtomic(dir_ + "/metrics.prom", exposition);
 
     telemetry::RunManifest m;
     m.label = label_;
     m.policy = policy;
     m.workload = workload;
     m.seed = seed;
+    m.completed = completed;
     m.gitSha = telemetry::gitHeadSha();
     m.config = config_json;
     m.wallSeconds =
@@ -256,13 +286,6 @@ RunTelemetry::finish(const std::string &policy,
     m.startedIso = startedIso_;
     if (std::FILE *f = openOut(dir_ + "/manifest.json")) {
         m.write(f);
-        std::fclose(f);
-    }
-    if (std::FILE *f = openOut(dir_ + "/stats.json")) {
-        std::fprintf(f, "{\"completed\": %s, \"stats\": ",
-                     completed ? "true" : "false");
-        registry_.dumpJson(f);
-        std::fprintf(f, "}\n");
         std::fclose(f);
     }
     if (decision_ != nullptr) {

@@ -12,12 +12,12 @@
  *                   registry, the decision/chrome trace sinks, the
  *                   epoch sampler and the hot-path timer slots.  When
  *                   an output directory is configured it materializes
- *                   DIR/<label>/{manifest.json, stats.json,
+ *                   DIR/<label>/{manifest.json, metrics.prom,
  *                   epochs.jsonl, decisions.jsonl, trace.json}; with
- *                   --metrics-out it writes the run's metric shard.
- * mergeShards     - the one exposition writer: rebuilds the
- *                   --metrics-out file from the shards of the runs
- *                   its owner (ParallelRunner, SweepDriver,
+ *                   --metrics-out it writes the run's shard, the same
+ *                   exposition as its metrics.prom.
+ * mergeShards     - builds the --metrics-out file from the shards of
+ *                   the runs its owner (ParallelRunner, SweepDriver,
  *                   telemetry_overhead) executed.
  *
  * Attachment point: System::attachTelemetry() registers every
@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/openmetrics.hh"
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
 #include "common/types.hh"
@@ -151,10 +150,11 @@ class RunTelemetry
     const std::string &label() const { return label_; }
 
     /**
-     * Write the end-of-run artifacts: the metric shard under
-     * shardDir(metricsOut) when --metrics-out is set, then
-     * manifest.json, stats.json, decisions.jsonl and trace.json
-     * when an output directory is.  Wall-clock and peak RSS are
+     * Write the end-of-run artifacts: the run's exposition, rendered
+     * once, as its shard under shardDir(metricsOut) when
+     * --metrics-out is set and as metrics.prom when an output
+     * directory is, plus manifest.json, decisions.jsonl and
+     * trace.json in that directory.  Wall-clock and peak RSS are
      * measured here.
      */
     void finish(const std::string &policy, const std::string &workload,
@@ -187,14 +187,24 @@ std::string shardDir(const std::string &path);
 std::string shardFileName(const std::string &run_label);
 
 /**
- * Rebuild the exposition `path` (crash-atomically) from the named
- * shard files under shardDir(path), runs sorted by label, so the
- * file is identical no matter in which order parallel workers
- * finished (--jobs N determinism, tests/test_telemetry.cc).  Shards
- * not named — say, left by an earlier process — stay out of it; a
- * name listed twice counts once.
+ * Build the exposition `path` (crash-atomically) from the shards of
+ * `run_labels` under shardDir(path), in label order
+ * (telemetry::mergeOpenMetrics), so the file is identical no matter
+ * in which order parallel workers finished (--jobs N determinism,
+ * tests/test_telemetry.cc).  Shards not named — say, left by an
+ * earlier process — stay out of it; a label listed twice counts
+ * once, and a named shard that is missing is fatal.
  */
-void mergeShards(const std::string &path, std::vector<std::string> shards);
+void mergeShards(const std::string &path,
+                 std::vector<std::string> run_labels);
+
+/**
+ * Replace `path` with `text` crash-atomically: written to a
+ * per-thread temporary, fsync'd, then renamed over `path`, so a
+ * reader (or a killed writer) never sees a half-written file.
+ * Fatal on any I/O error.
+ */
+void writeFileAtomic(const std::string &path, const std::string &text);
 
 /**
  * Register the per-epoch fairness gauges derived from RSM's

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <utility>
 
 #include <dirent.h>
@@ -15,7 +14,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/telemetry.hh"
 #include "sim/run_telemetry.hh"
 #include "sim/scenario.hh"
 #include "sim/workloads.hh"
@@ -223,196 +221,11 @@ SweepSpec::expand() const
 }
 
 //
-// Journal line rendering and parsing
+// Journal records
 //
 
 namespace
 {
-
-/** Minimal JSON scalar: string, raw number token, or bool. */
-struct JsonValue
-{
-    enum Kind { Str, Num, Bool } kind = Num;
-    std::string text; ///< decoded string / raw number token
-    bool b = false;
-};
-
-bool
-skipWs(const std::string &s, std::size_t &i)
-{
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i])))
-        ++i;
-    return i < s.size();
-}
-
-bool
-parseJsonString(const std::string &s, std::size_t &i,
-                std::string &out)
-{
-    if (i >= s.size() || s[i] != '"')
-        return false;
-    ++i;
-    out.clear();
-    while (i < s.size()) {
-        char c = s[i++];
-        if (c == '"')
-            return true;
-        if (c != '\\') {
-            out.push_back(c);
-            continue;
-        }
-        if (i >= s.size())
-            return false;
-        char e = s[i++];
-        switch (e) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'u': {
-            if (i + 4 > s.size())
-                return false;
-            unsigned v = 0;
-            for (unsigned k = 0; k < 4; ++k) {
-                char h = s[i++];
-                v <<= 4;
-                if (h >= '0' && h <= '9')
-                    v |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    v |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    v |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            if (v > 0xff)
-                return false; // jsonQuote only emits \u00xx
-            out.push_back(static_cast<char>(v));
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    return false;
-}
-
-/**
- * Parse one journal line as a flat JSON object of scalars.  This
- * is the exact inverse of the renderer below (plus whitespace
- * tolerance); anything else — truncation included — returns false.
- */
-bool
-parseJsonObject(const std::string &line,
-                std::map<std::string, JsonValue> &out)
-{
-    out.clear();
-    std::size_t i = 0;
-    if (!skipWs(line, i) || line[i] != '{')
-        return false;
-    ++i;
-    if (!skipWs(line, i))
-        return false;
-    if (line[i] == '}') {
-        ++i;
-    } else {
-        while (true) {
-            std::string key;
-            if (!skipWs(line, i) ||
-                !parseJsonString(line, i, key))
-                return false;
-            if (!skipWs(line, i) || line[i] != ':')
-                return false;
-            ++i;
-            if (!skipWs(line, i))
-                return false;
-            JsonValue v;
-            if (line[i] == '"') {
-                v.kind = JsonValue::Str;
-                if (!parseJsonString(line, i, v.text))
-                    return false;
-            } else if (line.compare(i, 4, "true") == 0) {
-                v.kind = JsonValue::Bool;
-                v.b = true;
-                i += 4;
-            } else if (line.compare(i, 5, "false") == 0) {
-                v.kind = JsonValue::Bool;
-                v.b = false;
-                i += 5;
-            } else {
-                v.kind = JsonValue::Num;
-                std::size_t start = i;
-                while (i < line.size() &&
-                       (std::isdigit(static_cast<unsigned char>(
-                            line[i])) ||
-                        std::strchr("+-.eE", line[i]) != nullptr))
-                    ++i;
-                if (i == start)
-                    return false;
-                v.text = line.substr(start, i - start);
-            }
-            if (out.count(key) != 0)
-                return false;
-            out.emplace(std::move(key), std::move(v));
-            if (!skipWs(line, i))
-                return false;
-            if (line[i] == ',') {
-                ++i;
-                continue;
-            }
-            if (line[i] == '}') {
-                ++i;
-                break;
-            }
-            return false;
-        }
-    }
-    return !skipWs(line, i); // nothing but whitespace may follow
-}
-
-bool
-getStr(const std::map<std::string, JsonValue> &obj,
-       const char *key, std::string &out)
-{
-    auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != JsonValue::Str)
-        return false;
-    out = it->second.text;
-    return true;
-}
-
-bool
-getBool(const std::map<std::string, JsonValue> &obj,
-        const char *key, bool &out)
-{
-    auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != JsonValue::Bool)
-        return false;
-    out = it->second.b;
-    return true;
-}
-
-template <typename T>
-bool
-getNum(const std::map<std::string, JsonValue> &obj, const char *key,
-       T &out)
-{
-    auto it = obj.find(key);
-    return it != obj.end() && it->second.kind == JsonValue::Num &&
-           parseValue(it->second.text, out);
-}
 
 /** Append "%.17g" of `v` (round-trips binary64 exactly). */
 void
@@ -426,64 +239,72 @@ appendG17(std::string &s, double v)
 std::string
 renderRecord(const SweepRunRecord &r)
 {
-    std::string s = "{\"i\":";
-    s += std::to_string(r.index);
-    s += ",\"key\":";
-    s += telemetry::jsonQuote(r.key);
-    s += ",\"label\":";
-    s += telemetry::jsonQuote(r.label);
-    s += ",\"policy\":";
-    s += telemetry::jsonQuote(r.policy);
-    s += ",\"seed\":";
-    s += std::to_string(r.seed);
-    s += ",\"sweep\":";
-    s += std::to_string(r.sweepPoint);
-    s += ",\"shard\":";
-    s += telemetry::jsonQuote(r.shard);
-    s += ",\"completed\":";
-    s += r.completed ? "true" : "false";
-    s += ",\"ws\":";
+    std::string s = "i=" + std::to_string(r.index);
+    s += " key=" + r.key;
+    s += " label=" + r.label;
+    s += " policy=" + r.policy;
+    s += " seed=" + std::to_string(r.seed);
+    s += " sweep=" + std::to_string(r.sweepPoint);
+    s += r.completed ? " completed=1" : " completed=0";
+    s += " ws=";
     appendG17(s, r.weightedSpeedup);
-    s += ",\"maxsd\":";
+    s += " maxsd=";
     appendG17(s, r.maxSlowdown);
-    s += ",\"eff\":";
+    s += " eff=";
     appendG17(s, r.efficiency);
-    s += ",\"served\":";
-    s += std::to_string(r.servedTotal);
-    s += ",\"swaps\":";
-    s += std::to_string(r.swaps);
-    s += "}\n";
-    return s;
+    s += " served=" + std::to_string(r.servedTotal);
+    s += " swaps=" + std::to_string(r.swaps);
+    return s + "\n";
 }
 
-bool
-parseRecordLine(const std::string &line, SweepRunRecord &rec)
+/**
+ * Parse one journal line.  A record is valid only if it renders back
+ * to exactly the line read, so a missing, repeated, reordered or
+ * non-canonical field is as fatal as a value that does not parse.
+ */
+SweepRunRecord
+parseRecord(const std::vector<KeyValue> &line)
 {
-    std::map<std::string, JsonValue> obj;
-    if (!parseJsonObject(line, obj))
-        return false;
-    return getNum(obj, "i", rec.index) &&
-           getStr(obj, "key", rec.key) &&
-           getStr(obj, "label", rec.label) &&
-           getStr(obj, "policy", rec.policy) &&
-           getNum(obj, "seed", rec.seed) &&
-           getNum(obj, "sweep", rec.sweepPoint) &&
-           getStr(obj, "shard", rec.shard) &&
-           getBool(obj, "completed", rec.completed) &&
-           getNum(obj, "ws", rec.weightedSpeedup) &&
-           getNum(obj, "maxsd", rec.maxSlowdown) &&
-           getNum(obj, "eff", rec.efficiency) &&
-           getNum(obj, "served", rec.servedTotal) &&
-           getNum(obj, "swaps", rec.swaps);
+    SweepRunRecord r;
+    std::string text;
+    for (const KeyValue &kv : line) {
+        text += (text.empty() ? "" : " ") + kv.key + "=" + kv.value;
+        if (kv.key == "i")
+            r.index = valueAs<std::size_t>(kv);
+        else if (kv.key == "key")
+            r.key = kv.value;
+        else if (kv.key == "label")
+            r.label = kv.value;
+        else if (kv.key == "policy")
+            r.policy = kv.value;
+        else if (kv.key == "seed")
+            r.seed = valueAs<std::uint64_t>(kv);
+        else if (kv.key == "sweep")
+            r.sweepPoint = valueAs<std::uint64_t>(kv);
+        else if (kv.key == "completed")
+            r.completed = valueAs<bool>(kv);
+        else if (kv.key == "ws")
+            r.weightedSpeedup = valueAs<double>(kv);
+        else if (kv.key == "maxsd")
+            r.maxSlowdown = valueAs<double>(kv);
+        else if (kv.key == "eff")
+            r.efficiency = valueAs<double>(kv);
+        else if (kv.key == "served")
+            r.servedTotal = valueAs<std::uint64_t>(kv);
+        else if (kv.key == "swaps")
+            r.swaps = valueAs<std::uint64_t>(kv);
+    }
+    fatal_if(renderRecord(r) != text + "\n",
+             "%s: corrupt sweep journal record", line[0].where.c_str());
+    return r;
 }
 
 std::string
 renderHeader(std::uint64_t spec_fp, std::size_t runs)
 {
-    char buf[96];
+    char buf[80];
     std::snprintf(buf, sizeof(buf),
-                  "{\"profess_sweep\":1,\"spec\":\"%016llx\","
-                  "\"runs\":%zu}\n",
+                  "profess_sweep=2 spec=%016llx runs=%zu\n",
                   static_cast<unsigned long long>(spec_fp), runs);
     return buf;
 }
@@ -529,12 +350,12 @@ SweepDriver::SweepDriver(const SweepSpec &spec, const Options &opts,
     jobs_ = spec_.expand();
     keys_.reserve(jobs_.size());
     labels_.reserve(jobs_.size());
-    shards_.reserve(jobs_.size());
+    runLabels_.reserve(jobs_.size());
     for (const RunJob &j : jobs_) {
         // Name each run as ParallelRunner::runOne does: the derived
-        // seed, the jobLabel and the "<label>_<policy>" snapshot
-        // label must name the same run the DetSan journal and the
-        // metrics shard see.
+        // seed, the jobLabel and the "<label>_<policy>" run label
+        // must name the same run the DetSan journal and the metrics
+        // shard see.
         std::uint64_t seed = deriveSeed(j.baseSeed, j.policy,
                                         j.label, j.sweepPoint);
         std::string tlabel = jobLabel(j);
@@ -542,7 +363,7 @@ SweepDriver::SweepDriver(const SweepSpec &spec, const Options &opts,
                                        tlabel, j.policy, j.programs,
                                        seed));
         labels_.push_back(tlabel);
-        shards_.push_back(shardFileName(tlabel + "_" + j.policy));
+        runLabels_.push_back(tlabel + "_" + j.policy);
     }
     records_.assign(jobs_.size(), SweepRunRecord{});
     done_.assign(jobs_.size(), false);
@@ -564,7 +385,7 @@ SweepDriver::setRunCallback(
 std::string
 SweepDriver::journalPath() const
 {
-    return opts_.outDir + "/sweep.journal.jsonl";
+    return opts_.outDir + "/sweep.journal";
 }
 
 std::string
@@ -600,98 +421,55 @@ SweepDriver::loadJournal()
     std::string content;
     {
         std::ifstream in(path, std::ios::binary);
-        if (in.is_open()) {
-            content.assign(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-        }
+        content.assign(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
     }
 
-    // Split keeping each line's byte offset so a torn tail can be
-    // truncated away in place.
-    std::vector<std::pair<std::size_t, std::string>> lines;
-    std::size_t pos = 0;
-    while (pos < content.size()) {
-        std::size_t nl = content.find('\n', pos);
-        std::size_t end =
-            nl == std::string::npos ? content.size() : nl;
-        lines.emplace_back(pos, content.substr(pos, end - pos));
-        pos = end + 1;
+    // A record counts only once its newline is on disk: anything
+    // after the last newline is a write torn by a crash.  Cut it
+    // off; its run re-executes.
+    std::size_t keep = content.rfind('\n');
+    keep = keep == std::string::npos ? 0 : keep + 1;
+    if (keep < content.size()) {
+        warn("sweep: dropping a torn trailing journal record in "
+             "'%s' (its run will re-execute)",
+             path.c_str());
+        fatal_if(::truncate(path.c_str(),
+                            static_cast<off_t>(keep)) != 0,
+                 "cannot truncate '%s': %s", path.c_str(),
+                 std::strerror(errno));
+        content.resize(keep);
     }
 
-    if (lines.empty()) {
-        // New (or empty) journal: write the header, durably, before
-        // any run can complete.
+    const std::string header = renderHeader(specFp_, jobs_.size());
+    if (content.empty()) {
+        // New journal, or one torn inside its header: write the
+        // header, durably, before any run can complete.
         journal_ = std::fopen(path.c_str(), "w");
         fatal_if(journal_ == nullptr,
                  "cannot write sweep journal '%s': %s", path.c_str(),
                  std::strerror(errno));
-        std::string hdr = renderHeader(specFp_, jobs_.size());
-        std::fputs(hdr.c_str(), journal_);
+        std::fputs(header.c_str(), journal_);
         flushSync(journal_, path);
         return;
     }
-
-    std::map<std::string, JsonValue> hdr;
-    std::uint64_t version = 0;
-    std::string spec_hex;
-    std::uint64_t runs = 0;
-    bool hdr_ok = parseJsonObject(lines[0].second, hdr) &&
-                  getNum(hdr, "profess_sweep", version) &&
-                  getStr(hdr, "spec", spec_hex) &&
-                  getNum(hdr, "runs", runs);
-    if (!hdr_ok && lines.size() == 1) {
-        // A journal torn inside its very first write holds no runs;
-        // start over.
-        warn("sweep: discarding torn journal header in '%s'",
-             path.c_str());
-        journal_ = std::fopen(path.c_str(), "w");
-        fatal_if(journal_ == nullptr,
-                 "cannot write sweep journal '%s': %s", path.c_str(),
-                 std::strerror(errno));
-        std::string h = renderHeader(specFp_, jobs_.size());
-        std::fputs(h.c_str(), journal_);
-        flushSync(journal_, path);
-        return;
+    if (content.compare(0, header.size(), header) != 0) {
+        fatal("%s: journal belongs to a different sweep (header "
+              "'%s', this sweep '%.*s'); pass --fresh to discard it",
+              path.c_str(), content.substr(0, content.find('\n')).c_str(),
+              static_cast<int>(header.size() - 1), header.c_str());
     }
-    fatal_if(!hdr_ok, "%s: corrupt sweep journal header",
-             path.c_str());
-    char want_hex[24];
-    std::snprintf(want_hex, sizeof(want_hex), "%016llx",
-                  static_cast<unsigned long long>(specFp_));
-    fatal_if(version != 1 || spec_hex != want_hex ||
-                 runs != jobs_.size(),
-             "%s: journal belongs to a different sweep "
-             "(spec %s/%llu runs, this spec %s/%zu runs); pass "
-             "--fresh to discard it",
-             path.c_str(), spec_hex.c_str(),
-             static_cast<unsigned long long>(runs), want_hex,
-             jobs_.size());
 
+    std::vector<std::vector<KeyValue>> lines = readKeyValueLines(path);
     for (std::size_t k = 1; k < lines.size(); ++k) {
-        SweepRunRecord rec;
-        if (!parseRecordLine(lines[k].second, rec)) {
-            // Only the last line can legitimately be malformed: a
-            // write torn by a crash.  Drop it; its run re-executes.
-            fatal_if(k + 1 != lines.size(),
-                     "%s:%zu: corrupt sweep journal line (not the "
-                     "trailing line)",
-                     path.c_str(), k + 1);
-            warn("sweep: dropping torn trailing journal line in "
-                 "'%s' (its run will re-execute)",
-                 path.c_str());
-            fatal_if(::truncate(path.c_str(),
-                                static_cast<off_t>(
-                                    lines[k].first)) != 0,
-                     "cannot truncate '%s': %s", path.c_str(),
-                     std::strerror(errno));
-            break;
-        }
+        SweepRunRecord rec = parseRecord(lines[k]);
         fatal_if(rec.index >= jobs_.size() ||
                      rec.key != keys_[rec.index],
-                 "%s:%zu: journaled run identity does not match "
-                 "the spec's expansion; pass --fresh to discard",
-                 path.c_str(), k + 1);
-        if (!fileExists(shard_dir + "/" + rec.shard)) {
+                 "%s: journaled run identity does not match the "
+                 "spec's expansion; pass --fresh to discard",
+                 lines[k][0].where.c_str());
+        if (!fileExists(shard_dir + "/" +
+                        shardFileName(runLabels_[rec.index]))) {
             warn("sweep: journaled run %zu has no metrics shard; "
                  "re-running it",
                  rec.index);
@@ -726,27 +504,15 @@ SweepDriver::finalize()
     // Rebuild the exposition from the on-disk shards: identical
     // whether the runs happened in this process, an earlier killed
     // one, or any mix.
-    mergeShards(metricsPath(), shards_);
+    mergeShards(metricsPath(), runLabels_);
 
     // Rewrite the journal canonically — header plus one line per
-    // run in job order, atomically — erasing completion order and
-    // any resume history from the bytes.
-    const std::string path = journalPath();
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    fatal_if(f == nullptr, "cannot write '%s': %s", tmp.c_str(),
-             std::strerror(errno));
-    std::string hdr = renderHeader(specFp_, jobs_.size());
-    std::fputs(hdr.c_str(), f);
-    for (const SweepRunRecord &rec : records_) {
-        std::string line = renderRecord(rec);
-        std::fputs(line.c_str(), f);
-    }
-    flushSync(f, tmp);
-    std::fclose(f);
-    fatal_if(std::rename(tmp.c_str(), path.c_str()) != 0,
-             "cannot rename '%s' to '%s': %s", tmp.c_str(),
-             path.c_str(), std::strerror(errno));
+    // run in job order — erasing completion order and any resume
+    // history from the bytes.
+    std::string text = renderHeader(specFp_, jobs_.size());
+    for (const SweepRunRecord &rec : records_)
+        text += renderRecord(rec);
+    writeFileAtomic(journalPath(), text);
 }
 
 bool
@@ -785,7 +551,6 @@ SweepDriver::run()
                                   jobs_[i].policy, jobs_[i].label,
                                   jobs_[i].sweepPoint);
             rec.sweepPoint = jobs_[i].sweepPoint;
-            rec.shard = shards_[i];
             rec.completed = m.run.completed;
             rec.weightedSpeedup = m.weightedSpeedup;
             rec.maxSlowdown = m.maxSlowdown;

@@ -20,22 +20,23 @@
  *
  * SweepDriver expands the spec deterministically, fans the jobs
  * over ParallelRunner, and checkpoints each completed run as one
- * fsync'd line of an append-only journal (sweep.journal.jsonl in
- * the output directory), keyed by the same
+ * fsync'd line of an append-only journal (sweep.journal in the
+ * output directory): a "profess_sweep=2 spec=<hex> runs=<n>" header,
+ * then one key=value record per run, keyed by the same
  * configFingerprint|label|policy|programs|seed identity the DetSan
  * journal uses (runIdentityKey).  Per-run metrics are durable the
- * moment a run finishes: RunTelemetry::finish writes one shard per
- * run under metrics.prom.shards/.
+ * moment a run finishes: RunTelemetry::finish writes each run's
+ * exposition as its shard under metrics.prom.shards/.
  *
  * Crash safety: a sweep killed at any point — SIGKILL mid-run
  * included — resumes by re-running only the jobs missing from the
- * journal (a torn trailing journal line is dropped; its run simply
- * re-executes).  When the last run completes, the driver merges
- * the shards into metrics.prom and rewrites the journal in
- * canonical job order, both crash-atomically, so the finalized
- * journal and exposition are byte-identical to an uninterrupted
- * sweep of the same spec at any --jobs N
- * (tests/test_sweep.cc).
+ * journal.  A record counts only once its newline is on disk; a torn
+ * tail after the last newline is cut off and its run re-executes.
+ * When the last run completes, the driver merges the shards into
+ * metrics.prom and rewrites the journal in canonical job order, both
+ * crash-atomically, so the finalized journal and exposition are
+ * byte-identical to an uninterrupted sweep of the same spec at any
+ * --jobs N (tests/test_sweep.cc).
  */
 
 #ifndef PROFESS_SIM_SWEEP_HH
@@ -111,7 +112,7 @@ class SweepSpec
     std::vector<RunJob> expand() const;
 };
 
-/** One journaled sweep run (a sweep.journal.jsonl line). */
+/** One journaled sweep run (a sweep.journal record). */
 struct SweepRunRecord
 {
     std::size_t index = 0;    ///< job index in canonical order
@@ -120,7 +121,6 @@ struct SweepRunRecord
     std::string policy;
     std::uint64_t seed = 0;   ///< derived per-job seed
     std::uint64_t sweepPoint = 0;
-    std::string shard;        ///< shard file name under .shards/
     bool completed = false;   ///< every core reached its quota
     double weightedSpeedup = 0.0;
     double maxSlowdown = 0.0;
@@ -193,7 +193,7 @@ class SweepDriver
         return records_;
     }
 
-    /** @return the journal path (outDir/sweep.journal.jsonl). */
+    /** @return the journal path (outDir/sweep.journal). */
     std::string journalPath() const;
 
     /** @return the exposition path (outDir/metrics.prom). */
@@ -212,7 +212,7 @@ class SweepDriver
     std::vector<RunJob> jobs_;       ///< canonical order
     std::vector<std::string> keys_;  ///< runIdentityKey per job
     std::vector<std::string> labels_; ///< telemetry label per job
-    std::vector<std::string> shards_; ///< shard file name per job
+    std::vector<std::string> runLabels_; ///< "<label>_<policy>" per job
     std::vector<SweepRunRecord> records_;
     std::vector<bool> done_;
     std::size_t resumed_ = 0;

@@ -2,18 +2,16 @@
 # The resumable-sweep differential on bench/sweeps/nightly.sweep.  A
 # sweep interrupted by --max-runs 3 (exit 75) and then resumed must
 # skip its three journaled runs and finish with a journal and an
-# exposition byte-identical to an uninterrupted sweep's.  Given a
-# Python interpreter, scripts/metrics_merge.py must rebuild the same
-# exposition from the shards.  Each run's journaled results and the
-# exposition's checksum are pinned; after an intentional change to
-# the simulation or its statistics, update both from the new output.
+# exposition byte-identical to an uninterrupted sweep's.  Each run's
+# journaled results and the exposition's checksum are pinned; after
+# an intentional change to the simulation or its statistics, update
+# both from the new output.
 #
-#   sweep_resume.sh PROFESS_SWEEP REPO_ROOT SCRATCH_DIR [PYTHON3]
+#   sweep_resume.sh PROFESS_SWEEP REPO_ROOT SCRATCH_DIR
 set -eu
 sweep=$1
 root=$2
 dir=$3
-python=${4:-}
 spec="$root/bench/sweeps/nightly.sweep"
 rm -rf "$dir"
 mkdir -p "$dir"
@@ -35,17 +33,11 @@ if ! grep -q '(3 resumed, 5 executed here)' "$dir/resume.out"; then
     cat "$dir/resume.out" >&2
     exit 1
 fi
-cmp "$dir/a/sweep.journal.jsonl" "$dir/b/sweep.journal.jsonl"
+cmp "$dir/a/sweep.journal" "$dir/b/sweep.journal"
 cmp "$dir/a/metrics.prom" "$dir/b/metrics.prom"
 
-if [ -n "$python" ]; then
-    "$python" "$root/scripts/metrics_merge.py" \
-        "$dir/a/metrics.prom.shards" -o "$dir/merged.py.prom"
-    cmp "$dir/a/metrics.prom" "$dir/merged.py.prom"
-fi
-
-sed -n 's/.*"label":"\([^"]*\)","policy":"\([^"]*\)".*"ws":\([^,]*\),"maxsd":\([^,]*\),"eff":\([^,]*\),"served":\([^,]*\),"swaps":\([0-9]*\)}$/\1 \2 ws=\3 maxsd=\4 eff=\5 served=\6 swaps=\7/p' \
-    "$dir/a/sweep.journal.jsonl" >"$dir/results.txt"
+sed -n 's/^i=.* label=\([^ ]*\) policy=\([^ ]*\) .* \(ws=.*\)$/\1 \2 \3/p' \
+    "$dir/a/sweep.journal" >"$dir/results.txt"
 cat >"$dir/results.want" <<'EOF'
 w01_s1 pom ws=1.0841322517083896 maxsd=6.8508513787229406 eff=5775478.1330856532 served=23365 swaps=1466
 w01_s1 profess ws=1.2460499468896873 maxsd=5.5788270809616582 eff=6588664.7527862974 served=22908 swaps=1013

@@ -198,8 +198,6 @@ TEST(DetsanEpochSampler, EpochDigestTracksSampledState)
     reg.addCounter("c", counter);
 
     telemetry::EpochSampler s1(reg, 100), s2(reg, 100);
-    s1.select({"c"});
-    s2.select({"c"});
 
     counter = 0;
     s1.sampleNow(100);
@@ -218,7 +216,6 @@ TEST(DetsanEpochSampler, EpochDigestTracksSampledState)
 
     // A diverging value at the same tick fingerprints differently.
     telemetry::EpochSampler s3(reg, 100);
-    s3.select({"c"});
     counter = 1;
     s3.sampleNow(100);
     counter = 7;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -66,6 +67,16 @@ struct LayoutCase
     unsigned regions;
     unsigned slots;
 };
+
+/** Names the case in test names (gtest would otherwise print the
+ *  struct's raw bytes, uninitialized padding included). */
+void
+PrintTo(const LayoutCase &c, std::ostream *os)
+{
+    *os << "m1=" << c.m1Bytes / KiB << "KiB m2=" << c.m2Bytes / KiB
+        << "KiB channels=" << c.channels << " regions=" << c.regions
+        << " slots=" << c.slots;
+}
 
 class LayoutParam : public ::testing::TestWithParam<LayoutCase>
 {

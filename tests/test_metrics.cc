@@ -2,11 +2,11 @@
  * @file
  * Tests for the metrics-export layer: Histogram::quantile edge
  * cases, dotted-name -> OpenMetrics family/label mapping, label
- * escaping, the text-exposition writer (validated by a test-side
+ * escaping, the text-exposition renderer (validated by a test-side
  * mini-parser), exact _sum/_count reconciliation against the
  * registry's derived probes, the latency-attribution table, the
- * process-wide --metrics-out collector, and an end-to-end export
- * of a fig13-style multi-program ProFess run.
+ * shard merge and its rejection of malformed shards, and an
+ * end-to-end export of a fig13-style multi-program ProFess run.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +38,6 @@ using namespace profess;
 using namespace profess::sim;
 using telemetry::LatencyAttribution;
 using telemetry::MetricName;
-using telemetry::MetricsSnapshot;
 using telemetry::StatRegistry;
 
 namespace
@@ -66,18 +65,15 @@ tempBase(const std::string &tag)
            std::to_string(::getpid());
 }
 
-std::string
-dumpExposition(const std::vector<MetricsSnapshot> &runs)
+/** Write `registry`'s exposition as the shard of `run` for the
+ *  exposition `path` (what RunTelemetry::finish does). */
+void
+writeShard(const std::string &path, const StatRegistry &registry,
+           const std::string &run)
 {
-    std::FILE *f = std::tmpfile();
-    EXPECT_NE(f, nullptr);
-    telemetry::writeOpenMetrics(f, runs);
-    long n = std::ftell(f);
-    std::string s(static_cast<std::size_t>(n), '\0');
-    std::rewind(f);
-    EXPECT_EQ(std::fread(&s[0], 1, s.size(), f), s.size());
-    std::fclose(f);
-    return s;
+    makeDirs(shardDir(path));
+    writeFileAtomic(shardDir(path) + "/" + shardFileName(run),
+                    telemetry::renderOpenMetrics(registry, run));
 }
 
 /**
@@ -515,17 +511,15 @@ TEST(OpenMetrics, WriterProducesValidExposition)
     h.add(99.0); // overflow: only in +Inf
     reg.addHistogram("hybrid.swap_retry_latency", h);
 
-    MetricsSnapshot snap = MetricsSnapshot::capture(reg, "runA");
+    Exposition exp =
+        parseExposition(telemetry::renderOpenMetrics(reg, "runA"));
+    validateExposition(exp);
     // The derived scalar probes are folded into the histogram
     // family, not exported twice.
-    for (const auto &s : snap.scalars) {
-        EXPECT_EQ(s.name.find("swap_retry_latency"),
-                  std::string::npos)
-            << s.name;
-    }
-
-    Exposition exp = parseExposition(dumpExposition({snap}));
-    validateExposition(exp);
+    EXPECT_EQ(exp.types.count("profess_hybrid_swap_retry_latency_count"),
+              0u);
+    EXPECT_EQ(exp.types.count("profess_hybrid_swap_retry_latency_sum"),
+              0u);
     EXPECT_EQ(exp.types.at("profess_hybrid_swaps"), "counter");
     EXPECT_EQ(exp.types.at("profess_hybrid_stc_hit_rate"), "gauge");
     EXPECT_EQ(exp.types.at("profess_hybrid_swap_retry_latency"),
@@ -584,8 +578,8 @@ TEST(OpenMetrics, RunLabelRoundTripsThroughEscaping)
     std::uint64_t c = 1;
     reg.addCounter("esc.events", c);
     std::string nasty = "w01 \"quoted\" back\\slash\nnewline";
-    Exposition exp = parseExposition(
-        dumpExposition({MetricsSnapshot::capture(reg, nasty)}));
+    Exposition exp =
+        parseExposition(telemetry::renderOpenMetrics(reg, nasty));
     validateExposition(exp);
     const Exposition::Sample *s = exp.find(
         "profess_esc_events_total", labels({}));
@@ -596,34 +590,35 @@ TEST(OpenMetrics, RunLabelRoundTripsThroughEscaping)
 
 TEST(OpenMetrics, MultipleRunsSortedWithinFamilies)
 {
+    std::string path = tempBase("sorted") + ".prom";
     StatRegistry reg;
     std::uint64_t c = 5;
     reg.addCounter("sorted.events", c);
-    MetricsSnapshot b = MetricsSnapshot::capture(reg, "b-run");
+    reg.addProbe("sorted.level", [&c]() { return c / 2.0; });
+    // Shards written out of label order merge in label order: the
+    // family blocks interleave runs sorted by label.
+    writeShard(path, reg, "b-run");
     c = 9;
-    MetricsSnapshot a = MetricsSnapshot::capture(reg, "a-run");
-
-    // Pass runs out of order; the writer sorts samples by run label
-    // inside the family, so the exposition is order-independent.
-    std::string out_ba = dumpExposition({b, a});
-    std::string out_ab = dumpExposition({a, b});
-    EXPECT_EQ(out_ba, out_ab);
-
-    Exposition exp = parseExposition(out_ba);
-    validateExposition(exp);
-    ASSERT_EQ(exp.samples.size(), 2u);
-    EXPECT_EQ(exp.samples[0].labels.at("run"), "a-run");
-    EXPECT_EQ(exp.samples[0].value, 9.0);
-    EXPECT_EQ(exp.samples[1].labels.at("run"), "b-run");
-    EXPECT_EQ(exp.samples[1].value, 5.0);
+    writeShard(path, reg, "a-run");
+    mergeShards(path, {"b-run", "a-run"});
+    std::string merged = readFile(path);
+    EXPECT_EQ(merged, "# TYPE profess_sorted_events counter\n"
+                      "profess_sorted_events_total{run=\"a-run\"} 9\n"
+                      "profess_sorted_events_total{run=\"b-run\"} 5\n"
+                      "# TYPE profess_sorted_level gauge\n"
+                      "profess_sorted_level{run=\"a-run\"} 4.5\n"
+                      "profess_sorted_level{run=\"b-run\"} 2.5\n"
+                      "# EOF\n");
+    validateExposition(parseExposition(merged));
 }
 
 TEST(OpenMetricsDeathTest, FamilyTypeConflictPanics)
 {
     // "a.b" as a counter and "a.b" as a probe cannot coexist in one
-    // registry (duplicate name), but two runs disagreeing on the
-    // type of one family can only come from memory corruption or a
-    // naming-discipline bug — the writer panics loudly.
+    // registry (duplicate name), but two shards can disagree on the
+    // type of one family — a naming-discipline bug or a foreign
+    // file.  The merge refuses, naming the shard and line.
+    std::string path = tempBase("conflict") + ".prom";
     StatRegistry counter_reg, gauge_reg;
     std::uint64_t c = 0;
     // Same family name in both registries on purpose (the conflict
@@ -632,11 +627,36 @@ TEST(OpenMetricsDeathTest, FamilyTypeConflictPanics)
     const std::string name = std::string("a") + ".b";
     counter_reg.addCounter(name, c);
     gauge_reg.addProbe(name, []() { return 0.0; });
-    std::vector<MetricsSnapshot> runs = {
-        MetricsSnapshot::capture(counter_reg, "r1"),
-        MetricsSnapshot::capture(gauge_reg, "r2"),
+    writeShard(path, counter_reg, "r1");
+    writeShard(path, gauge_reg, "r2");
+    EXPECT_DEATH(mergeShards(path, {"r1", "r2"}),
+                 "r2-[0-9a-f]+\\.prom:1: family 'profess_a_b' is typed "
+                 "gauge here but counter");
+}
+
+TEST(MetricsShardsDeathTest, MalformedShardsAreFatal)
+{
+    std::string path = tempBase("malformed") + ".prom";
+    const std::string dir = shardDir(path);
+    StatRegistry reg;
+    std::uint64_t c = 1;
+    reg.addCounter("bad.events", c);
+    writeShard(path, reg, "good");
+    auto corrupt = [&](const std::string &run, const std::string &text) {
+        writeFileAtomic(dir + "/" + shardFileName(run), text);
     };
-    EXPECT_DEATH(dumpExposition(runs), "mixes");
+
+    EXPECT_DEATH(mergeShards(path, {"good", "absent"}),
+                 "cannot open metrics shard '.*absent-[0-9a-f]+\\.prom'");
+    corrupt("cut", "# TYPE profess_bad_events counter\n"
+                   "profess_bad_events_total{run=\"cut\"} 1\n");
+    EXPECT_DEATH(mergeShards(path, {"good", "cut"}),
+                 "cut-[0-9a-f]+\\.prom:2: truncated metrics shard");
+    corrupt("untyped", "profess_bad_events_total{run=\"untyped\"} 1\n"
+                       "# EOF\n");
+    EXPECT_DEATH(mergeShards(path, {"untyped"}),
+                 "untyped-[0-9a-f]+\\.prom:1: sample before any "
+                 "'# TYPE' line");
 }
 
 TEST(LatencyAttribution, RecordsAndDropsOutOfRange)
@@ -672,26 +692,18 @@ TEST(LatencyAttribution, RecordsAndDropsOutOfRange)
 TEST(MetricsShards, MergeSortsRunsAndReadsOnlyNamedShards)
 {
     std::string path = tempBase("merge") + ".prom";
-    const std::string dir = shardDir(path);
-    makeDirs(dir);
 
     StatRegistry reg;
     std::uint64_t c = 3;
     reg.addCounter("coll.events", c);
-    auto write = [&](const std::string &run) {
-        telemetry::writeMetricsShardFile(
-            dir + "/" + shardFileName(run),
-            MetricsSnapshot::capture(reg, run));
-    };
     // Completion order b-then-a must not leak into the file, and a
     // shard nobody names (left by an earlier process) stays out.
-    write("b");
+    writeShard(path, reg, "b");
     c = 8;
-    write("a");
+    writeShard(path, reg, "a");
     c = 1;
-    write("stale");
-    mergeShards(path, {shardFileName("b"), shardFileName("a"),
-                       shardFileName("b")});
+    writeShard(path, reg, "stale");
+    mergeShards(path, {"b", "a", "b"});
 
     Exposition exp = parseExposition(readFile(path));
     validateExposition(exp);
@@ -719,33 +731,29 @@ TEST(MetricsShards, ShardRoundTripIsExact)
     h.add(99.0);
     reg.addHistogram("rt.lat", h);
 
-    MetricsSnapshot snap =
-        MetricsSnapshot::capture(reg, "runX with space");
-    std::string path = tempBase("shard_rt") + ".shard";
-    telemetry::writeMetricsShardFile(path, snap);
-    MetricsSnapshot back = telemetry::readMetricsShardFile(path);
+    // A shard merged on its own is the rendered exposition, byte for
+    // byte; a run label with a space survives as a label value.
+    const std::string run = "runX with space";
+    std::string path = tempBase("shard_rt") + ".prom";
+    writeShard(path, reg, run);
+    mergeShards(path, {run});
+    std::string merged = readFile(path);
+    EXPECT_EQ(merged, telemetry::renderOpenMetrics(reg, run));
 
-    EXPECT_EQ(back.run, snap.run);
-    ASSERT_EQ(back.scalars.size(), snap.scalars.size());
-    for (std::size_t i = 0; i < snap.scalars.size(); ++i) {
-        EXPECT_EQ(back.scalars[i].name, snap.scalars[i].name);
-        EXPECT_EQ(back.scalars[i].isCounter,
-                  snap.scalars[i].isCounter);
-        // Bit-exact, not approximately equal: %.17g round-trips.
-        EXPECT_EQ(back.scalars[i].value, snap.scalars[i].value)
-            << snap.scalars[i].name;
+    // Every value reads back bit-exactly: %.17g round-trips.
+    Exposition exp = parseExposition(merged);
+    validateExposition(exp);
+    for (const char *name : {"rt.ratio", "rt.tiny", "rt.neg"}) {
+        MetricName mn = telemetry::mapDottedName(name);
+        const Exposition::Sample *s =
+            exp.find(mn.family, labels({{"run", run.c_str()}}));
+        ASSERT_NE(s, nullptr) << name;
+        EXPECT_EQ(s->value, reg.value(name)) << name;
     }
-    ASSERT_EQ(back.histograms.size(), 1u);
-    EXPECT_EQ(back.histograms[0].bucketWidth, 0.1);
-    EXPECT_EQ(back.histograms[0].underflow, 1u);
-    EXPECT_EQ(back.histograms[0].count, 4u);
-    EXPECT_EQ(back.histograms[0].sum, snap.histograms[0].sum);
-    EXPECT_EQ(back.histograms[0].buckets,
-              snap.histograms[0].buckets);
-
-    // The exposition rendered from the round-tripped snapshot is
-    // byte-identical to one rendered from the original.
-    EXPECT_EQ(dumpExposition({back}), dumpExposition({snap}));
+    const Exposition::Sample *sum =
+        exp.find("profess_rt_lat_sum", labels({{"run", run.c_str()}}));
+    ASSERT_NE(sum, nullptr);
+    EXPECT_EQ(sum->value, h.sum());
 }
 
 TEST(OpenMetrics, Fig13RunExportValidates)
@@ -773,15 +781,14 @@ TEST(OpenMetrics, Fig13RunExportValidates)
     sys.attachTelemetry(bundle);
     ASSERT_TRUE(sys.run());
     bundle.finish("profess", "w01", 7, configJson(cfg), true);
-    mergeShards(tcfg.metricsOut, {shardFileName("w01_profess")});
+    mergeShards(tcfg.metricsOut, {"w01_profess"});
     std::string merged = readFile(tcfg.metricsOut);
 
     // Acceptance pin: the shard written at finish() and merged back
     // reproduces the exposition rendered straight from the live
     // registry, byte for byte, for this workload.
-    EXPECT_EQ(merged,
-              dumpExposition({MetricsSnapshot::capture(
-                  bundle.registry(), "w01_profess")}));
+    EXPECT_EQ(merged, telemetry::renderOpenMetrics(bundle.registry(),
+                                                   "w01_profess"));
 
     Exposition exp = parseExposition(merged);
     validateExposition(exp);

@@ -2,7 +2,7 @@
  * @file
  * SweepDriver tests: spec parsing and expansion, the sweep-axis
  * grid, and the crash-safety contract — an interrupted sweep
- * (cooperative preemption, a corrupted trailing journal line, or a
+ * (cooperative preemption, a torn trailing journal record, or a
  * SIGKILL mid-sweep) resumes to byte-identical final outputs
  * (journal + merged exposition) at any worker count.
  */
@@ -264,7 +264,7 @@ TEST(SweepDriver, ResumeEqualsUninterrupted)
         // Journaled records round-tripped through the resume parse
         // render byte-identically in the canonical rewrite.
         EXPECT_EQ(readFile(rest.journalPath()),
-                  readFile(full_dir + "/sweep.journal.jsonl"));
+                  readFile(full_dir + "/sweep.journal"));
         EXPECT_EQ(readFile(rest.metricsPath()),
                   readFile(full_dir + "/metrics.prom"));
     }
@@ -275,9 +275,9 @@ TEST(SweepDriver, WorkerCountLeavesNoTrace)
     SweepSpec spec = smokeSpec("jobs");
     std::string serial_dir = runFull(spec, "jobs1", 1);
     std::string parallel_dir = runFull(spec, "jobs8", 8);
-    std::string j1 = readFile(serial_dir + "/sweep.journal.jsonl");
+    std::string j1 = readFile(serial_dir + "/sweep.journal");
     EXPECT_FALSE(j1.empty());
-    EXPECT_EQ(j1, readFile(parallel_dir + "/sweep.journal.jsonl"));
+    EXPECT_EQ(j1, readFile(parallel_dir + "/sweep.journal"));
     std::string m1 = readFile(serial_dir + "/metrics.prom");
     EXPECT_FALSE(m1.empty());
     EXPECT_EQ(m1, readFile(parallel_dir + "/metrics.prom"));
@@ -296,13 +296,13 @@ TEST(SweepDriver, CorruptedTrailingJournalLineRecovers)
         SweepDriver part(spec, opts);
         EXPECT_FALSE(part.run());
     }
-    // A crash can tear the trailing journal line mid-write; the
-    // loader must drop exactly that line and re-run its job.
+    // A crash can tear the trailing journal record mid-write; the
+    // loader must drop exactly that record and re-run its job.
     std::string journal =
-        opts.outDir + "/sweep.journal.jsonl";
+        opts.outDir + "/sweep.journal";
     std::FILE *f = std::fopen(journal.c_str(), "a");
     ASSERT_NE(f, nullptr);
-    std::fputs("{\"i\":2,\"key\":\"truncated mid-wri", f);
+    std::fputs("i=2 key=truncated mid-wri", f);
     std::fclose(f);
 
     opts.maxRuns = 0;
@@ -310,7 +310,46 @@ TEST(SweepDriver, CorruptedTrailingJournalLineRecovers)
     EXPECT_TRUE(rest.run());
     EXPECT_EQ(rest.resumedRuns(), 2u);
     EXPECT_EQ(readFile(rest.journalPath()),
-              readFile(full_dir + "/sweep.journal.jsonl"));
+              readFile(full_dir + "/sweep.journal"));
+    EXPECT_EQ(readFile(rest.metricsPath()),
+              readFile(full_dir + "/metrics.prom"));
+}
+
+TEST(SweepDriver, RecordWithoutNewlineReruns)
+{
+    SweepSpec spec = smokeSpec("nonl");
+    std::string full_dir = runFull(spec, "nonl_full", 1);
+
+    SweepDriver::Options opts;
+    opts.outDir = tempBase("nonl_part");
+    opts.jobs = 1;
+    opts.maxRuns = 1;
+    {
+        SweepDriver part(spec, opts);
+        EXPECT_FALSE(part.run());
+    }
+    // A record whose newline never reached the disk does not count:
+    // its run re-executes, and the next record starts a line of its
+    // own instead of running on into the torn one.
+    std::string journal = opts.outDir + "/sweep.journal";
+    std::string text = readFile(journal);
+    ASSERT_EQ(text.back(), '\n');
+    ASSERT_EQ(::truncate(journal.c_str(),
+                         static_cast<off_t>(text.size() - 1)),
+              0);
+    opts.maxRuns = 2;
+    {
+        SweepDriver part(spec, opts);
+        EXPECT_FALSE(part.run());
+        EXPECT_EQ(part.resumedRuns(), 0u);
+        EXPECT_EQ(part.executedRuns(), 2u);
+    }
+    opts.maxRuns = 0;
+    SweepDriver rest(spec, opts);
+    EXPECT_TRUE(rest.run());
+    EXPECT_EQ(rest.resumedRuns(), 2u);
+    EXPECT_EQ(readFile(rest.journalPath()),
+              readFile(full_dir + "/sweep.journal"));
     EXPECT_EQ(readFile(rest.metricsPath()),
               readFile(full_dir + "/metrics.prom"));
 }
@@ -346,7 +385,7 @@ TEST(SweepDriver, SigkillMidSweepResumesByteIdentical)
     EXPECT_TRUE(rest.run());
     EXPECT_GE(rest.resumedRuns(), 1u);
     EXPECT_EQ(readFile(rest.journalPath()),
-              readFile(full_dir + "/sweep.journal.jsonl"));
+              readFile(full_dir + "/sweep.journal"));
     EXPECT_EQ(readFile(rest.metricsPath()),
               readFile(full_dir + "/metrics.prom"));
 }
@@ -365,6 +404,31 @@ TEST(SweepDriverDeathTest, ForeignJournalIsFatal)
     opts.jobs = 1;
     SweepDriver driver(other, opts);
     EXPECT_DEATH(driver.run(), "different sweep");
+}
+
+TEST(SweepDriverDeathTest, CompleteCorruptRecordIsFatal)
+{
+    SweepSpec spec = smokeSpec("corrupt");
+    std::string dir = runFull(spec, "corrupt_dir", 1);
+
+    // Only a tail without its newline can be a torn write; a whole
+    // record that does not render back to its own line is corrupt.
+    std::string journal = dir + "/sweep.journal";
+    std::string text = readFile(journal);
+    std::size_t at = text.find(" completed=1 ");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 13, " completed=1 completed=1 ");
+    std::FILE *f = std::fopen(journal.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+
+    SweepDriver::Options opts;
+    opts.outDir = dir;
+    opts.jobs = 1;
+    SweepDriver driver(spec, opts);
+    EXPECT_DEATH(driver.run(),
+                 "sweep.journal:2: corrupt sweep journal record");
 }
 
 TEST(SweepDriver, FreshDiscardsPriorOutputs)

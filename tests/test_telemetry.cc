@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the observability layer: stat-registry name stability,
- * epoch-sampler ring + determinism across worker counts, decision
- * trace ring wraparound with wrap-immune totals, reconciliation of
- * trace summaries against the policy's own counters, telemetry-off
+ * the epoch series' format and determinism across worker counts,
+ * decision trace ring wraparound with wrap-immune totals,
+ * reconciliation of trace summaries against the policy's own
+ * counters, telemetry-off
  * bit-identity, per-runner metric expositions, Chrome-trace export,
  * Histogram underflow/overflow accounting and the logging flag
  * parsing.
@@ -24,6 +25,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/openmetrics.hh"
 #include "common/stats.hh"
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
@@ -39,7 +41,6 @@ using namespace profess::sim;
 using core::Mdm;
 using core::ProfessPolicy;
 using telemetry::DecisionTraceSink;
-using telemetry::EpochSampler;
 using telemetry::StatRegistry;
 using telemetry::TraceKind;
 using telemetry::TraceRecord;
@@ -174,15 +175,14 @@ TEST(StatRegistry, RegistersResolvesAndDumps)
     EXPECT_EQ(names[0], "a.probe");
     EXPECT_EQ(names[1], "z.counter");
 
-    std::string json =
-        dumpToString([&reg](std::FILE *f) { reg.dumpJson(f); });
-    EXPECT_NE(json.find("\"a.probe\""), std::string::npos);
-    EXPECT_NE(json.find("\"z.counter\""), std::string::npos);
-    EXPECT_EQ(json.front(), '{');
-
-    std::string csv =
-        dumpToString([&reg](std::FILE *f) { reg.dumpCsv(f); });
-    EXPECT_NE(csv.find("z.counter"), std::string::npos);
+    // The exposition renders the live values, in name order.
+    std::string text = telemetry::renderOpenMetrics(reg, "r");
+    EXPECT_NE(text.find("profess_a_probe{run=\"r\"} 2.5\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("profess_z_counter_total{run=\"r\"} 11\n"),
+              std::string::npos);
+    EXPECT_LT(text.find("profess_a_probe"),
+              text.find("profess_z_counter"));
 }
 
 TEST(StatRegistryDeathTest, RejectsDuplicateNames)
@@ -257,33 +257,26 @@ TEST(StatRegistry, ComponentNamesStableAcrossConstruction)
     }
 }
 
-TEST(EpochSampler, RingWrapKeepsNewestOldestFirst)
+TEST(EpochSampler, WritesOneJsonlLinePerEpoch)
 {
     StatRegistry reg;
     std::uint64_t counter = 0;
-    reg.addCounter("c", counter);
+    reg.addCounter("z.c", counter);
+    reg.addProbe("a.p", [&counter]() { return counter / 4.0; });
 
-    EpochSampler sampler(reg, /*interval_ticks=*/1000,
-                         /*ring_capacity=*/4);
-    sampler.select(reg.names());
-    ASSERT_EQ(sampler.selection().size(), 1u);
-
-    for (std::uint64_t i = 0; i < 10; ++i) {
-        counter = i * 3;
-        sampler.sampleNow(static_cast<Tick>(i * 1000));
-    }
-    EXPECT_EQ(sampler.epochs(), 10u);
-
-    std::vector<EpochSampler::Sample> kept = sampler.retained();
-    ASSERT_EQ(kept.size(), 4u);
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-        std::uint64_t epoch = 6 + i; // oldest retained first
-        EXPECT_EQ(kept[i].epoch, epoch);
-        EXPECT_EQ(kept[i].tick, epoch * 1000);
-        ASSERT_EQ(kept[i].values.size(), 1u);
-        EXPECT_EQ(kept[i].values[0],
-                  static_cast<double>(epoch * 3));
-    }
+    telemetry::EpochSampler sampler(reg, /*interval_ticks=*/1000);
+    std::string jsonl = dumpToString([&](std::FILE *f) {
+        sampler.setOutput(f);
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            counter = i * 3;
+            sampler.sampleNow(static_cast<Tick>(i * 1000));
+        }
+    });
+    EXPECT_EQ(sampler.epochs(), 3u);
+    EXPECT_EQ(jsonl,
+              "{\"tick\":0,\"epoch\":0,\"v\":{\"a.p\":0,\"z.c\":0}}\n"
+              "{\"tick\":1000,\"epoch\":1,\"v\":{\"a.p\":0.75,\"z.c\":3}}\n"
+              "{\"tick\":2000,\"epoch\":2,\"v\":{\"a.p\":1.5,\"z.c\":6}}\n");
 }
 
 TEST(TraceRing, WraparoundKeepsWrapImmuneTotals)
@@ -401,11 +394,9 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
         static_cast<double>(sink->kindTotal(TraceKind::RsmPeriod)),
         bundle.registry().value("policy.profess.rsm.p0.periods"));
 
-    // The sampler ran and saw the full registry.
+    // The sampler ran.
     ASSERT_NE(bundle.sampler(), nullptr);
     EXPECT_GT(bundle.sampler()->epochs(), 0u);
-    EXPECT_EQ(bundle.sampler()->selection().size(),
-              bundle.registry().size());
 }
 
 TEST(Differential, TelemetryOffIsBitIdentical)
@@ -467,11 +458,11 @@ TEST(Differential, EpochSeriesIdenticalAcrossWorkerCounts)
             readFile(base + "/par/" + run_dir + "/epochs.jsonl");
         EXPECT_FALSE(s_epochs.empty());
         EXPECT_EQ(s_epochs, p_epochs);
-        // The end-of-run stat dump is deterministic too.
+        // The end-of-run exposition is deterministic too.
         std::string s_stats =
-            readFile(base + "/serial/" + run_dir + "/stats.json");
+            readFile(base + "/serial/" + run_dir + "/metrics.prom");
         std::string p_stats =
-            readFile(base + "/par/" + run_dir + "/stats.json");
+            readFile(base + "/par/" + run_dir + "/metrics.prom");
         EXPECT_FALSE(s_stats.empty());
         EXPECT_EQ(s_stats, p_stats);
     }
@@ -490,7 +481,7 @@ TEST(Differential, MetricsExportIsBitIdentical)
     ExperimentRunner on(quickSingle(), on_opts);
     RunResult a = on.run("profess", programs, 7, "mix");
     // The run wrote its shard; the owner of the options merges.
-    mergeShards(prom, {shardFileName("mix_profess")});
+    mergeShards(prom, {"mix_profess"});
 
     ExperimentRunner off(quickSingle());
     RunResult b = off.run("profess", programs, 7, "mix");
@@ -595,7 +586,7 @@ TEST(RunTelemetry, WritesRunArtifacts)
     bundle.finish("profess", "mcf", 5, configJson(sys_cfg), true);
 
     const std::string dir = bundle.directory();
-    for (const char *f : {"manifest.json", "stats.json",
+    for (const char *f : {"manifest.json", "metrics.prom",
                           "epochs.jsonl", "decisions.jsonl",
                           "trace.json"}) {
         EXPECT_TRUE(fileExists(dir + "/" + f)) << f;
@@ -605,6 +596,7 @@ TEST(RunTelemetry, WritesRunArtifacts)
               std::string::npos);
     EXPECT_NE(manifest.find("\"smoke run:1\""), std::string::npos);
     EXPECT_NE(manifest.find("\"seed\": 5"), std::string::npos);
+    EXPECT_NE(manifest.find("\"completed\": true"), std::string::npos);
     std::string decisions = readFile(dir + "/decisions.jsonl");
     EXPECT_NE(decisions.find("\"summary\""), std::string::npos);
     std::string chrome = readFile(dir + "/trace.json");
@@ -651,11 +643,6 @@ TEST(Histogram, UnderflowOverflowAccounting)
     EXPECT_EQ(h.bucket(0), 1u);
     EXPECT_EQ(h.bucket(3), 1u);
     EXPECT_EQ(h.summary().count(), 5u);
-
-    std::string json =
-        dumpToString([&h](std::FILE *f) { h.dumpJson(f); });
-    EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"overflow\":2"), std::string::npos);
 }
 
 TEST(HistogramDeathTest, RejectsInvalidBucketEdges)
