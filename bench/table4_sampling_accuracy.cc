@@ -17,6 +17,7 @@
  */
 
 #include "bench_util.hh"
+#include "core/rsm.hh"
 
 using namespace profess;
 using namespace profess::bench;
@@ -57,8 +58,7 @@ main(int argc, char **argv)
         sim::System sys(cfg, "profess", std::move(src));
         sys.run();
 
-        core::ProfessPolicy *pf = sys.professPolicy();
-        const auto &hist = pf->rsm().history(0);
+        const auto &hist = sys.policy().rsm()->history(0);
         RunningStat req, raw, avg;
         for (const auto &s : hist) {
             req.add(s.reqStdPct);

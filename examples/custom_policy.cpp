@@ -2,14 +2,14 @@
  * @file
  * Writing a custom migration policy against the public API.
  *
- * Implements "EagerReuse", a ~40-line policy a downstream user might
+ * Implements "EagerReuse", a ~20-line policy a downstream user might
  * prototype: promote an M2 block once its STC access counter shows
  * at least `k` accesses in the current residency AND the incumbent
  * has seen fewer - a middle ground between CAMEO's threshold-1 and
- * MDM's learned predictions.  The example plugs it into a System via
- * hybrid::HybridController directly (the policy registry in
- * sim::System covers only built-ins) and races it against three
- * built-ins on the same workload.
+ * MDM's learned predictions.  sim::System builds it through a
+ * policy factory (sim::PolicyFactory), so it runs under the same
+ * knobs, warm-up and measurement window as the three built-ins it
+ * races on the same trace.
  *
  * Usage: custom_policy [program=soplex] [k=4] [<knob>=<value>]...
  * where <knob> is any SystemConfig knob (forEachKnob in
@@ -21,7 +21,8 @@
 
 #include "common/key_value.hh"
 #include "policy/policy.hh"
-#include "sim/experiment.hh"
+#include "sim/system.hh"
+#include "trace/spec_profiles.hh"
 
 using namespace profess;
 
@@ -52,72 +53,34 @@ class EagerReusePolicy : public policy::MigrationPolicy
     unsigned k_;
 };
 
-/** Run one program under an externally supplied policy. */
-sim::RunResult
-runWithPolicy(const sim::SystemConfig &cfg,
-              policy::MigrationPolicy &pol,
-              const std::string &program)
+/** Run `program` alone under the policy `make` builds; print a row. */
+void
+runRow(const sim::SystemConfig &cfg, const sim::PolicyFactory &make,
+       const std::string &program)
 {
-    // Assemble the system pieces by hand - the same wiring
-    // sim::System does internally, using only public headers.
-    EventQueue eq;
-    mem::MemorySystemConfig mc;
-    mc.numChannels = cfg.numChannels;
-    mc.m1BytesPerChannel = cfg.m1BytesPerChannel;
-    mc.m2BytesPerChannel = cfg.m2BytesPerChannel;
-    mem::MemorySystem memory(eq, mc);
+    // Every row replays the same trace (ExperimentRunner's seed for
+    // a stand-alone run).
+    std::vector<std::unique_ptr<trace::TraceSource>> sources;
+    sources.push_back(
+        trace::makeSpecSource(program, trace::defaultScale, 1 + 1009));
+    sim::System sys(cfg, make, std::move(sources));
+    sys.run();
 
-    hybrid::HybridLayout layout = hybrid::HybridLayout::build(
-        cfg.m1BytesPerChannel, cfg.m2BytesPerChannel,
-        cfg.numChannels, cfg.numRegions, cfg.slotsPerGroup);
-    os::PageAllocator alloc(layout.numGroups, cfg.slotsPerGroup,
-                            cfg.numRegions, 1, cfg.allocSeed);
-
-    hybrid::HybridController::Params hp;
-    hp.stc = cfg.stc;
-    hp.numPrograms = 1;
-    hybrid::HybridController ctrl(eq, memory, layout, hp, pol,
-                                  alloc);
-
-    struct Port : public cpu::MemPort
-    {
-        os::PageAllocator *alloc;
-        hybrid::HybridController *ctrl;
-        void
-        issue(ProgramId p, Addr vaddr, bool w,
-              InlineCallback done) override
-        {
-            std::uint64_t frame =
-                alloc->translate(p, vaddr / os::pageBytes);
-            ctrl->access(p,
-                         frame * os::pageBytes +
-                             vaddr % os::pageBytes,
-                         w, std::move(done));
-        }
-    } port;
-    port.alloc = &alloc;
-    port.ctrl = &ctrl;
-
-    auto source =
-        trace::makeSpecSource(program, trace::defaultScale, 1);
-    cpu::CoreModel core(eq, cfg.core, *source, port, 0);
-    core.start();
-    ctrl.startPeriodic();
-    eq.run([&]() { return core.quotaReached(); });
-    ctrl.stopPeriodic();
-
-    sim::RunResult r;
-    r.policy = pol.name();
-    r.ipc.push_back(core.ipcAtQuota());
-    r.servedTotal = ctrl.servedTotal();
-    r.swaps = ctrl.swapCount();
-    r.stcHitRate = ctrl.stcHitRate();
-    const auto &ps = ctrl.programStats(0);
-    r.m1Fraction =
-        ps.served ? static_cast<double>(ps.servedFromM1) /
-                        static_cast<double>(ps.served)
-                  : 0.0;
-    return r;
+    // Controller statistics cover the measurement window only.
+    const hybrid::HybridController &hc = sys.controller();
+    std::uint64_t served = hc.servedTotal();
+    std::uint64_t swaps = hc.swapCount();
+    auto pct = [served](std::uint64_t n) {
+        return served ? 100.0 * static_cast<double>(n) /
+                            static_cast<double>(served)
+                      : 0.0;
+    };
+    std::printf("%-12s %8.3f %7.1f%% %8llu %8.2f%%\n",
+                sys.policy().name(),
+                sys.core(0).quotaReached() ? sys.core(0).ipcAtQuota()
+                                           : 0.0,
+                pct(hc.programStats(0).servedFromM1),
+                static_cast<unsigned long long>(swaps), pct(swaps));
 }
 
 } // anonymous namespace
@@ -143,23 +106,13 @@ main(int argc, char **argv)
     std::printf("%-12s %8s %8s %8s %9s\n", "policy", "IPC", "M1%",
                 "swaps", "swapFrac");
 
-    EagerReusePolicy eager(k);
-    sim::RunResult r = runWithPolicy(sys, eager, program);
-    std::printf("%-12s %8.3f %7.1f%% %8llu %8.2f%%\n", r.policy.c_str(),
-                r.ipc[0], 100.0 * r.m1Fraction,
-                static_cast<unsigned long long>(r.swaps),
-                r.servedTotal
-                    ? 100.0 * static_cast<double>(r.swaps) /
-                          static_cast<double>(r.servedTotal)
-                    : 0.0);
-
-    sim::ExperimentRunner runner(sys);
-    for (const char *pol : {"cameo", "pom", "mdm"}) {
-        sim::RunResult b = runner.run(pol, {program});
-        std::printf("%-12s %8.3f %7.1f%% %8llu %8.2f%%\n", pol,
-                    b.ipc[0], 100.0 * b.m1Fraction,
-                    static_cast<unsigned long long>(b.swaps),
-                    100.0 * b.swapFraction);
-    }
+    runRow(sys,
+           [k](const sim::SystemConfig &, const hybrid::HybridLayout &,
+               const os::PageAllocator &, unsigned) {
+               return std::make_unique<EagerReusePolicy>(k);
+           },
+           program);
+    for (const char *pol : {"cameo", "pom", "mdm"})
+        runRow(sys, sim::findPolicy(pol), program);
     return 0;
 }

@@ -2,20 +2,21 @@
  * @file
  * Policy inspector: runs one program (or a workload) and dumps the
  * internal state of the active migration policy - MDM's learned
- * expectation tables and decision-path histogram, RSM's slowdown
- * factors, PoM's active threshold.  Demonstrates the introspection
- * surface of the public API.
+ * expectation tables and decision-path histogram and RSM's slowdown
+ * factors for every policy that has them (MigrationPolicy::mdm(),
+ * rsm()), ProFess's Table 7 case counts, PoM's active threshold.
+ * Demonstrates the introspection surface of the public API.
  *
  * Usage: policy_inspector [program=<name>|workload=<wNN>]
- *                         [policy=mdm|profess|pom] [<knob>=<value>]...
- * where <knob> is any SystemConfig knob (forEachKnob in
+ *                         [policy=<name>] [<knob>=<value>]...
+ * where <name> is any built-in policy (sim::policyNames(); default
+ * mdm) and <knob> is any SystemConfig knob (forEachKnob in
  * sim/system.hh), e.g. instr=<n> (default 4M).
  */
 
 #include <cstdio>
 
 #include "common/key_value.hh"
-#include "core/mdm_policy.hh"
 #include "core/profess.hh"
 #include "policy/pom.hh"
 #include "sim/experiment.hh"
@@ -133,25 +134,26 @@ main(int argc, char **argv)
                     system.controller().swapCount()),
                 100.0 * system.controller().stcHitRate());
 
-    if (auto *mp = dynamic_cast<core::MdmPolicy *>(&system.policy())) {
-        dumpMdm(mp->engine(), system.numPrograms());
-    } else if (auto *pp = system.professPolicy()) {
-        dumpMdm(pp->mdm(), system.numPrograms());
-        dumpRsm(pp->rsm(), system.numPrograms());
+    policy::MigrationPolicy &pol = system.policy();
+    if (const core::Mdm *mdm = pol.mdm())
+        dumpMdm(*mdm, system.numPrograms());
+    if (const core::Rsm *rsm = pol.rsm())
+        dumpRsm(*rsm, system.numPrograms());
+    if (auto *pp = dynamic_cast<core::ProfessPolicy *>(&pol)) {
+        using GC = core::GuidanceCase;
         std::printf("\nTable 7 case counts: same=%llu c1=%llu "
                     "c2=%llu c3=%llu default=%llu\n",
-                    static_cast<unsigned long long>(pp->caseCount(
-                        core::ProfessPolicy::GuidanceCase::SameProgram)),
-                    static_cast<unsigned long long>(pp->caseCount(
-                        core::ProfessPolicy::GuidanceCase::Case1)),
-                    static_cast<unsigned long long>(pp->caseCount(
-                        core::ProfessPolicy::GuidanceCase::Case2)),
-                    static_cast<unsigned long long>(pp->caseCount(
-                        core::ProfessPolicy::GuidanceCase::Case3)),
-                    static_cast<unsigned long long>(pp->caseCount(
-                        core::ProfessPolicy::GuidanceCase::Default)));
-    } else if (auto *pom =
-                   dynamic_cast<policy::PomPolicy *>(&system.policy())) {
+                    static_cast<unsigned long long>(
+                        pp->caseCount(GC::SameProgram)),
+                    static_cast<unsigned long long>(
+                        pp->caseCount(GC::Case1)),
+                    static_cast<unsigned long long>(
+                        pp->caseCount(GC::Case2)),
+                    static_cast<unsigned long long>(
+                        pp->caseCount(GC::Case3)),
+                    static_cast<unsigned long long>(
+                        pp->caseCount(GC::Default)));
+    } else if (auto *pom = dynamic_cast<policy::PomPolicy *>(&pol)) {
         std::printf("\nPoM active threshold: %u (adaptations %llu)\n",
                     pom->activeThreshold(),
                     static_cast<unsigned long long>(

@@ -2,9 +2,9 @@
  * @file
  * Trace record & replay: deterministic experiment pipelines.
  *
- * 1. Builds an instruction-level synthetic stream, filters it
- *    through the Table 8 L1/L2/L3 hierarchy (cpu::CacheFilterSource)
- *    and records the resulting main-memory trace to a file.
+ * 1. Records soplex's main-memory access stream - the post-L3
+ *    stream trace::makeSpecSource generates for every figure - to a
+ *    file.
  * 2. Replays the file through the full system twice under two
  *    policies, demonstrating bit-identical inputs for comparisons
  *    (this is how externally captured traces - e.g. converted Pin
@@ -20,8 +20,8 @@
 #include <cstdio>
 
 #include "common/key_value.hh"
-#include "cpu/cache_filter.hh"
-#include "sim/experiment.hh"
+#include "sim/system.hh"
+#include "trace/spec_profiles.hh"
 #include "trace/trace_file.hh"
 
 using namespace profess;
@@ -43,31 +43,13 @@ main(int argc, char **argv)
             sim::applyKnob(sys, kv);
     }
 
-    // 1. Record: instruction-level stream -> cache hierarchy ->
-    //    main-memory trace.
-    trace::SyntheticParams sp;
-    sp.footprintBytes = 4 * MiB;
-    sp.mpki = 500.0; // instruction-level accesses, pre-filter
-    sp.writeFraction = 0.3;
-    sp.seed = 42;
-    auto mix = std::make_unique<trace::MixedPattern>();
-    mix->add(0.6, std::make_unique<trace::MultiStreamPattern>(
-                      sp.footprintBytes, 8));
-    mix->add(0.4, std::make_unique<trace::HotspotPattern>(
-                      sp.footprintBytes, 1.0));
-    trace::SyntheticTraceSource inner(sp, std::move(mix));
-    cpu::CacheFilterSource filtered(inner,
-                                    cache::Hierarchy::Params{});
+    // 1. Record soplex's main-memory stream.
+    auto source =
+        trace::makeSpecSource("soplex", trace::defaultScale, 42);
     std::uint64_t written =
-        trace::recordTrace(filtered, accesses, path);
-    std::printf("recorded %llu post-L3 accesses to %s\n",
-                static_cast<unsigned long long>(written),
-                path.c_str());
-    std::printf("  (consumed %llu instruction-level accesses; L3 "
-                "hit rate %.1f%%)\n",
-                static_cast<unsigned long long>(
-                    filtered.consumed()),
-                100.0 * filtered.hierarchy().l3().hitRate());
+        trace::recordTrace(*source, accesses, path);
+    std::printf("recorded %llu main-memory accesses of soplex to %s\n",
+                static_cast<unsigned long long>(written), path.c_str());
 
     // 2. Replay the identical stream under two policies.
     std::printf("\nreplaying under pom and profess:\n");

@@ -58,9 +58,7 @@ class MdmPolicy : public policy::MigrationPolicy
                              entry);
     }
 
-    /** @return the prediction engine (tests, reporting). */
-    Mdm &engine() { return mdm_; }
-    const Mdm &engine() const { return mdm_; }
+    Mdm *mdm() override { return &mdm_; }
 
     void
     setTraceSink(telemetry::DecisionTraceSink *sink) override

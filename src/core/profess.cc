@@ -9,33 +9,6 @@ namespace profess
 namespace core
 {
 
-ProfessPolicy::GuidanceCase
-ProfessPolicy::classify(const policy::AccessInfo &info) const
-{
-    ProgramId c1 = info.m1Owner;   // program owning the M1 block
-    ProgramId c2 = info.accessor;  // program accessing M2
-    if (c1 == invalidProgram || c1 == c2)
-        return GuidanceCase::SameProgram;
-
-    double t = params_.factorThreshold;
-    double tp = params_.productThreshold;
-    double sfa1 = rsm_.sfA(c1), sfa2 = rsm_.sfA(c2);
-    double sfb1 = rsm_.sfB(c1), sfb2 = rsm_.sfB(c2);
-
-    bool a1_lt_a2 = sfa1 * t < sfa2;
-    bool a1_gt_a2 = sfa1 > sfa2 * t;
-    bool b1_lt_b2 = sfb1 * t < sfb2;
-    bool b1_gt_b2 = sfb1 > sfb2 * t;
-
-    if (a1_lt_a2 && b1_lt_b2)
-        return GuidanceCase::Case1;
-    if (a1_gt_a2 && b1_gt_b2)
-        return GuidanceCase::Case2;
-    if (a1_lt_a2 && b1_gt_b2 && sfa1 * sfb1 > sfa2 * sfb2 * tp)
-        return GuidanceCase::Case3;
-    return GuidanceCase::Default;
-}
-
 policy::Decision
 ProfessPolicy::onM2Access(const policy::AccessInfo &info)
 {

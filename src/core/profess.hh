@@ -85,26 +85,17 @@ class ProfessPolicy : public policy::MigrationPolicy
         rsm_.onSwap(promoted_owner, demoted_owner, private_region);
     }
 
-    /** Table 7 case applied on the last cross-program access. */
-    enum class GuidanceCase
+    /** @return the Table 7 case for the given access. */
+    GuidanceCase
+    classify(const policy::AccessInfo &info) const
     {
-        SameProgram,
-        Case1,
-        Case2,
-        Case3,
-        Default
-    };
+        return classifyGuidance(rsm_, info.m1Owner, info.accessor,
+                                params_.factorThreshold,
+                                params_.productThreshold);
+    }
 
-    /** @return the Table 7 case for the given access (for tests). */
-    GuidanceCase classify(const policy::AccessInfo &info) const;
-
-    /** @return RSM sub-component. */
-    Rsm &rsm() { return rsm_; }
-    const Rsm &rsm() const { return rsm_; }
-
-    /** @return MDM sub-component. */
-    Mdm &mdm() { return mdm_; }
-    const Mdm &mdm() const { return mdm_; }
+    Rsm *rsm() override { return &rsm_; }
+    Mdm *mdm() override { return &mdm_; }
 
     /** Count of decisions per Table 7 case (diagnostics). */
     std::uint64_t caseCount(GuidanceCase c) const

@@ -17,6 +17,9 @@
  *
  * Convention (matching os::PageAllocator): region i < numPrograms is
  * the private region of program i; all other regions are shared.
+ *
+ * classifyGuidance() turns two programs' factors into a Table 7
+ * case; every RSM-guided policy decides through it.
  */
 
 #ifndef PROFESS_CORE_RSM_HH
@@ -164,6 +167,50 @@ class Rsm
     std::vector<ProgState> progs_;
     telemetry::DecisionTraceSink *trace_ = nullptr;
 };
+
+/** Table 7 case of a candidate swap (Sec. 3.3). */
+enum class GuidanceCase
+{
+    SameProgram,
+    Case1,
+    Case2,
+    Case3,
+    Default
+};
+
+/**
+ * Classify a candidate swap by Table 7: program c1 owns the M1
+ * block, program c2 accesses the M2 block.  Each single-factor
+ * comparison ignores differences within `factor_threshold`, Case 3's
+ * product comparison those within `product_threshold` (Sec. 3.3:
+ * 1/32 and 1/16 above 1).  Inline so the per-access callers
+ * (ProfessPolicy, RsmGuidedPolicy) keep it in their decision path.
+ */
+inline GuidanceCase
+classifyGuidance(const Rsm &rsm, ProgramId c1, ProgramId c2,
+                 double factor_threshold, double product_threshold)
+{
+    if (c1 == invalidProgram || c1 == c2)
+        return GuidanceCase::SameProgram;
+
+    double t = factor_threshold;
+    double sfa1 = rsm.sfA(c1), sfa2 = rsm.sfA(c2);
+    double sfb1 = rsm.sfB(c1), sfb2 = rsm.sfB(c2);
+
+    bool a1_lt_a2 = sfa1 * t < sfa2;
+    bool a1_gt_a2 = sfa1 > sfa2 * t;
+    bool b1_lt_b2 = sfb1 * t < sfb2;
+    bool b1_gt_b2 = sfb1 > sfb2 * t;
+
+    if (a1_lt_a2 && b1_lt_b2)
+        return GuidanceCase::Case1;
+    if (a1_gt_a2 && b1_gt_b2)
+        return GuidanceCase::Case2;
+    if (a1_lt_a2 && b1_gt_b2 &&
+        sfa1 * sfb1 > sfa2 * sfb2 * product_threshold)
+        return GuidanceCase::Case3;
+    return GuidanceCase::Default;
+}
 
 } // namespace core
 

@@ -30,10 +30,13 @@ namespace core
 class RsmGuidedPolicy : public policy::MigrationPolicy
 {
   public:
+    /**
+     * @param factor_threshold Table 7 single-factor threshold.
+     * @param product_threshold Table 7 Case 3 product threshold.
+     */
     RsmGuidedPolicy(std::unique_ptr<policy::MigrationPolicy> inner,
                     const Rsm::Params &rsm_params,
-                    double factor_threshold = 1.0 + 1.0 / 32.0,
-                    double product_threshold = 1.0 + 1.0 / 16.0)
+                    double factor_threshold, double product_threshold)
         : inner_(std::move(inner)), rsm_(rsm_params),
           factorThreshold_(factor_threshold),
           productThreshold_(product_threshold),
@@ -57,33 +60,21 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
     policy::Decision
     onM2Access(const policy::AccessInfo &info) override
     {
-        ProgramId c1 = info.m1Owner;
-        ProgramId c2 = info.accessor;
-        if (c1 == invalidProgram || c1 == c2)
-            return inner_->onM2Access(info);
-
-        double t = factorThreshold_;
-        double sfa1 = rsm_.sfA(c1), sfa2 = rsm_.sfA(c2);
-        double sfb1 = rsm_.sfB(c1), sfb2 = rsm_.sfB(c2);
-        bool a1_lt = sfa1 * t < sfa2;
-        bool a1_gt = sfa1 > sfa2 * t;
-        bool b1_lt = sfb1 * t < sfb2;
-        bool b1_gt = sfb1 > sfb2 * t;
-
-        if (a1_lt && b1_lt) {
-            inner_->onM2Access(info); // keep inner state warm
+        GuidanceCase c =
+            classifyGuidance(rsm_, info.m1Owner, info.accessor,
+                             factorThreshold_, productThreshold_);
+        // The inner policy sees every access, so its state stays
+        // warm whatever the guidance decides.
+        policy::Decision d = inner_->onM2Access(info);
+        switch (c) {
+          case GuidanceCase::Case1:
             return policy::Decision::Swap;
-        }
-        if (a1_gt && b1_gt) {
-            inner_->onM2Access(info);
+          case GuidanceCase::Case2:
+          case GuidanceCase::Case3:
             return policy::Decision::NoSwap;
+          default:
+            return d;
         }
-        if (a1_lt && b1_gt &&
-            sfa1 * sfb1 > sfa2 * sfb2 * productThreshold_) {
-            inner_->onM2Access(info);
-            return policy::Decision::NoSwap;
-        }
-        return inner_->onM2Access(info);
     }
 
     void
@@ -132,8 +123,8 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
 
     void onPeriodic() override { inner_->onPeriodic(); }
 
-    /** @return the RSM sub-component. */
-    Rsm &rsm() { return rsm_; }
+    Rsm *rsm() override { return &rsm_; }
+    Mdm *mdm() override { return inner_->mdm(); }
 
     /** Audit the RSM bookkeeping and the wrapped inner policy. */
     void

@@ -11,8 +11,10 @@
  * registers).
  *
  * Implementations in this repo: PoM, MemPod (MEA), CAMEO-style,
- * SILC-FM-style, static always/never (src/policy), and the paper's
- * MDM and ProFess (src/core).
+ * SILC-FM-style, OS coarse-grain, static always/never (src/policy),
+ * and the paper's MDM, ProFess and RSM-guided wrapper (src/core).
+ * The policy table in sim/system.cc names and builds each of them
+ * (sim::policyNames(), sim::findPolicy()).
  */
 
 #ifndef PROFESS_POLICY_POLICY_HH
@@ -33,6 +35,12 @@ namespace telemetry
 class StatRegistry;
 class DecisionTraceSink;
 } // namespace telemetry
+
+namespace core
+{
+class Mdm;
+class Rsm;
+} // namespace core
 
 namespace policy
 {
@@ -191,6 +199,15 @@ class MigrationPolicy
      * tests in any build; the default has nothing to check.
      */
     virtual void auditInvariants() const {}
+
+    /**
+     * @return the policy's RSM slowdown estimator, or nullptr if it
+     *         has none (fairness gauges, scenario pins, reports).
+     */
+    virtual core::Rsm *rsm() { return nullptr; }
+
+    /** @return the policy's MDM predictor, or nullptr if it has none. */
+    virtual core::Mdm *mdm() { return nullptr; }
 
   protected:
     SwapHost *host_ = nullptr;

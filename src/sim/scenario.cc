@@ -9,8 +9,8 @@
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
-#include "core/mdm_policy.hh"
-#include "core/profess.hh"
+#include "core/mdm.hh"
+#include "core/rsm.hh"
 #include "mem/memory_system.hh"
 #include "sim/system.hh"
 
@@ -432,47 +432,40 @@ ScenarioController::fire(const Intervention &iv)
         break;
       }
       case InterventionKind::PinRsm: {
-        core::ProfessPolicy *pp = sys_->professPolicy();
-        if (pp == nullptr) {
+        core::Rsm *rsm = sys_->policy().rsm();
+        if (rsm == nullptr) {
             note(EventCode::PinUnsupported, 0, now);
             break;
         }
         if (iv.program < 0) {
             for (unsigned p = 0; p < sys_->numPrograms(); ++p)
-                pp->rsm().pinFactors(static_cast<ProgramId>(p),
-                                     iv.sfA, iv.sfB);
+                rsm->pinFactors(static_cast<ProgramId>(p), iv.sfA,
+                                iv.sfB);
         } else {
-            pp->rsm().pinFactors(
-                static_cast<ProgramId>(iv.program), iv.sfA, iv.sfB);
+            rsm->pinFactors(static_cast<ProgramId>(iv.program),
+                            iv.sfA, iv.sfB);
         }
         note(EventCode::RsmPin, 0, now, iv.sfA, iv.sfB);
         break;
       }
       case InterventionKind::UnpinRsm: {
-        core::ProfessPolicy *pp = sys_->professPolicy();
-        if (pp == nullptr) {
+        core::Rsm *rsm = sys_->policy().rsm();
+        if (rsm == nullptr) {
             note(EventCode::PinUnsupported, 0, now);
             break;
         }
         if (iv.program < 0) {
             for (unsigned p = 0; p < sys_->numPrograms(); ++p)
-                pp->rsm().unpinFactors(static_cast<ProgramId>(p));
+                rsm->unpinFactors(static_cast<ProgramId>(p));
         } else {
-            pp->rsm().unpinFactors(
-                static_cast<ProgramId>(iv.program));
+            rsm->unpinFactors(static_cast<ProgramId>(iv.program));
         }
         note(EventCode::RsmUnpin, 0, now);
         break;
       }
       case InterventionKind::PinMdm:
       case InterventionKind::UnpinMdm: {
-        core::Mdm *mdm = nullptr;
-        if (core::ProfessPolicy *pp = sys_->professPolicy()) {
-            mdm = &pp->mdm();
-        } else if (auto *mp = dynamic_cast<core::MdmPolicy *>(
-                       &sys_->policy())) {
-            mdm = &mp->engine();
-        }
+        core::Mdm *mdm = sys_->policy().mdm();
         if (mdm == nullptr) {
             note(EventCode::PinUnsupported, 0, now);
         } else if (iv.kind == InterventionKind::PinMdm) {

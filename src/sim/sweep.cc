@@ -86,8 +86,10 @@ SweepSpec::fromFile(const std::string &path)
                          where, kv.value.c_str());
                 s.preset = kv.value;
             } else if (kv.key == "policy") {
-                for (const std::string &p : splitList(kv.value, ','))
+                for (const std::string &p : splitList(kv.value, ',')) {
+                    findPolicy(p, kv.where);
                     s.policies.push_back(p);
+                }
             } else if (kv.key == "workload") {
                 for (const std::string &m : splitList(kv.value, ','))
                     s.mixes.push_back(m);

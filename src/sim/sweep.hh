@@ -75,8 +75,8 @@ class SweepSpec
      * Parse a spec file: '#' comments, whitespace-separated
      * key=value tokens (readKeyValueLines).  Fatal with file:line
      * on malformed input, unknown keys, knob values that do not
-     * parse or fit, unknown workloads/programs, or a second sweep=
-     * axis.
+     * parse or fit, unknown policies (findPolicy) or
+     * workloads/programs, or a second sweep= axis.
      */
     static SweepSpec fromFile(const std::string &path);
 

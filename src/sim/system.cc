@@ -7,6 +7,7 @@
 #include "common/key_value.hh"
 
 #include "core/mdm_policy.hh"
+#include "core/profess.hh"
 #include "core/rsm_guided.hh"
 #include "policy/cameo.hh"
 #include "policy/mempod.hh"
@@ -81,77 +82,145 @@ deriveMinBenefit(const mem::TimingParams &m1,
 namespace
 {
 
-std::unique_ptr<policy::MigrationPolicy>
-makePolicy(const std::string &name, const SystemConfig &cfg,
-           const hybrid::HybridLayout &layout,
-           const os::PageAllocator &alloc, unsigned num_programs)
+using PolicyPtr = std::unique_ptr<policy::MigrationPolicy>;
+
+core::Mdm::Params
+mdmParams(const SystemConfig &cfg, unsigned num_programs)
 {
-    core::Mdm::Params mdm;
-    mdm.numPrograms = num_programs;
-    mdm.minBenefit = cfg.minBenefit;
-
-    core::Rsm::Params rsm;
-    rsm.numPrograms = num_programs;
-    rsm.numRegions = cfg.numRegions;
-    rsm.sampleRequests = cfg.msamp;
-    rsm.perRegionStats = cfg.rsmPerRegionStats;
-
-    if (name == "profess") {
-        core::ProfessPolicy::Params p;
-        p.mdm = mdm;
-        p.rsm = rsm;
-        p.factorThreshold = cfg.professFactorThreshold;
-        p.productThreshold = cfg.professProductThreshold;
-        return std::make_unique<core::ProfessPolicy>(layout, alloc,
-                                                     p);
-    }
-    if (name == "mdm")
-        return std::make_unique<core::MdmPolicy>(layout, alloc, mdm);
-    if (name == "pom") {
-        policy::PomPolicy::Params p;
-        p.k = cfg.minBenefit;
-        return std::make_unique<policy::PomPolicy>(layout.numGroups,
-                                                   p);
-    }
-    if (name == "rsm-pom") {
-        policy::PomPolicy::Params p;
-        p.k = cfg.minBenefit;
-        auto inner = std::make_unique<policy::PomPolicy>(
-            layout.numGroups, p);
-        return std::make_unique<core::RsmGuidedPolicy>(
-            std::move(inner), rsm);
-    }
-    if (name == "mempod") {
-        return std::make_unique<policy::MemPodPolicy>(
-            cfg.numChannels, cfg.numChannels);
-    }
-    if (name == "cameo")
-        return std::make_unique<policy::CameoPolicy>(1);
-    if (name == "silcfm") {
-        return std::make_unique<policy::SilcFmPolicy>(
-            layout.numGroups);
-    }
-    if (name == "never")
-        return std::make_unique<policy::NeverPolicy>();
-    if (name == "always")
-        return std::make_unique<policy::AlwaysPolicy>();
-    if (name == "oscoarse")
-        return std::make_unique<policy::OsCoarsePolicy>(layout);
-    fatal("unknown policy '%s'", name.c_str());
+    core::Mdm::Params p;
+    p.numPrograms = num_programs;
+    p.minBenefit = cfg.minBenefit;
+    return p;
 }
+
+core::Rsm::Params
+rsmParams(const SystemConfig &cfg, unsigned num_programs)
+{
+    core::Rsm::Params p;
+    p.numPrograms = num_programs;
+    p.numRegions = cfg.numRegions;
+    p.sampleRequests = cfg.msamp;
+    p.perRegionStats = cfg.rsmPerRegionStats;
+    return p;
+}
+
+std::unique_ptr<policy::PomPolicy>
+makePom(const SystemConfig &cfg, const hybrid::HybridLayout &layout)
+{
+    policy::PomPolicy::Params p;
+    p.k = cfg.minBenefit;
+    return std::make_unique<policy::PomPolicy>(layout.numGroups, p);
+}
+
+/** A built-in policy: its name and its factory. */
+struct PolicyEntry
+{
+    const char *name;
+    PolicyFactoryFn *make;
+};
+
+// The policy table.  Each factory takes (cfg, layout, alloc,
+// num_programs) as PolicyFactoryFn declares them; parameters a
+// policy does not use stay unnamed.
+constexpr PolicyEntry policyTable[] = {
+    {"profess",
+     [](const auto &cfg, const auto &layout, const auto &alloc,
+        unsigned n) -> PolicyPtr {
+         core::ProfessPolicy::Params p;
+         p.mdm = mdmParams(cfg, n);
+         p.rsm = rsmParams(cfg, n);
+         p.factorThreshold = cfg.professFactorThreshold;
+         p.productThreshold = cfg.professProductThreshold;
+         return std::make_unique<core::ProfessPolicy>(layout, alloc,
+                                                      p);
+     }},
+    {"mdm",
+     [](const auto &cfg, const auto &layout, const auto &alloc,
+        unsigned n) -> PolicyPtr {
+         return std::make_unique<core::MdmPolicy>(layout, alloc,
+                                                  mdmParams(cfg, n));
+     }},
+    {"pom",
+     [](const auto &cfg, const auto &layout, const auto &,
+        unsigned) -> PolicyPtr { return makePom(cfg, layout); }},
+    {"rsm-pom",
+     [](const auto &cfg, const auto &layout, const auto &,
+        unsigned n) -> PolicyPtr {
+         return std::make_unique<core::RsmGuidedPolicy>(
+             makePom(cfg, layout), rsmParams(cfg, n),
+             cfg.professFactorThreshold, cfg.professProductThreshold);
+     }},
+    {"mempod",
+     [](const auto &cfg, const auto &, const auto &,
+        unsigned) -> PolicyPtr {
+         return std::make_unique<policy::MemPodPolicy>(
+             cfg.numChannels, cfg.numChannels);
+     }},
+    {"cameo",
+     [](const auto &, const auto &, const auto &,
+        unsigned) -> PolicyPtr {
+         return std::make_unique<policy::CameoPolicy>(1);
+     }},
+    {"silcfm",
+     [](const auto &, const auto &layout, const auto &,
+        unsigned) -> PolicyPtr {
+         return std::make_unique<policy::SilcFmPolicy>(
+             layout.numGroups);
+     }},
+    {"never",
+     [](const auto &, const auto &, const auto &,
+        unsigned) -> PolicyPtr {
+         return std::make_unique<policy::NeverPolicy>();
+     }},
+    {"always",
+     [](const auto &, const auto &, const auto &,
+        unsigned) -> PolicyPtr {
+         return std::make_unique<policy::AlwaysPolicy>();
+     }},
+    {"oscoarse",
+     [](const auto &, const auto &layout, const auto &,
+        unsigned) -> PolicyPtr {
+         return std::make_unique<policy::OsCoarsePolicy>(layout);
+     }},
+};
 
 } // anonymous namespace
 
-System::System(
-    const SystemConfig &cfg, const std::string &policy_name,
-    std::vector<std::unique_ptr<trace::TraceSource>> sources)
-    : System(cfg, policy_name, std::move(sources),
-             std::vector<ProgramId>{})
+std::vector<const char *>
+policyNames()
 {
+    std::vector<const char *> names;
+    for (const PolicyEntry &e : policyTable)
+        names.push_back(e.name);
+    return names;
+}
+
+PolicyFactoryFn *
+findPolicy(std::string_view name, const std::string &where)
+{
+    for (const PolicyEntry &e : policyTable) {
+        if (name == e.name)
+            return e.make;
+    }
+    std::string known;
+    for (const PolicyEntry &e : policyTable)
+        known += (known.empty() ? "" : ", ") + std::string(e.name);
+    fatal("%s%sunknown policy '%.*s' (known: %s)", where.c_str(),
+          where.empty() ? "" : ": ", static_cast<int>(name.size()),
+          name.data(), known.c_str());
 }
 
 System::System(
     const SystemConfig &cfg, const std::string &policy_name,
+    std::vector<std::unique_ptr<trace::TraceSource>> sources,
+    std::vector<ProgramId> core_program)
+    : System(cfg, findPolicy(policy_name), std::move(sources),
+             std::move(core_program))
+{
+}
+
+System::System(
+    const SystemConfig &cfg, const PolicyFactory &make,
     std::vector<std::unique_ptr<trace::TraceSource>> sources,
     std::vector<ProgramId> core_program)
     : cfg_(cfg), sources_(std::move(sources)),
@@ -190,8 +259,7 @@ System::System(
         layout_.numGroups, cfg.slotsPerGroup, cfg.numRegions,
         num_programs, cfg.allocSeed);
 
-    policy_ = makePolicy(policy_name, cfg, layout_, *allocator_,
-                         num_programs);
+    policy_ = make(cfg, layout_, *allocator_, num_programs);
 
     hybrid::HybridController::Params hp;
     hp.stc = cfg.stc;
@@ -250,14 +318,9 @@ System::attachTelemetry(RunTelemetry &telemetry)
     controller_->setLatencyAttribution(attr);
 
     // Fairness gauges ride on RSM's slowdown factors, so they exist
-    // exactly when the policy carries an RSM (profess and its
-    // variants reachable through ProfessPolicy).
-    if (core::ProfessPolicy *pp = professPolicy()) {
-        registerFairnessGauges(reg, pp->rsm(), numPrograms_);
-    } else if (auto *rg = dynamic_cast<core::RsmGuidedPolicy *>(
-                   policy_.get())) {
-        registerFairnessGauges(reg, rg->rsm(), numPrograms_);
-    }
+    // exactly when the policy carries an RSM.
+    if (const core::Rsm *rsm = policy_->rsm())
+        registerFairnessGauges(reg, *rsm, numPrograms_);
 }
 
 void
@@ -265,12 +328,6 @@ System::auditInvariants() const
 {
     controller_->auditInvariants();
     eq_.auditInvariants();
-}
-
-core::ProfessPolicy *
-System::professPolicy()
-{
-    return dynamic_cast<core::ProfessPolicy *>(policy_.get());
 }
 
 double

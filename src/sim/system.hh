@@ -13,12 +13,13 @@
 #ifndef PROFESS_SIM_SYSTEM_HH
 #define PROFESS_SIM_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/event.hh"
-#include "core/profess.hh"
 #include "cpu/core_model.hh"
 #include "hybrid/hybrid_controller.hh"
 #include "mem/memory_system.hh"
@@ -115,32 +116,55 @@ unsigned deriveMinBenefit(const mem::TimingParams &m1,
                           const mem::TimingParams &m2,
                           std::uint64_t block_bytes);
 
+/**
+ * Builds a run's migration policy from the parts of its System: the
+ * configuration, the swap-group layout, the page allocator (the
+ * block-ownership oracle MDM consults) and the number of programs.
+ */
+using PolicyFactoryFn = std::unique_ptr<policy::MigrationPolicy>(
+    const SystemConfig &cfg, const hybrid::HybridLayout &layout,
+    const os::PageAllocator &alloc, unsigned num_programs);
+
+/** A PolicyFactoryFn that may carry state (custom policies). */
+using PolicyFactory = std::function<PolicyFactoryFn>;
+
+/**
+ * @return the names of the built-in policies, in the order of the
+ *         one policy table (system.cc) that System and sweep specs
+ *         read.
+ */
+std::vector<const char *> policyNames();
+
+/**
+ * @return the factory of the built-in policy called `name`.  Fatal,
+ *         listing every known name, when there is none; `where`
+ *         (file:line), when given, prefixes the message.
+ */
+PolicyFactoryFn *findPolicy(std::string_view name,
+                            const std::string &where = "");
+
 /** A built system running one multiprogrammed workload. */
 class System : public cpu::MemPort
 {
   public:
     /**
      * @param cfg Configuration.
-     * @param policy_name One of: profess, mdm, pom, mempod, cameo,
-     *        silcfm, always, never, rsm-pom, oscoarse.
-     * @param sources One trace source per core (ownership taken);
-     *        core i runs program i.
-     */
-    System(const SystemConfig &cfg, const std::string &policy_name,
-           std::vector<std::unique_ptr<trace::TraceSource>> sources);
-
-    /**
-     * Multi-threaded variant (Sec. 3.1.1: all threads of a program
-     * appear to RSM/MDM as one program).
-     *
-     * @param sources One trace source per core.
-     * @param core_program Program id of each core; ids must be
-     *        dense starting at 0.  Threads of one program share its
-     *        private region, statistics and ownership.
+     * @param policy_name A built-in policy (policyNames()).
+     * @param sources One trace source per core (ownership taken).
+     * @param core_program Program id of each core; empty means core
+     *        i runs program i.  Ids must be dense starting at 0;
+     *        threads of one program share its private region,
+     *        statistics and ownership (Sec. 3.1.1: all threads of a
+     *        program appear to RSM/MDM as one program).
      */
     System(const SystemConfig &cfg, const std::string &policy_name,
            std::vector<std::unique_ptr<trace::TraceSource>> sources,
-           std::vector<ProgramId> core_program);
+           std::vector<ProgramId> core_program = {});
+
+    /** As above, running the policy that `make` builds. */
+    System(const SystemConfig &cfg, const PolicyFactory &make,
+           std::vector<std::unique_ptr<trace::TraceSource>> sources,
+           std::vector<ProgramId> core_program = {});
 
     ~System() override;
 
@@ -190,9 +214,6 @@ class System : public cpu::MemPort
 
     /** @return the migration policy. */
     policy::MigrationPolicy &policy() { return *policy_; }
-
-    /** @return ProFess policy if active, else nullptr. */
-    core::ProfessPolicy *professPolicy();
 
     /** @return simulated seconds elapsed. */
     double seconds() const;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rsm.hh"
 #include "policy/os_coarse.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -57,9 +58,9 @@ TEST(MultiThreaded, TwoThreadsOneProgram)
     const auto &ps = sys.controller().programStats(0);
     EXPECT_GT(ps.served, sys.controller().programStats(1).served / 4);
     // RSM sees three programs.
-    core::ProfessPolicy *pf = sys.professPolicy();
-    ASSERT_NE(pf, nullptr);
-    EXPECT_GE(pf->rsm().periods(0), 1u);
+    core::Rsm *rsm = sys.policy().rsm();
+    ASSERT_NE(rsm, nullptr);
+    EXPECT_GE(rsm->periods(0), 1u);
 }
 
 TEST(MultiThreaded, ThreadsShareAddressSpace)

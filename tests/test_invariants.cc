@@ -109,11 +109,7 @@ TEST_P(PolicyInvariants, EndToEnd)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyInvariants,
-                         ::testing::Values("never", "always",
-                                           "cameo", "silcfm", "pom",
-                                           "mempod", "mdm",
-                                           "profess", "rsm-pom",
-                                           "oscoarse"));
+                         ::testing::ValuesIn(policyNames()));
 
 TEST(AuditSubsystem, SystemAuditRunsEverywhere)
 {
@@ -140,7 +136,7 @@ void
 driveFactors(core::ProfessPolicy &pol, ProgramId p, double sf_a,
              double sf_b)
 {
-    core::Rsm &rsm = pol.rsm();
+    core::Rsm &rsm = *pol.rsm();
     int shared_m1 = std::max(0, static_cast<int>(8.0 / sf_a) - 1);
     int swaps = static_cast<int>(sf_b) - 1;
     for (int i = 0; i < swaps; ++i)
@@ -183,7 +179,7 @@ TEST(AuditSubsystem, ForcedVacantSwapsKeepStIntegrity)
     info.m1Owner = 1;
     info.meta = &meta;
     ASSERT_EQ(pol.classify(info),
-              core::ProfessPolicy::GuidanceCase::Case1);
+              core::GuidanceCase::Case1);
 
     hybrid::SwapGroupTable st(layout);
     std::uint64_t before = audit::checksRun();

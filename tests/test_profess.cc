@@ -13,6 +13,7 @@
 #include "core/profess.hh"
 #include "core/rsm_guided.hh"
 #include "policy/static_policies.hh"
+#include "sim/system.hh"
 
 using namespace profess;
 using namespace profess::core;
@@ -62,7 +63,7 @@ struct ProfessFixture : public ::testing::Test
     {
         // Encode intent directly: high sf_a_intent -> low shared M1
         // fraction; high sf_b_intent -> many non-self swaps.
-        Rsm &rsm = pol->rsm();
+        Rsm &rsm = *pol->rsm();
         int shared_m1 =
             std::max(0, static_cast<int>(8.0 / sf_a_intent) - 1);
         int swaps = static_cast<int>(sf_b_intent) - 1;
@@ -83,17 +84,17 @@ TEST_F(ProfessFixture, SameProgramWhenOwnersMatch)
 {
     info.m1Owner = info.accessor;
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::SameProgram);
+              GuidanceCase::SameProgram);
     info.m1Owner = invalidProgram;
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::SameProgram);
+              GuidanceCase::SameProgram);
 }
 
 TEST_F(ProfessFixture, DefaultWhenFactorsEqual)
 {
     // Fresh RSM: SF_A = SF_B = 1 for both programs.
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::Default);
+              GuidanceCase::Default);
 }
 
 TEST_F(ProfessFixture, Case1WhenAccessorSuffers)
@@ -101,7 +102,7 @@ TEST_F(ProfessFixture, Case1WhenAccessorSuffers)
     setFactors(0, 4.0, 4.0); // c_M2 suffers
     setFactors(1, 1.0, 1.0);
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::Case1);
+              GuidanceCase::Case1);
 }
 
 TEST_F(ProfessFixture, Case2WhenIncumbentSuffers)
@@ -109,9 +110,9 @@ TEST_F(ProfessFixture, Case2WhenIncumbentSuffers)
     setFactors(0, 1.0, 1.0);
     setFactors(1, 4.0, 4.0); // c_M1 suffers
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::Case2);
+              GuidanceCase::Case2);
     EXPECT_EQ(pol->onM2Access(info), policy::Decision::NoSwap);
-    EXPECT_GT(pol->caseCount(ProfessPolicy::GuidanceCase::Case2),
+    EXPECT_GT(pol->caseCount(GuidanceCase::Case2),
               0u);
 }
 
@@ -122,7 +123,7 @@ TEST_F(ProfessFixture, Case3ProductProtectsIncumbent)
     setFactors(0, 2.0, 1.0);  // c2: SF_A high, SF_B low
     setFactors(1, 1.0, 8.0);  // c1: SF_A low, SF_B high
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::Case3);
+              GuidanceCase::Case3);
     EXPECT_EQ(pol->onM2Access(info), policy::Decision::NoSwap);
 }
 
@@ -132,13 +133,13 @@ TEST_F(ProfessFixture, MixedFactorsWithoutProductFallThrough)
     setFactors(0, 6.0, 1.0);
     setFactors(1, 1.0, 2.0);
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::Default);
+              GuidanceCase::Default);
 }
 
 TEST_F(ProfessFixture, ThresholdSuppressesTinyDifferences)
 {
     // Differences under ~3% must not trigger any case.
-    Rsm &rsm = pol->rsm();
+    Rsm &rsm = *pol->rsm();
     // Both programs identical by construction.
     for (ProgramId p : {0, 1}) {
         for (int i = 0; i < 2; ++i)
@@ -147,7 +148,7 @@ TEST_F(ProfessFixture, ThresholdSuppressesTinyDifferences)
             rsm.onServed(p, 10, i < 4);
     }
     EXPECT_EQ(pol->classify(info),
-              ProfessPolicy::GuidanceCase::Default);
+              GuidanceCase::Default);
 }
 
 TEST_F(ProfessFixture, Case1ConsultsMdmBenefit)
@@ -162,9 +163,9 @@ TEST_F(ProfessFixture, Case1ConsultsMdmBenefit)
     // Once the block class looks valuable, Case 1 forces the swap
     // even though the incumbent is busy.
     for (int i = 0; i < 24; ++i)
-        pol->mdm().recordEviction(0, 3, 60);
+        pol->mdm()->recordEviction(0, 3, 60);
     for (int i = 0; i < 24; ++i)
-        pol->mdm().recordEviction(1, 3, 60);
+        pol->mdm()->recordEviction(1, 3, 60);
     meta.qacAtInsert[info.slot] = 3;
     meta.qacAtInsert[info.m1Slot] = 3;
     meta.bump(info.m1Slot, 2); // busy incumbent
@@ -177,7 +178,7 @@ TEST_F(ProfessFixture, ServedForwardsToRsm)
     info.region = 0; // program 0's private region
     for (int i = 0; i < 10; ++i)
         pol->onServed(info);
-    EXPECT_EQ(pol->rsm().periods(0), 1u);
+    EXPECT_EQ(pol->rsm()->periods(0), 1u);
 }
 
 TEST_F(ProfessFixture, SwapCompleteForwardsToRsm)
@@ -186,7 +187,7 @@ TEST_F(ProfessFixture, SwapCompleteForwardsToRsm)
     for (int i = 0; i < 10; ++i)
         pol->onServed(info);
     // One non-self swap recorded: SF_B(0) = 2 (alpha = 1).
-    EXPECT_NEAR(pol->rsm().sfB(0), 2.0, 1e-9);
+    EXPECT_NEAR(pol->rsm()->sfB(0), 2.0, 1e-9);
 }
 
 TEST(RsmGuided, WrapsInnerPolicy)
@@ -196,7 +197,8 @@ TEST(RsmGuided, WrapsInnerPolicy)
     rp.numRegions = 32;
     rp.sampleRequests = 10;
     rp.alpha = 1.0;
-    RsmGuidedPolicy pol(std::make_unique<policy::NeverPolicy>(), rp);
+    RsmGuidedPolicy pol(std::make_unique<policy::NeverPolicy>(), rp,
+                        1.0 + 1.0 / 32.0, 1.0 + 1.0 / 16.0);
     EXPECT_STREQ(pol.name(), "rsm-never");
 
     hybrid::StcMeta meta{};
@@ -212,15 +214,48 @@ TEST(RsmGuided, WrapsInnerPolicy)
 
     // Make program 0 suffer: SF_A and SF_B up.
     for (int i = 0; i < 3; ++i)
-        pol.rsm().onSwap(0, invalidProgram, false);
+        pol.rsm()->onSwap(0, invalidProgram, false);
     for (int i = 0; i < 2; ++i)
-        pol.rsm().onServed(0, 0, true);
+        pol.rsm()->onServed(0, 0, true);
     for (int i = 0; i < 8; ++i)
-        pol.rsm().onServed(0, 10, false);
+        pol.rsm()->onServed(0, 10, false);
     for (int i = 0; i < 2; ++i)
-        pol.rsm().onServed(1, 1, true);
+        pol.rsm()->onServed(1, 1, true);
     for (int i = 0; i < 8; ++i)
-        pol.rsm().onServed(1, 10, i < 6);
+        pol.rsm()->onServed(1, 10, i < 6);
     // Case 1 now forces the swap despite the inner "never".
     EXPECT_EQ(pol.onM2Access(info), policy::Decision::Swap);
+}
+
+TEST(RsmGuided, ThresholdsComeFromTheConfig)
+{
+    // rsm-pom reads factor_threshold as profess does.  Program 0
+    // pinned at twice program 1's factors is Case 1 under the
+    // default threshold, a forced swap; within a 4x threshold it is
+    // not, and PoM's first access to a block never reaches PoM's
+    // own threshold.
+    sim::SystemConfig cfg = sim::SystemConfig::quadCore();
+    hybrid::HybridLayout layout = hybrid::HybridLayout::build(
+        cfg.m1BytesPerChannel, cfg.m2BytesPerChannel,
+        cfg.numChannels, cfg.numRegions, cfg.slotsPerGroup);
+    os::PageAllocator alloc(layout.numGroups, cfg.slotsPerGroup,
+                            cfg.numRegions, 2, cfg.allocSeed);
+    hybrid::StcMeta meta{};
+    policy::AccessInfo info{};
+    info.slot = 2;
+    info.region = 10;
+    info.accessor = 0; // c_M2
+    info.m1Owner = 1;  // c_M1
+    info.meta = &meta;
+
+    auto decide = [&](double factor_threshold) {
+        cfg.professFactorThreshold = factor_threshold;
+        std::unique_ptr<policy::MigrationPolicy> pol =
+            sim::findPolicy("rsm-pom")(cfg, layout, alloc, 2);
+        pol->rsm()->pinFactors(0, 2.0, 2.0);
+        pol->rsm()->pinFactors(1, 1.0, 1.0);
+        return pol->onM2Access(info);
+    };
+    EXPECT_EQ(decide(1.0 + 1.0 / 32.0), policy::Decision::Swap);
+    EXPECT_EQ(decide(4.0), policy::Decision::NoSwap);
 }

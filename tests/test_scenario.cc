@@ -452,22 +452,40 @@ TEST(ScenarioRsmPin, Table7AsIfVacantFullController)
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
 
-    core::ProfessPolicy *pol = sys.professPolicy();
+    auto *pol = dynamic_cast<core::ProfessPolicy *>(&sys.policy());
     ASSERT_NE(pol, nullptr);
 
     // The pins were applied and held for the whole run.
     EXPECT_EQ(ctrl.counter("rsm_pin"), 4u);
-    EXPECT_TRUE(pol->rsm().factorsPinned(0));
-    EXPECT_EQ(pol->rsm().sfA(0), 4.0);
-    EXPECT_EQ(pol->rsm().sfB(0), 4.0);
-    EXPECT_EQ(pol->rsm().sfA(1), 1.0);
+    EXPECT_TRUE(pol->rsm()->factorsPinned(0));
+    EXPECT_EQ(pol->rsm()->sfA(0), 4.0);
+    EXPECT_EQ(pol->rsm()->sfB(0), 4.0);
+    EXPECT_EQ(pol->rsm()->sfA(1), 1.0);
 
     // The guidance distribution shows Case 1 decisions flowing
     // through HybridController::access -> policy -> MDM.
-    using GC = core::ProfessPolicy::GuidanceCase;
+    using GC = core::GuidanceCase;
     EXPECT_GT(pol->caseCount(GC::Case1), 0u);
     EXPECT_GT(sys.controller().swapCount(), 0u);
     sys.auditInvariants();
+}
+
+TEST(ScenarioRsmPin, PinsEveryPolicyWithAnRsm)
+{
+    // The pin reaches RSM through MigrationPolicy::rsm(), so the
+    // RSM-guided PoM takes it like ProFess does.
+    System sys(tinyConfig(), "rsm-pom", fourSources(3));
+    ScenarioSchedule s;
+    s.pinRsmFactors(1000, 0, 4.0, 4.0);
+    ScenarioController ctrl(s, deriveSeed(5, "rsm-pom", "pin"));
+    ctrl.attach(sys);
+    ASSERT_TRUE(sys.run());
+
+    EXPECT_EQ(ctrl.counter("rsm_pin"), 1u);
+    EXPECT_EQ(ctrl.counter("pin_unsupported"), 0u);
+    ASSERT_NE(sys.policy().rsm(), nullptr);
+    EXPECT_TRUE(sys.policy().rsm()->factorsPinned(0));
+    EXPECT_EQ(sys.policy().rsm()->sfA(0), 4.0);
 }
 
 // ---------------------------------------------------------------

@@ -237,6 +237,12 @@ TEST(SweepSpecDeathTest, RejectsMalformedSpecs)
                      "boolslow", "policy=pom workload=mcf "
                                  "slowdowns=yes\n")),
                  "needs 0 or 1");
+    // An unknown policy is rejected before the first run, not
+    // mid-sweep.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "badpolicy", "workload=mcf\n"
+                                  "policy=pom,bogus\n")),
+                 "\\.sweep:2: unknown policy 'bogus'");
 }
 
 TEST(SweepDriver, ResumeEqualsUninterrupted)

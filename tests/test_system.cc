@@ -47,10 +47,7 @@ TEST_P(PolicySweep, RunsToCompletion)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicySweep,
-                         ::testing::Values("never", "always",
-                                           "cameo", "silcfm", "pom",
-                                           "mempod", "mdm",
-                                           "profess", "rsm-pom"));
+                         ::testing::ValuesIn(policyNames()));
 
 TEST(System, Deterministic)
 {
@@ -150,6 +147,47 @@ TEST(System, AloneIpcCacheHits)
     double a = runner.aloneIpc("pom", "zeusmp");
     double b = runner.aloneIpc("pom", "zeusmp");
     EXPECT_DOUBLE_EQ(a, b);
+}
+
+TEST(System, FactoryConstructorMatchesNamed)
+{
+    // The name constructor runs the table's factory, so a System
+    // built from the same factory must be the identical simulation.
+    SystemConfig c = SystemConfig::quadCore();
+    c.core.instrQuota = 60000;
+    c.core.warmupInstr = 20000;
+    auto sources = []() {
+        std::vector<std::unique_ptr<trace::TraceSource>> v;
+        for (const char *p : {"mcf", "lbm", "omnetpp", "zeusmp"}) {
+            v.push_back(trace::makeSpecSource(
+                p, trace::defaultScale, 1 + 1009 * v.size()));
+        }
+        return v;
+    };
+    System named(c, "pom", sources());
+    System built(c, findPolicy("pom"), sources());
+    ASSERT_TRUE(named.run());
+    ASSERT_TRUE(built.run());
+    EXPECT_STREQ(built.policy().name(), "pom");
+    EXPECT_EQ(named.now(), built.now());
+    EXPECT_EQ(named.eventQueue().executed(),
+              built.eventQueue().executed());
+    EXPECT_EQ(named.controller().servedTotal(),
+              built.controller().servedTotal());
+    EXPECT_EQ(named.controller().swapCount(),
+              built.controller().swapCount());
+    for (unsigned i = 0; i < named.numCores(); ++i) {
+        EXPECT_EQ(named.core(i).ipcAtQuota(),
+                  built.core(i).ipcAtQuota());
+    }
+}
+
+TEST(SystemDeathTest, UnknownPolicyListsTheTable)
+{
+    EXPECT_DEATH(findPolicy("bogus"),
+                 "unknown policy 'bogus' \\(known: profess, mdm, pom, "
+                 "rsm-pom, mempod, cameo, silcfm, never, always, "
+                 "oscoarse\\)");
 }
 
 TEST(Metrics, SlowdownAndAggregates)

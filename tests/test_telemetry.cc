@@ -353,7 +353,7 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
 
     DecisionTraceSink *sink = bundle.decisionSink();
     ASSERT_NE(sink, nullptr);
-    ProfessPolicy *pp = sys->professPolicy();
+    auto *pp = dynamic_cast<ProfessPolicy *>(&sys->policy());
     ASSERT_NE(pp, nullptr);
 
     // Every MDM evaluation was traced: per-path counts in the sink
@@ -363,7 +363,7 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
     std::uint64_t decides = 0, swap_decisions = 0;
     for (unsigned p = 0; p < num_paths; ++p) {
         auto path = static_cast<Mdm::DecidePath>(p);
-        EXPECT_EQ(sink->pathTotal(p), pp->mdm().pathCount(path))
+        EXPECT_EQ(sink->pathTotal(p), pp->mdm()->pathCount(path))
             << Mdm::pathName(path);
         if (!Mdm::pathSwaps(path)) {
             EXPECT_EQ(sink->swapTotal(p), 0u) << Mdm::pathName(path);
@@ -384,7 +384,7 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
     std::uint64_t cases = 0;
     for (unsigned c = 0; c < 5; ++c) {
         cases += pp->caseCount(
-            static_cast<ProfessPolicy::GuidanceCase>(c));
+            static_cast<core::GuidanceCase>(c));
     }
     EXPECT_EQ(sink->kindTotal(TraceKind::GuidanceCase), cases);
 
