@@ -3,8 +3,9 @@
  * Policy inspector: runs one program (or a workload) and dumps the
  * internal state of the active migration policy - MDM's learned
  * expectation tables and decision-path histogram and RSM's slowdown
- * factors for every policy that has them (MigrationPolicy::mdm(),
- * rsm()), ProFess's Table 7 case counts, PoM's active threshold.
+ * factors and Table 7 case counts for every policy that has them
+ * (MigrationPolicy::mdm(), rsm(), guidance()), PoM's active
+ * threshold.
  * Demonstrates the introspection surface of the public API.
  *
  * Usage: policy_inspector [program=<name>|workload=<wNN>]
@@ -139,20 +140,20 @@ main(int argc, char **argv)
         dumpMdm(*mdm, system.numPrograms());
     if (const core::Rsm *rsm = pol.rsm())
         dumpRsm(*rsm, system.numPrograms());
-    if (auto *pp = dynamic_cast<core::ProfessPolicy *>(&pol)) {
+    if (const core::Guidance *g = pol.guidance()) {
         using GC = core::GuidanceCase;
         std::printf("\nTable 7 case counts: same=%llu c1=%llu "
                     "c2=%llu c3=%llu default=%llu\n",
                     static_cast<unsigned long long>(
-                        pp->caseCount(GC::SameProgram)),
+                        g->count(GC::SameProgram)),
                     static_cast<unsigned long long>(
-                        pp->caseCount(GC::Case1)),
+                        g->count(GC::Case1)),
                     static_cast<unsigned long long>(
-                        pp->caseCount(GC::Case2)),
+                        g->count(GC::Case2)),
                     static_cast<unsigned long long>(
-                        pp->caseCount(GC::Case3)),
+                        g->count(GC::Case3)),
                     static_cast<unsigned long long>(
-                        pp->caseCount(GC::Default)));
+                        g->count(GC::Default)));
     } else if (auto *pom = dynamic_cast<policy::PomPolicy *>(&pol)) {
         std::printf("\nPoM active threshold: %u (adaptations %llu)\n",
                     pom->activeThreshold(),

@@ -8,9 +8,10 @@
 #             concurrency-sensitive tests (thread pool, parallel
 #             runner, alone-IPC cache, and the telemetry
 #             differentials whose workers write traces, artifacts
-#             and metric shards concurrently).  A data race
-#             anywhere in the parallel experiment path fails this
-#             stage.
+#             and metric shards concurrently).  A data race or a
+#             lock-order inversion (TSan's potential-deadlock
+#             report; there is no static lock-order rule) anywhere
+#             in the parallel experiment path fails this stage.
 #   release   Release build, full test suite (the tier-1 gate).
 #             Besides the unit tests, ctest pins the quick kernel
 #             matrix's exact work counts and final-registry digests
@@ -32,9 +33,10 @@
 #             generated manifests/JSONL/chrome traces and .prom
 #             expositions are uploaded as CI artifacts (see
 #             .github/workflows/ci.yml).
-#   analyze   Correctness tooling: the determinism/hot-path
-#             analyzer (scripts/profess_analyze — absorbs the old
-#             domain linter; zero findings required, SARIF written
+#   analyze   Correctness tooling: scripts/profess_analyze, cut to
+#             the rules no runtime gate covers (unordered iteration
+#             into output, hot-path reachability, hot-path headers,
+#             RNG, includes; zero findings required, SARIF written
 #             for code-scanning upload), clang-format in
 #             check-only mode and clang-tidy over src/.  The clang
 #             tools are pinned in CI (see ci.yml) and a missing
@@ -48,7 +50,9 @@
 #             under both sanitizers.  The DetSan journal
 #             cross-checks each run identity that Differential.*
 #             and KernelDeterminism.* run at --jobs 1 and at
-#             --jobs 8; a digest mismatch aborts.
+#             --jobs 8; a digest mismatch aborts.  This is the
+#             determinism gate for pointer-keyed order, wall-clock
+#             reads, cross-run statics and shared float sums.
 #   scenario  Fault-injection suite: the scenario tests
 #             (swap-abort storms, quiesce audits, RSM/MDM pinning,
 #             fault-schedule determinism) re-run on the ubsan
@@ -186,8 +190,8 @@ stage_telemetry() {
 }
 
 stage_analyze() {
-    # Determinism & hot-path analyzer: zero findings required.  The
-    # SARIF report is uploaded to code scanning by ci.yml.
+    # Static rules no runtime gate covers: zero findings required.
+    # The SARIF report is uploaded to code scanning by ci.yml.
     mkdir -p build
     python3 scripts/profess_analyze --repo . \
         --sarif build/profess_analyze.sarif

@@ -1,27 +1,23 @@
 """profess_analyze -- determinism & hot-path static analyzer.
 
-A stdlib-only multi-pass analyzer for the ProFess C++ tree.  It
-grew out of scripts/lint_profess.py (whose line-regex rules it
-absorbs) and adds the checks a single-line regex cannot express:
+A stdlib-only analyzer for the ProFess C++ tree.  It keeps only the
+rules no runtime check covers; what DetSan's jobs-1 vs jobs-8
+journal, the tsan stage or StatRegistry's registration panic
+enforce at run time has no static twin here (DESIGN.md 4e).
 
   * a tokenizer (lexer.py) and a per-translation-unit model
-    (cppmodel.py): include graph, class/function extents, member
-    declarations, virtual methods, namespace-scope variables,
-    mutex acquisitions and call sites;
-  * determinism rules (rules_determinism.py): unordered-container
-    iteration feeding ordered output, pointer-keyed containers,
-    wall-clock reads outside the waived telemetry files, mutable
-    function-local statics and non-const globals outside common/,
-    float accumulation into shared state;
+    (cppmodel.py): class/function extents, member declarations,
+    virtual methods and call sites;
+  * det-unordered-iter (rules_determinism.py): unordered-container
+    iteration feeding ordered output -- hash order may differ
+    between toolchains, which no run of one build can show;
   * hot-path rules (rules_hotpath.py): a call-extent walk from the
     EventQueue / Channel / HybridController hot loops flagging
     heap allocation, std::function, virtual dispatch outside the
     policy boundary, and telemetry branches missing
     PROFESS_UNLIKELY;
-  * lock-order extraction (rules_locks.py): the mutex acquisition
-    graph across thread_pool / openmetrics / telemetry, failing on
-    cycles;
-  * the legacy line rules (rules_lint.py).
+  * the line rules (rules_lint.py): hot-path headers, the one RNG,
+    include hygiene and include order.
 
 Waivers live in scripts/lint_waivers.json; every waiver must carry
 `reason` and `expires` (ISO date) and must match at least one raw

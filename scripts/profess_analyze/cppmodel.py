@@ -2,15 +2,11 @@
 
 Built from the token stream (lexer.py), one TU per source file:
 
-  includes        #include targets in order (include graph edges)
   classes         name -> ClassInfo: member declarations (name ->
-                  type text), virtual method names, base classes,
-                  mutex-typed members
+                  type text), virtual method names, base classes
   functions       every function definition with its qualified
-                  name, body token extent, enclosing class, call
-                  sites (callee name + receiver member, if any),
-                  lock acquisitions and local static declarations
-  ns_vars         namespace-scope variable definitions (globals)
+                  name, body token extent, enclosing class and call
+                  sites (callee name + receiver member, if any)
 
 The parser is heuristic -- a scope stack driven by brace matching,
 good enough for this codebase's uniform style -- and deliberately
@@ -43,9 +39,7 @@ class ClassInfo:
         self.line = line
         self.bases = []            # base class names (last id each)
         self.members = {}          # member name -> type text
-        self.member_lines = {}     # member name -> line
         self.virtual_methods = set()
-        self.mutex_members = set()
 
 
 class Call:
@@ -59,21 +53,6 @@ class Call:
         self.line = line
 
 
-class LockAcq:
-    """One mutex acquisition inside a function body."""
-
-    __slots__ = ("mutex", "line", "end_line", "kind")
-
-    def __init__(self, mutex, line, end_line, kind):
-        self.mutex = mutex  # qualified "Class::member" or "<file>::name"
-        self.line = line          # acquisition line
-        self.end_line = end_line  # last line the lock is held on
-        self.kind = kind          # "guard" | "lock"
-
-    def held_at(self, line):
-        return self.line <= line <= self.end_line
-
-
 class Function:
     def __init__(self, name, cls, line):
         self.name = name          # unqualified
@@ -81,8 +60,6 @@ class Function:
         self.line = line
         self.body = (0, 0)        # [start, end) token indices
         self.calls = []           # [Call]
-        self.locks = []           # [LockAcq]
-        self.local_statics = []   # [(name, line, is_singleton)]
 
     @property
     def qualified(self):
@@ -94,10 +71,8 @@ class TU:
         self.path = path
         self.text = text
         self.tokens = tokenize(text)
-        self.includes = []        # [(target, line, style)]
         self.classes = {}         # name -> ClassInfo
         self.functions = []       # [Function]
-        self.ns_vars = []         # [(name, line, type_text)]
         _Parser(self).parse()
 
 
@@ -141,25 +116,7 @@ class _Parser:
         self.toks = tu.tokens
 
     def parse(self):
-        self._collect_includes()
         self._scan_scope(0, len(self.toks), cls=None)
-
-    def _collect_includes(self):
-        for t in self.toks:
-            if t.kind != Tok.PP:
-                continue
-            s = t.text.lstrip("#").strip()
-            if not s.startswith("include"):
-                continue
-            s = s[len("include"):].strip()
-            if s.startswith('"'):
-                end = s.find('"', 1)
-                if end > 0:
-                    self.tu.includes.append((s[1:end], t.line, '"'))
-            elif s.startswith("<"):
-                end = s.find(">", 1)
-                if end > 0:
-                    self.tu.includes.append((s[1:end], t.line, "<"))
 
     # ------------------------------------------------------------
     # Scope scanning
@@ -341,9 +298,6 @@ class _Parser:
                                              "friend", "template"):
             return
         info.members[name] = type_text
-        info.member_lines[name] = toks[name_idx].line
-        if "mutex" in type_text:
-            info.mutex_members.add(name)
 
     def _is_virtual_decl(self, i, paren):
         for k in range(i, paren):
@@ -386,7 +340,6 @@ class _Parser:
             if tj.text == "{":
                 return _match_brace(toks, j)
             if tj.text == ";":
-                self._ns_var_decl(i, j)
                 return j + 1
             j += 1
         return end
@@ -469,195 +422,24 @@ class _Parser:
             qual = toks[m - 2].text
         return Function(name, qual, toks[m].line)
 
-    def _ns_var_decl(self, i, end):
-        """Statement [i, end) at namespace scope with no parens and
-        terminated by ';': maybe a variable definition."""
-        toks = self.toks
-        texts = [t.text for t in toks[i:end]]
-        if not texts:
-            return
-        if texts[0] in ("using", "typedef", "extern", "friend",
-                        "template", "return", "public", "private",
-                        "protected"):
-            return
-        if texts[0] in ("class", "struct", "union", "enum") and \
-                len(texts) <= 2:
-            return  # forward declaration
-        if "(" in texts or "~" in texts or "operator" in texts:
-            return  # function-ish (e.g. `T::~T() = default;`)
-        if "const" in texts or "constexpr" in texts or \
-                "constinit" in texts:
-            return
-        stop = end
-        for k in range(i, end):
-            if toks[k].text in ("=", "{"):
-                stop = k
-                break
-        name_idx = None
-        for k in range(stop - 1, i - 1, -1):
-            if toks[k].kind == Tok.ID:
-                name_idx = k
-                break
-        if name_idx is None or name_idx == i:
-            return  # need at least a type token before the name
-        name = toks[name_idx].text
-        if name in _TYPE_QUALIFIERS or name in KEYWORDS:
-            return
-        type_text = " ".join(t.text for t in toks[i:name_idx])
-        self.tu.ns_vars.append((name, toks[name_idx].line, type_text))
-
     # ------------------------------------------------------------
-    # Function bodies: calls, locks, local statics
+    # Function bodies: call sites
     # ------------------------------------------------------------
-
-    _GUARDS = {"lock_guard", "unique_lock", "scoped_lock",
-               "shared_lock"}
 
     def _scan_body(self, fn):
         toks = self.toks
         start, end = fn.body
-        i = start
-        while i < end:
+        for i in range(start, end):
             t = toks[i]
-            if t.kind == Tok.ID and t.text == "static":
-                self._local_static(fn, i, end)
-                i += 1
-                continue
-            if t.kind == Tok.ID and t.text in self._GUARDS:
-                i = self._lock_guard(fn, i, end)
-                continue
             if t.kind == Tok.ID and i + 1 < end and \
-                    toks[i + 1].text == "(":
-                if t.text == "lock" and i >= 2 and \
-                        toks[i - 1].text in (".", "->"):
-                    mu = self._receiver_chain(i - 2, start)
-                    if mu:
-                        # Bare .lock(): held to the end of the
-                        # enclosing block, conservatively.
-                        fn.locks.append(
-                            LockAcq(self._qualify_mutex(fn, mu),
-                                    t.line,
-                                    self._scope_end_line(i, end),
-                                    "lock"))
-                if t.text not in KEYWORDS:
-                    recv = None
-                    if i >= 2 and toks[i - 1].text in (".", "->"):
-                        recv = self._receiver_chain(i - 2, start)
-                    fn.calls.append(Call(t.text, recv, t.line))
-                i += 1
-                continue
-            i += 1
+                    toks[i + 1].text == "(" and t.text not in KEYWORDS:
+                recv = None
+                if i >= 2 and toks[i - 1].text in (".", "->"):
+                    recv = self._receiver_chain(i - 2, start)
+                fn.calls.append(Call(t.text, recv, t.line))
 
     def _receiver_chain(self, i, start):
         """Identifier (last link) of the receiver ending at toks[i]."""
         if i >= start and self.toks[i].kind == Tok.ID:
             return self.toks[i].text
-        if i >= start and self.toks[i].text == ")":
-            return None  # call-chained receiver; unresolvable
-        return None
-
-    def _qualify_mutex(self, fn, name):
-        if fn.cls:
-            cls = self.tu.classes.get(fn.cls)
-            if cls and name in cls.mutex_members:
-                return "%s::%s" % (fn.cls, name)
-        for v, _line, vtype in self.tu.ns_vars:
-            if v == name and "mutex" in vtype:
-                return "%s::%s" % (self.tu.path, name)
-        # Unknown owner: qualify by class anyway (over-approximate).
-        if fn.cls:
-            return "%s::%s" % (fn.cls, name)
-        return "%s::%s" % (self.tu.path, name)
-
-    def _lock_guard(self, fn, i, end):
-        """toks[i] is lock_guard/unique_lock/...; record the guarded
-        mutex and return the index to resume at."""
-        toks = self.toks
-        j = i + 1
-        if j < end and toks[j].text == "<":
-            depth = 1
-            j += 1
-            while j < end and depth:
-                if toks[j].text == "<":
-                    depth += 1
-                elif toks[j].text == ">":
-                    depth -= 1
-                elif toks[j].text == ">>":
-                    depth -= 2
-                j += 1
-        # optional variable name
-        if j < end and toks[j].kind == Tok.ID:
-            j += 1
-        if j >= end or toks[j].text != "(":
-            return i + 1
-        close = _match_paren(toks, j)
-        # first argument: id chain; take its last id before ',' or ')'
-        k = j + 1
-        last_id = None
-        while k < close - 1 and toks[k].text != ",":
-            if toks[k].kind == Tok.ID:
-                last_id = toks[k].text
-            k += 1
-        if last_id:
-            fn.locks.append(
-                LockAcq(self._qualify_mutex(fn, last_id),
-                        toks[i].line,
-                        self._scope_end_line(close, end), "guard"))
-        return close
-
-    def _scope_end_line(self, i, end):
-        """Line of the '}' closing the block enclosing toks[i]
-        (i.e. where a guard declared at i is destroyed)."""
-        toks = self.toks
-        depth = 0
-        j = i
-        while j < end:
-            t = toks[j].text
-            if t == "{":
-                depth += 1
-            elif t == "}":
-                depth -= 1
-                if depth < 0:
-                    return toks[j].line
-            j += 1
-        return toks[end - 1].line if end > 0 else toks[i].line
-
-    def _local_static(self, fn, i, end):
-        """toks[i] is 'static' inside a body."""
-        toks = self.toks
-        j = i + 1
-        texts = []
-        while j < end and toks[j].text != ";":
-            if toks[j].text == "(":
-                j = _match_paren(toks, j)
-                continue
-            if toks[j].text == "{":
-                j = _match_brace(toks, j)
-                continue
-            texts.append((toks[j].text, toks[j].kind, j))
-            j += 1
-        decl = [t for t, _k, _j in texts]
-        if "const" in decl or "constexpr" in decl:
-            return
-        # variable name: last id before '=' (or end)
-        stop = len(texts)
-        for k, (t, _kind, _j) in enumerate(texts):
-            if t == "=":
-                stop = k
-                break
-        name = None
-        for k in range(stop - 1, -1, -1):
-            t, kind, _j = texts[k]
-            if kind == Tok.ID and t not in _TYPE_QUALIFIERS:
-                name = t
-                break
-        if name is None:
-            return
-        # Meyers singleton: next statement is `return <name>;`
-        is_singleton = False
-        k = j + 1
-        if k + 2 < end and toks[k].kind == Tok.ID and \
-                toks[k].text == "return" and \
-                toks[k + 1].text == name and toks[k + 2].text == ";":
-            is_singleton = True
-        fn.local_statics.append((name, toks[i].line, is_singleton))
+        return None  # call-chained receiver (or none): unresolvable

@@ -5,7 +5,6 @@ import os
 from . import rules_determinism
 from . import rules_hotpath
 from . import rules_lint
-from . import rules_locks
 from . import waivers as waivers_mod
 from .cppmodel import TU
 from .rules_base import Context
@@ -18,7 +17,7 @@ SOURCE_DIRS = ("src", "tests", "bench", "examples")
 EXCLUDE_PREFIXES = ("tests/analyzer_fixtures/",)
 
 ALL_RULES = (rules_lint.RULES + rules_determinism.RULES +
-             rules_hotpath.RULES + rules_locks.RULES)
+             rules_hotpath.RULES)
 
 
 def source_files(repo, paths=None):

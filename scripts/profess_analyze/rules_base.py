@@ -45,7 +45,6 @@ class Context:
         self.tus = tus                    # path -> TU
         self.classes = {}                 # name -> ClassInfo (merged)
         self.functions_by_qual = {}       # "Cls::fn"/"fn" -> [Function]
-        self.functions_by_name = {}       # short name -> [(path, Function)]
         self.virtual_methods = {}         # method -> {class names}
         for tu in tus.values():
             for name, info in tu.classes.items():
@@ -54,16 +53,12 @@ class Context:
                     self.classes[name] = info
                 else:
                     prev.members.update(info.members)
-                    prev.member_lines.update(info.member_lines)
                     prev.virtual_methods |= info.virtual_methods
-                    prev.mutex_members |= info.mutex_members
                     prev.bases += [b for b in info.bases
                                    if b not in prev.bases]
             for fn in tu.functions:
                 self.functions_by_qual.setdefault(
                     fn.qualified, []).append(fn)
-                self.functions_by_name.setdefault(
-                    fn.name, []).append((tu.path, fn))
         for name, info in self.classes.items():
             for m in info.virtual_methods:
                 self.virtual_methods.setdefault(m, set()).add(name)

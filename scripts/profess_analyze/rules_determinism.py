@@ -1,8 +1,14 @@
-"""Determinism rules.
+"""Determinism rule.
 
-The repo-wide invariant these protect: simulation output is
-bit-identical for any --jobs N and across machines.  Every rule
-targets a construct that can silently break that.
+The repo-wide invariant: simulation output is bit-identical for any
+--jobs N and across machines.  Within one build, DetSan's jobs-1 vs
+jobs-8 journal (Differential.*, KernelDeterminism.* on the
+-DPROFESS_DETSAN=ON build) enforces it at run time, so pointer keys,
+wall-clock reads, mutable statics and shared float accumulation
+need no static rule.  What no run of one build can show is hash
+order: std::unordered_* iteration order is the standard library's
+choice and may differ between toolchains, while every run DetSan
+compares uses the same one.
 
 det-unordered-iter   Iteration over std::unordered_map/_set whose
                      loop body feeds an order-sensitive sink
@@ -12,51 +18,10 @@ det-unordered-iter   Iteration over std::unordered_map/_set whose
                      the blessed pattern and is not flagged; neither
                      is pure commutative aggregation (+=, counters,
                      erase).
-det-pointer-key      Ordered or hashed containers keyed by pointer
-                     values: iteration order then depends on the
-                     allocator, i.e. on the run.
-det-wallclock        std::chrono / time() / clock_gettime outside
-                     common/rng.hh and the waived telemetry-timer
-                     files (WALLCLOCK_WAIVED below): wall time must
-                     never reach simulation state.
-det-mutable-static   Mutable function-local statics and non-const
-                     namespace-scope variables outside src/common/:
-                     hidden cross-run (and cross-worker) state.
-                     Meyers singletons (static local immediately
-                     returned by reference) are the documented
-                     process-global pattern and are exempt.
-det-float-accum      += / -= on float/double members of classes
-                     that also hold a mutex or atomic (i.e. state
-                     shared across worker boundaries), and on
-                     float/double globals: accumulation order would
-                     change the rounding, so per-run results would
-                     depend on scheduling.
 """
 
 from .lexer import Tok
 from .rules_base import Finding, Rule
-
-#: Files allowed to read wall clocks, with the reason on record.
-#: These never feed simulation state -- the analyzer's waiver file
-#: is for temporary exceptions; this table is architecture.
-WALLCLOCK_WAIVED = {
-    "src/common/telemetry.hh":
-        "ScopedTimer/TimerSlot host-side wall profiling (DESIGN 4d)",
-    "src/common/telemetry.cc":
-        "manifest wall-clock timestamps and RSS accounting",
-    "src/common/thread_pool.cc":
-        "idle-worker condition_variable timeout; scheduling only",
-    "src/sim/run_telemetry.hh":
-        "run manifest wall-clock span",
-    "src/sim/run_telemetry.cc":
-        "run manifest wall-clock span",
-    "src/sim/parallel_runner.cc":
-        "per-job progress timing on stderr",
-}
-
-#: Directory prefixes whose wall-clock reads are measurement
-#: harnesses by definition (never simulation state).
-WALLCLOCK_WAIVED_PREFIXES = ("bench/", "tests/", "examples/")
 
 _UNORDERED = ("unordered_map", "unordered_set")
 
@@ -72,25 +37,17 @@ _SINK_CALLS = {
 _STREAMY = {"os", "out", "oss", "ss", "cout", "cerr", "clog",
             "stream", "f", "file"}
 
-_CLOCK_IDS = {"steady_clock", "system_clock",
-              "high_resolution_clock", "gettimeofday",
-              "clock_gettime", "timespec_get", "localtime",
-              "gmtime", "mktime"}
-
 
 def _unordered_names(tu, ctx):
     """All identifiers in this TU declared with an unordered type:
-    class members (merged program-wide) plus TU-local declarations
-    found by token scan."""
+    class members (merged program-wide) plus every declaration in
+    the TU, local or namespace-scope, found by token scan."""
     names = set()
     for info in ctx.classes.values():
         for member, mtype in info.members.items():
             if any(u in mtype for u in _UNORDERED):
                 names.add(member)
-    for name, _line, vtype in tu.ns_vars:
-        if any(u in vtype for u in _UNORDERED):
-            names.add(name)
-    # local declarations: `unordered_map < ... > name`
+    # declarations: `unordered_map < ... > name`
     toks = tu.tokens
     for i, t in enumerate(toks):
         if t.kind == Tok.ID and t.text in _UNORDERED:
@@ -266,173 +223,4 @@ class UnorderedIterRule(Rule):
         return False
 
 
-class PointerKeyRule(Rule):
-    name = "det-pointer-key"
-    description = "containers must not be keyed by pointer values"
-
-    _CONTAINERS = {"map", "set", "multimap", "multiset",
-                   "unordered_map", "unordered_set", "hash"}
-
-    def check_tu(self, tu, ctx):
-        toks = tu.tokens
-        n = len(toks)
-        for i, t in enumerate(toks):
-            if t.kind != Tok.ID or t.text not in self._CONTAINERS:
-                continue
-            if i + 1 >= n or toks[i + 1].text != "<":
-                continue
-            # first template argument at depth 1
-            depth = 1
-            j = i + 2
-            arg = []
-            while j < n and depth:
-                tj = toks[j].text
-                if tj == "<":
-                    depth += 1
-                elif tj in (">", ">>"):
-                    depth -= 2 if tj == ">>" else 1
-                    if depth <= 0:
-                        break
-                elif tj == "," and depth == 1:
-                    break
-                arg.append(tj)
-                j += 1
-            if arg and arg[-1] == "*":
-                yield Finding(
-                    self.name, tu.path, t.line,
-                    "std::%s keyed by pointer '%s': iteration/"
-                    "hash order depends on allocation addresses"
-                    % (t.text, " ".join(arg)), "")
-
-
-class WallClockRule(Rule):
-    name = "det-wallclock"
-    description = ("wall-clock reads only in common/rng.hh and the "
-                   "waived telemetry timers")
-
-    def check_tu(self, tu, ctx):
-        path = tu.path
-        if path == "src/common/rng.hh":
-            return
-        if path in WALLCLOCK_WAIVED:
-            return
-        if path.startswith(WALLCLOCK_WAIVED_PREFIXES):
-            return
-        toks = tu.tokens
-        n = len(toks)
-        for i, t in enumerate(toks):
-            if t.kind != Tok.ID:
-                continue
-            if t.text == "chrono" and i >= 1 and \
-                    toks[i - 1].text == "::":
-                yield Finding(
-                    self.name, path, t.line,
-                    "std::chrono wall-clock use outside the waived "
-                    "telemetry timers (see WALLCLOCK_WAIVED)", "")
-            elif t.text in _CLOCK_IDS:
-                yield Finding(
-                    self.name, path, t.line,
-                    "'%s' outside the waived telemetry timers"
-                    % t.text, "")
-            elif t.text in ("time", "clock") and i + 1 < n and \
-                    toks[i + 1].text == "(" and \
-                    (i == 0 or toks[i - 1].text not in
-                     (".", "->", "::")):
-                yield Finding(
-                    self.name, path, t.line,
-                    "'%s()' wall-clock call outside the waived "
-                    "telemetry timers" % t.text, "")
-
-
-class MutableStaticRule(Rule):
-    name = "det-mutable-static"
-    description = ("no mutable local statics or non-const globals "
-                   "outside src/common/")
-
-    #: Synchronization primitives carry no program-visible state;
-    #: a file-scope mutex is coordination, not hidden data.
-    _SYNC_TYPES = ("mutex", "condition_variable", "once_flag",
-                   "atomic_flag")
-
-    def check_tu(self, tu, ctx):
-        path = tu.path
-        if not path.startswith("src/") or \
-                path.startswith("src/common/"):
-            return
-        for name, line, vtype in tu.ns_vars:
-            if any(s in vtype for s in self._SYNC_TYPES):
-                continue
-            yield Finding(
-                self.name, path, line,
-                "non-const namespace-scope variable '%s' (%s): "
-                "hidden global state outside src/common/"
-                % (name, vtype or "?"), "")
-        for fn in tu.functions:
-            for name, line, is_singleton in fn.local_statics:
-                if is_singleton:
-                    continue  # documented Meyers-singleton pattern
-                yield Finding(
-                    self.name, path, line,
-                    "mutable function-local static '%s' in %s(): "
-                    "cross-run state; use a member or the "
-                    "singleton pattern" % (name, fn.qualified), "")
-
-
-class FloatAccumRule(Rule):
-    name = "det-float-accum"
-    description = ("no float accumulation into state shared across "
-                   "worker boundaries")
-
-    def _shared_classes(self, ctx):
-        shared = {}
-        for name, info in ctx.classes.items():
-            for mtype in info.members.values():
-                if "mutex" in mtype or "atomic" in mtype:
-                    shared[name] = info
-                    break
-        return shared
-
-    def check_program(self, ctx):
-        shared = self._shared_classes(ctx)
-        float_globals = {}
-        for tu in ctx.tus.values():
-            for name, line, vtype in tu.ns_vars:
-                if "double" in vtype.split() or \
-                        "float" in vtype.split():
-                    float_globals[name] = (tu.path, line)
-        for tu in ctx.tus.values():
-            toks = tu.tokens
-            for fn in tu.functions:
-                info = shared.get(fn.cls) if fn.cls else None
-                start, end = fn.body
-                for j in range(start, end):
-                    t = toks[j]
-                    if t.kind != Tok.PUNCT or \
-                            t.text not in ("+=", "-="):
-                        continue
-                    if j == start or toks[j - 1].kind != Tok.ID:
-                        continue
-                    target = toks[j - 1].text
-                    if info is not None:
-                        mtype = info.members.get(target, "")
-                        words = mtype.split()
-                        if "double" in words or "float" in words:
-                            yield Finding(
-                                self.name, tu.path, t.line,
-                                "float accumulation '%s %s' into "
-                                "member of %s, which holds "
-                                "cross-worker shared state: "
-                                "summation order would depend on "
-                                "scheduling"
-                                % (target, t.text, fn.cls), "")
-                            continue
-                    if target in float_globals:
-                        yield Finding(
-                            self.name, tu.path, t.line,
-                            "float accumulation '%s %s' into a "
-                            "global: summation order would depend "
-                            "on scheduling" % (target, t.text), "")
-
-
-RULES = [UnorderedIterRule(), PointerKeyRule(), WallClockRule(),
-         MutableStaticRule(), FloatAccumRule()]
+RULES = [UnorderedIterRule()]

@@ -1,10 +1,10 @@
-"""Legacy line rules absorbed from scripts/lint_profess.py.
+"""Line rules absorbed from the old scripts/lint_profess.py.
 
-Rule names are unchanged (hotpath-heap, rng, stat-names,
-include-hygiene, include-order) so existing waivers keep matching.
-See the original module docstring for the rule rationale; the
-checks are byte-for-byte the same semantics, re-hosted on the
-analyzer's Finding/waiver machinery.
+hotpath-heap, rng, include-hygiene and include-order keep their
+names and semantics, re-hosted on the analyzer's Finding/waiver
+machinery.  Statistic names need no rule: StatRegistry's
+registration (common/telemetry.cc) panics on a malformed or
+duplicate name.
 """
 
 import os
@@ -21,11 +21,6 @@ HOT_PATH_HEADERS = [
 ]
 
 RNG_HOME = "src/common/rng.hh"
-
-STAT_CALL_RE = re.compile(
-    r'add(?:Counter|Probe|Set|Histogram)\(\s*(?:prefix\s*\+\s*)?'
-    r'"([^"]*)"')
-STAT_LEAF_RE = re.compile(r"^\.?[a-z][a-z0-9_]*(\.[a-z0-9_]+)*\.?$")
 
 BANNED_HEAP_RE = re.compile(
     r"std::function"
@@ -76,31 +71,6 @@ class RngRule(Rule):
                     self.name, tu.path, lineno,
                     "'%s' outside %s (use common/rng.hh)"
                     % (m.group(0).strip(), RNG_HOME), line)
-
-
-class StatNamesRule(Rule):
-    name = "stat-names"
-    description = ("Registered stat names are dotted lower_snake "
-                   "and unique per file")
-
-    def check_tu(self, tu, ctx):
-        code = strip_comments(tu.text)
-        lines = code.splitlines()
-        seen = {}
-        for m in STAT_CALL_RE.finditer(code):
-            leaf = m.group(1)
-            lineno = code.count("\n", 0, m.start()) + 1
-            line = lines[lineno - 1] if lineno <= len(lines) else ""
-            if not STAT_LEAF_RE.match(leaf):
-                yield Finding(self.name, tu.path, lineno,
-                              "stat name '%s' is not a dotted "
-                              "lower_snake identifier" % leaf, line)
-            if leaf in seen:
-                yield Finding(self.name, tu.path, lineno,
-                              "stat leaf '%s' already registered at "
-                              "line %d" % (leaf, seen[leaf]), line)
-            else:
-                seen[leaf] = lineno
 
 
 class IncludeHygieneRule(Rule):
@@ -204,5 +174,5 @@ class IncludeOrderRule(Rule):
                             % (target, block[i - 1][2]), line)
 
 
-RULES = [HotPathHeapRule(), RngRule(), StatNamesRule(),
-         IncludeHygieneRule(), IncludeOrderRule()]
+RULES = [HotPathHeapRule(), RngRule(), IncludeHygieneRule(),
+         IncludeOrderRule()]

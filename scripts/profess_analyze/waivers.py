@@ -14,7 +14,7 @@ owner and a due date, not a mute button.  The analyzer errors
 raw finding in the run (stale: the code it excused is gone, so the
 waiver must go too).  Architectural exceptions that should never
 expire do not belong here -- they are encoded next to the rule
-with their rationale (e.g. WALLCLOCK_WAIVED, VIRTUAL_EXEMPT).
+with their rationale (e.g. VIRTUAL_EXEMPT).
 """
 
 import datetime

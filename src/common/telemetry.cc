@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstring>
 #include <ctime>
@@ -21,16 +22,53 @@ namespace telemetry
 // StatRegistry
 //
 
+namespace
+{
+
+/**
+ * @return true if `name` is dotted lower_snake: non-empty segments
+ *         of [a-z0-9_] joined by '.', the first starting with a
+ *         letter ("mem.ch0.row_hits").  OpenMetrics family names
+ *         are derived from it (openmetrics.cc) and admit no other
+ *         character.
+ */
+bool
+isStatName(const std::string &name)
+{
+    if (name.empty() || name[0] < 'a' || name[0] > 'z')
+        return false;
+    char prev = '.';
+    for (char c : name) {
+        bool word = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                    c == '_';
+        if (!word && !(c == '.' && prev != '.'))
+            return false;
+        prev = c;
+    }
+    return prev != '.';
+}
+
+} // anonymous namespace
+
+void
+StatRegistry::claim(const std::string &name)
+{
+    // Checked once per registration, which composes names at run
+    // time from prefixes, so every name that can be registered is
+    // checked, literal or not.  Duplicate names would silently
+    // shadow each other in value() and produce ambiguous report
+    // columns; the hash set keeps the check O(1) per entry.
+    panic_if(!isStatName(name),
+             "statistic name '%s' is not dotted lower_snake",
+             name.c_str());
+    panic_if(!names_.insert(name).second,
+             "duplicate statistic name '%s'", name.c_str());
+}
+
 void
 StatRegistry::addEntry(Entry e)
 {
-    // Duplicate dotted names would silently shadow each other in
-    // value() and produce ambiguous report columns; the analyzer's
-    // stat-names rule (scripts/profess_analyze) checks the literals
-    // statically, this catches runtime-composed prefixes.  The hash set keeps registration
-    // O(1) per entry (a linear contains() made it O(n^2) overall).
-    panic_if(!names_.insert(e.name).second,
-             "duplicate statistic name '%s'", e.name.c_str());
+    claim(e.name);
     entries_.push_back(std::move(e));
     sorted_ = false;
 }
@@ -82,11 +120,10 @@ void
 StatRegistry::addHistogram(const std::string &name,
                            const Histogram &h)
 {
-    // The name itself goes through the duplicate check so a
-    // histogram can never shadow a scalar entry (or vice versa);
-    // the derived .count/.sum probes are plain entries.
-    panic_if(!names_.insert(name).second,
-             "duplicate statistic name '%s'", name.c_str());
+    // The name itself is claimed so a histogram can never shadow a
+    // scalar entry (or vice versa); the derived .count/.sum probes
+    // are plain entries.
+    claim(name);
     histograms_.push_back(HistogramEntry{name, &h});
     histogramsSorted_ = false;
     const Histogram *hp = &h;
@@ -180,6 +217,22 @@ EpochSampler::arm(EventQueue &eq)
     });
 }
 
+namespace
+{
+
+/** Append `v` as printf's "%.17g" writes it (the standard specifies
+ *  to_chars with a precision as printf with that precision). */
+void
+appendG17(std::string &out, double v)
+{
+    char buf[32];
+    auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                           std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
+} // anonymous namespace
+
 void
 EpochSampler::sampleNow(Tick tick)
 {
@@ -187,26 +240,36 @@ EpochSampler::sampleNow(Tick tick)
     detsan_.mix(tick);
     detsan_.mix(epoch_);
 #endif
+    const std::vector<StatRegistry::Entry> &entries = registry_.entries();
     if (out_) {
-        std::fprintf(out_, "{\"tick\":%" PRIu64 ",\"epoch\":%" PRIu64
-                           ",\"v\":{",
-                     static_cast<std::uint64_t>(tick), epoch_);
+        if (keys_.size() != entries.size()) {
+            // The registry is complete before the first sample, so
+            // the quoted names are built once per run.
+            keys_.clear();
+            for (const StatRegistry::Entry &e : entries)
+                keys_.push_back(jsonQuote(e.name) + ':');
+        }
+        line_ = "{\"tick\":" + std::to_string(tick) + ",\"epoch\":" +
+                std::to_string(epoch_) + ",\"v\":{";
     }
-    const char *sep = "";
-    for (const StatRegistry::Entry &e : registry_.entries()) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const StatRegistry::Entry &e = entries[i];
         double v = e.counter ? static_cast<double>(*e.counter)
                              : e.probe();
 #if PROFESS_DETSAN
         detsan_.mixDouble(v);
 #endif
         if (out_) {
-            std::fprintf(out_, "%s%s:%.17g", sep,
-                         jsonQuote(e.name).c_str(), v);
-            sep = ",";
+            if (i != 0)
+                line_ += ',';
+            line_ += keys_[i];
+            appendG17(line_, v);
         }
     }
-    if (out_)
-        std::fputs("}}\n", out_);
+    if (out_) {
+        line_ += "}}\n";
+        std::fwrite(line_.data(), 1, line_.size(), out_);
+    }
     ++epoch_;
 }
 

@@ -60,7 +60,9 @@ namespace telemetry
 /**
  * A named source of scalar statistics: either a live pointer into a
  * component's StatSet or a probe lambda computing a derived value
- * (hit rates, SF factors) on demand.
+ * (hit rates, SF factors) on demand.  Every name is dotted
+ * lower_snake ("hybrid.p0.served_from_m1") and registered once;
+ * registration panics otherwise.
  */
 class StatRegistry
 {
@@ -126,7 +128,11 @@ class StatRegistry
     std::vector<std::string> names() const;
 
   private:
-    /** Append after checking name uniqueness (panics on dupes). */
+    /** Reserve a name: panics unless it is dotted lower_snake and
+     *  not yet registered. */
+    void claim(const std::string &name);
+
+    /** Append after claiming its name. */
     void addEntry(Entry e);
 
     mutable std::vector<Entry> entries_;
@@ -255,6 +261,8 @@ class EpochSampler
     std::uint64_t epoch_ = 0;
     bool running_ = false;
     std::FILE *out_ = nullptr;
+    std::vector<std::string> keys_; ///< `"name":` per entry, in order
+    std::string line_;              ///< one epoch's line, reused
 #if PROFESS_DETSAN
     detsan::Digest detsan_; ///< per-epoch state fingerprint
 #endif

@@ -47,7 +47,7 @@ namespace telemetry
 enum class TraceKind : std::uint8_t
 {
     MdmDecide = 0,   ///< one MDM swap evaluation (Sec. 3.2.3)
-    GuidanceCase,    ///< ProFess Table-7 classification
+    GuidanceCase,    ///< Table-7 classification (core::Guidance)
     RsmPeriod,       ///< RSM sampling-period rollover (Sec. 3.1.3)
     ScenarioEvent,   ///< scenario intervention / injected fault
     NumKinds

@@ -51,8 +51,10 @@ class ProfessPolicy : public policy::MigrationPolicy
     ProfessPolicy(const hybrid::HybridLayout &layout,
                   const os::BlockOwnerOracle &oracle,
                   const Params &params)
-        : layout_(layout), oracle_(oracle), params_(params),
-          mdm_(params.mdm), rsm_(params.rsm)
+        : layout_(layout), oracle_(oracle), mdm_(params.mdm),
+          rsm_(params.rsm),
+          guidance_(rsm_, params.factorThreshold,
+                    params.productThreshold)
     {
     }
 
@@ -85,26 +87,9 @@ class ProfessPolicy : public policy::MigrationPolicy
         rsm_.onSwap(promoted_owner, demoted_owner, private_region);
     }
 
-    /** @return the Table 7 case for the given access. */
-    GuidanceCase
-    classify(const policy::AccessInfo &info) const
-    {
-        return classifyGuidance(rsm_, info.m1Owner, info.accessor,
-                                params_.factorThreshold,
-                                params_.productThreshold);
-    }
-
     Rsm *rsm() override { return &rsm_; }
     Mdm *mdm() override { return &mdm_; }
-
-    /** Count of decisions per Table 7 case (diagnostics). */
-    std::uint64_t caseCount(GuidanceCase c) const
-    {
-        return caseCounts_[static_cast<unsigned>(c)];
-    }
-
-    /** @return short stable name of a Table 7 case. */
-    static const char *caseName(GuidanceCase c);
+    const Guidance *guidance() const override { return &guidance_; }
 
     /** Trace guidance cases + MDM decisions + RSM periods. */
     void setTraceSink(telemetry::DecisionTraceSink *sink) override;
@@ -124,11 +109,9 @@ class ProfessPolicy : public policy::MigrationPolicy
   private:
     const hybrid::HybridLayout &layout_;
     const os::BlockOwnerOracle &oracle_;
-    Params params_;
     Mdm mdm_;
     Rsm rsm_;
-    telemetry::DecisionTraceSink *trace_ = nullptr;
-    std::uint64_t caseCounts_[5] = {};
+    Guidance guidance_; ///< after rsm_, which it reads
 };
 
 } // namespace core

@@ -252,6 +252,55 @@ Rsm::history(ProgramId p) const
     return state(p).hist;
 }
 
+const char *
+Guidance::caseName(GuidanceCase c)
+{
+    switch (c) {
+      case GuidanceCase::SameProgram:
+        return "same_program";
+      case GuidanceCase::Case1:
+        return "case1";
+      case GuidanceCase::Case2:
+        return "case2";
+      case GuidanceCase::Case3:
+        return "case3";
+      case GuidanceCase::Default:
+        return "default";
+      default:
+        return "unknown";
+    }
+}
+
+void
+Guidance::registerTelemetry(telemetry::StatRegistry &registry,
+                            const std::string &prefix) const
+{
+    for (unsigned i = 0; i < numCases; ++i) {
+        registry.addCounter(
+            prefix + "." + caseName(static_cast<GuidanceCase>(i)),
+            counts_[i]);
+    }
+}
+
+void
+Guidance::record(const policy::AccessInfo &info, GuidanceCase c,
+                 policy::Decision d) const
+{
+    telemetry::TraceRecord r;
+    r.tick = info.now;
+    r.group = info.group;
+    r.a = rsm_.sfA(info.accessor);
+    r.b = rsm_.sfB(info.accessor);
+    r.accessor = info.accessor;
+    r.m1Owner = info.m1Owner;
+    r.detail = static_cast<std::uint32_t>(c);
+    r.kind = static_cast<std::uint8_t>(
+        telemetry::TraceKind::GuidanceCase);
+    r.qI = info.meta->qacAtInsert[info.slot];
+    r.swapped = d == policy::Decision::Swap ? 1 : 0;
+    trace_->push(r);
+}
+
 } // namespace core
 
 } // namespace profess

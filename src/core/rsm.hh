@@ -19,7 +19,8 @@
  * the private region of program i; all other regions are shared.
  *
  * classifyGuidance() turns two programs' factors into a Table 7
- * case; every RSM-guided policy decides through it.
+ * case.  Every RSM-guided policy decides through a Guidance, which
+ * applies it to each M2 access and counts and traces the cases.
  */
 
 #ifndef PROFESS_CORE_RSM_HH
@@ -30,14 +31,15 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "common/telemetry.hh"
 #include "common/types.hh"
+#include "policy/policy.hh"
 
 namespace profess
 {
 
 namespace telemetry
 {
-class StatRegistry;
 class DecisionTraceSink;
 } // namespace telemetry
 
@@ -183,8 +185,8 @@ enum class GuidanceCase
  * block, program c2 accesses the M2 block.  Each single-factor
  * comparison ignores differences within `factor_threshold`, Case 3's
  * product comparison those within `product_threshold` (Sec. 3.3:
- * 1/32 and 1/16 above 1).  Inline so the per-access callers
- * (ProfessPolicy, RsmGuidedPolicy) keep it in their decision path.
+ * 1/32 and 1/16 above 1).  Inline so Guidance keeps it in the
+ * per-access decision path.
  */
 inline GuidanceCase
 classifyGuidance(const Rsm &rsm, ProgramId c1, ProgramId c2,
@@ -211,6 +213,93 @@ classifyGuidance(const Rsm &rsm, ProgramId c1, ProgramId c2,
         return GuidanceCase::Case3;
     return GuidanceCase::Default;
 }
+
+/**
+ * Table 7 guidance as an RSM-guided policy applies it to each M2
+ * access: classifies the access by classifyGuidance() (the M1
+ * block's owner is c1, the accessor c2), counts every case and, with
+ * a sink attached, records each case with the decision taken as a
+ * GuidanceCase trace record.  ProfessPolicy and RsmGuidedPolicy each
+ * own one, so their counts, `guidance.*` statistics and records mean
+ * the same thing.
+ */
+class Guidance
+{
+  public:
+    static constexpr unsigned numCases =
+        static_cast<unsigned>(GuidanceCase::Default) + 1;
+
+    /** @param rsm Source of the factors (must outlive this). */
+    Guidance(const Rsm &rsm, double factor_threshold,
+             double product_threshold)
+        : rsm_(rsm), factorThreshold_(factor_threshold),
+          productThreshold_(product_threshold)
+    {
+    }
+
+    // Owners pass their own Rsm member: a copy would read the
+    // original's.
+    Guidance(const Guidance &) = delete;
+    Guidance &operator=(const Guidance &) = delete;
+
+    /** @return the Table 7 case of an M2 access, not counted. */
+    GuidanceCase
+    caseOf(const policy::AccessInfo &info) const
+    {
+        return classifyGuidance(rsm_, info.m1Owner, info.accessor,
+                                factorThreshold_, productThreshold_);
+    }
+
+    /** @return caseOf(info), counted. */
+    GuidanceCase
+    classify(const policy::AccessInfo &info)
+    {
+        GuidanceCase c = caseOf(info);
+        ++counts_[static_cast<unsigned>(c)];
+        return c;
+    }
+
+    /** Record a classified access and the decision taken on it
+     *  (no-op without a sink). */
+    void
+    trace(const policy::AccessInfo &info, GuidanceCase c,
+          policy::Decision d) const
+    {
+        if (PROFESS_UNLIKELY(trace_ != nullptr))
+            record(info, c, d);
+    }
+
+    /** @return accesses classified as case `c`. */
+    std::uint64_t
+    count(GuidanceCase c) const
+    {
+        return counts_[static_cast<unsigned>(c)];
+    }
+
+    /** @return short stable name of a Table 7 case. */
+    static const char *caseName(GuidanceCase c);
+
+    /** Record classifications into `sink` (null = off). */
+    void
+    setTraceSink(telemetry::DecisionTraceSink *sink)
+    {
+        trace_ = sink;
+    }
+
+    /** Register one counter per case, "<prefix>.<caseName>". */
+    void registerTelemetry(telemetry::StatRegistry &registry,
+                           const std::string &prefix) const;
+
+  private:
+    void record(const policy::AccessInfo &info, GuidanceCase c,
+                policy::Decision d) const;
+
+    const Rsm &rsm_;
+    double factorThreshold_;
+    double productThreshold_;
+    telemetry::DecisionTraceSink *trace_ = nullptr;
+    std::uint64_t counts_[numCases] = {};
+};
 
 } // namespace core
 

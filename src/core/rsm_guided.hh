@@ -38,8 +38,7 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
                     const Rsm::Params &rsm_params,
                     double factor_threshold, double product_threshold)
         : inner_(std::move(inner)), rsm_(rsm_params),
-          factorThreshold_(factor_threshold),
-          productThreshold_(product_threshold),
+          guidance_(rsm_, factor_threshold, product_threshold),
           name_(std::string("rsm-") + inner_->name())
     {
     }
@@ -60,21 +59,23 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
     policy::Decision
     onM2Access(const policy::AccessInfo &info) override
     {
-        GuidanceCase c =
-            classifyGuidance(rsm_, info.m1Owner, info.accessor,
-                             factorThreshold_, productThreshold_);
+        GuidanceCase c = guidance_.classify(info);
         // The inner policy sees every access, so its state stays
         // warm whatever the guidance decides.
         policy::Decision d = inner_->onM2Access(info);
         switch (c) {
           case GuidanceCase::Case1:
-            return policy::Decision::Swap;
+            d = policy::Decision::Swap;
+            break;
           case GuidanceCase::Case2:
           case GuidanceCase::Case3:
-            return policy::Decision::NoSwap;
+            d = policy::Decision::NoSwap;
+            break;
           default:
-            return d;
+            break;
         }
+        guidance_.trace(info, c, d);
+        return d;
     }
 
     void
@@ -125,6 +126,7 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
 
     Rsm *rsm() override { return &rsm_; }
     Mdm *mdm() override { return inner_->mdm(); }
+    const Guidance *guidance() const override { return &guidance_; }
 
     /** Audit the RSM bookkeeping and the wrapped inner policy. */
     void
@@ -137,6 +139,7 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
     void
     setTraceSink(telemetry::DecisionTraceSink *sink) override
     {
+        guidance_.setTraceSink(sink);
         rsm_.setTraceSink(sink);
         inner_->setTraceSink(sink);
     }
@@ -145,6 +148,7 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
     registerTelemetry(telemetry::StatRegistry &registry,
                       const std::string &prefix) override
     {
+        guidance_.registerTelemetry(registry, prefix + ".guidance");
         rsm_.registerTelemetry(registry, prefix + ".rsm");
         inner_->registerTelemetry(registry, prefix + ".inner");
     }
@@ -152,8 +156,7 @@ class RsmGuidedPolicy : public policy::MigrationPolicy
   private:
     std::unique_ptr<policy::MigrationPolicy> inner_;
     Rsm rsm_;
-    double factorThreshold_;
-    double productThreshold_;
+    Guidance guidance_; ///< after rsm_, which it reads
     std::string name_;
 };
 

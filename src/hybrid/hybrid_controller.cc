@@ -1,5 +1,6 @@
 #include "hybrid/hybrid_controller.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/invariant.hh"
@@ -613,8 +614,11 @@ HybridController::registerTelemetry(
         registry.addCounter(pp + ".reads", ps.reads);
         registry.addCounter(pp + ".writes", ps.writes);
     }
-    policy_.registerTelemetry(registry,
-                              std::string("policy.") + policy_.name());
+    // A policy name may hold '-' ("rsm-pom"), a statistic name may
+    // not.
+    std::string policy = policy_.name();
+    std::replace(policy.begin(), policy.end(), '-', '_');
+    policy_.registerTelemetry(registry, "policy." + policy);
 }
 
 } // namespace hybrid

@@ -38,6 +38,7 @@ class DecisionTraceSink;
 
 namespace core
 {
+class Guidance;
 class Mdm;
 class Rsm;
 } // namespace core
@@ -208,6 +209,10 @@ class MigrationPolicy
 
     /** @return the policy's MDM predictor, or nullptr if it has none. */
     virtual core::Mdm *mdm() { return nullptr; }
+
+    /** @return the policy's Table 7 guidance (case counts), or
+     *  nullptr if RSM does not guide it. */
+    virtual const core::Guidance *guidance() const { return nullptr; }
 
   protected:
     SwapHost *host_ = nullptr;

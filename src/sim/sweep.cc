@@ -77,6 +77,7 @@ SweepSpec::fromFile(const std::string &path)
     // read, so a bad key or value fails here with file:line, not
     // runs later.
     SystemConfig scratch;
+    std::string sweep_where;
     for (const std::vector<KeyValue> &line : readKeyValueLines(path)) {
         for (const KeyValue &kv : line) {
             const char *where = kv.where.c_str();
@@ -110,6 +111,7 @@ SweepSpec::fromFile(const std::string &path)
                          "%s: sweep needs <key>:<v1,v2,...>, got '%s'",
                          where, kv.value.c_str());
                 s.sweepKey = kv.value.substr(0, colon);
+                sweep_where = kv.where;
                 s.sweepValues =
                     splitList(kv.value.substr(colon + 1), ',');
                 fatal_if(s.sweepValues.empty(),
@@ -136,6 +138,19 @@ SweepSpec::fromFile(const std::string &path)
     }
     for (const std::string &m : s.mixes)
         mixPrograms(m);
+    // Every point must be runnable before any runs, so a bad value
+    // dies here citing the line that set it.
+    auto where = [&](const char *knob) {
+        if (knob == s.sweepKey)
+            return sweep_where;
+        for (auto o = s.overrides.rbegin(); o != s.overrides.rend(); ++o) {
+            if (o->key == knob)
+                return o->where;
+        }
+        return path;
+    };
+    for (std::size_t p = 0; p < s.numSweepPoints(); ++p)
+        s.configAt(p).validate(where);
     return s;
 }
 

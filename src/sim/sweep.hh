@@ -76,7 +76,8 @@ class SweepSpec
      * key=value tokens (readKeyValueLines).  Fatal with file:line
      * on malformed input, unknown keys, knob values that do not
      * parse or fit, unknown policies (findPolicy) or
-     * workloads/programs, or a second sweep= axis.
+     * workloads/programs, a second sweep= axis, or a sweep point
+     * no System can run (SystemConfig::validate).
      */
     static SweepSpec fromFile(const std::string &path);
 

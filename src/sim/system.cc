@@ -186,6 +186,21 @@ constexpr PolicyEntry policyTable[] = {
 
 } // anonymous namespace
 
+void
+SystemConfig::validate(
+    const std::function<std::string(const char *)> &where) const
+{
+    auto atLeastOne = [&where](bool ok, const char *knob) {
+        if (ok)
+            return;
+        std::string at = where ? where(knob) : std::string();
+        fatal("%s%s%s must be at least 1", at.c_str(),
+              at.empty() ? "" : ": ", knob);
+    };
+    atLeastOne(numRegions >= 1, "num_regions");
+    atLeastOne(core.instrQuota >= 1, "instr");
+}
+
 std::vector<const char *>
 policyNames()
 {
@@ -227,7 +242,7 @@ System::System(
       coreProgram_(std::move(core_program))
 {
     fatal_if(sources_.empty(), "system needs at least one program");
-    fatal_if(cfg.core.instrQuota == 0, "instr must be at least 1");
+    cfg.validate();
     if (coreProgram_.empty()) {
         // Default single-threaded mapping: core i runs program i.
         for (std::size_t i = 0; i < sources_.size(); ++i)

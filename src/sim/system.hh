@@ -58,6 +58,17 @@ struct SystemConfig
     std::uint64_t allocSeed = 7;
     bool rsmPerRegionStats = false; ///< Table 4 instrumentation
 
+    /**
+     * Fatal unless a System can run this config: at least one RSM
+     * region and one instruction per core.  `where(knob)`, when
+     * given, names the input that set the offending knob
+     * (file:line) and prefixes the message.  The System constructor
+     * and SweepSpec::fromFile (for every sweep point) call it, so a
+     * sweep spec dies at parse, not mid-sweep.
+     */
+    void validate(const std::function<std::string(const char *knob)>
+                      &where = {}) const;
+
     /** Quad-core two-channel configuration (Table 8, scaled). */
     static SystemConfig quadCore();
 

@@ -178,7 +178,7 @@ TEST(AuditSubsystem, ForcedVacantSwapsKeepStIntegrity)
     info.accessor = 0;
     info.m1Owner = 1;
     info.meta = &meta;
-    ASSERT_EQ(pol.classify(info),
+    ASSERT_EQ(pol.guidance()->caseOf(info),
               core::GuidanceCase::Case1);
 
     hybrid::SwapGroupTable st(layout);

@@ -83,17 +83,17 @@ struct ProfessFixture : public ::testing::Test
 TEST_F(ProfessFixture, SameProgramWhenOwnersMatch)
 {
     info.m1Owner = info.accessor;
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::SameProgram);
     info.m1Owner = invalidProgram;
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::SameProgram);
 }
 
 TEST_F(ProfessFixture, DefaultWhenFactorsEqual)
 {
     // Fresh RSM: SF_A = SF_B = 1 for both programs.
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::Default);
 }
 
@@ -101,7 +101,7 @@ TEST_F(ProfessFixture, Case1WhenAccessorSuffers)
 {
     setFactors(0, 4.0, 4.0); // c_M2 suffers
     setFactors(1, 1.0, 1.0);
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::Case1);
 }
 
@@ -109,10 +109,10 @@ TEST_F(ProfessFixture, Case2WhenIncumbentSuffers)
 {
     setFactors(0, 1.0, 1.0);
     setFactors(1, 4.0, 4.0); // c_M1 suffers
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::Case2);
     EXPECT_EQ(pol->onM2Access(info), policy::Decision::NoSwap);
-    EXPECT_GT(pol->caseCount(GuidanceCase::Case2),
+    EXPECT_GT(pol->guidance()->count(GuidanceCase::Case2),
               0u);
 }
 
@@ -122,7 +122,7 @@ TEST_F(ProfessFixture, Case3ProductProtectsIncumbent)
     // favours c1 (third condition of Case 3).
     setFactors(0, 2.0, 1.0);  // c2: SF_A high, SF_B low
     setFactors(1, 1.0, 8.0);  // c1: SF_A low, SF_B high
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::Case3);
     EXPECT_EQ(pol->onM2Access(info), policy::Decision::NoSwap);
 }
@@ -132,7 +132,7 @@ TEST_F(ProfessFixture, MixedFactorsWithoutProductFallThrough)
     // SF_B(c1) > SF_B(c2) but the product favours c2 -> default.
     setFactors(0, 6.0, 1.0);
     setFactors(1, 1.0, 2.0);
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::Default);
 }
 
@@ -147,7 +147,7 @@ TEST_F(ProfessFixture, ThresholdSuppressesTinyDifferences)
         for (int i = 0; i < 8; ++i)
             rsm.onServed(p, 10, i < 4);
     }
-    EXPECT_EQ(pol->classify(info),
+    EXPECT_EQ(pol->guidance()->caseOf(info),
               GuidanceCase::Default);
 }
 

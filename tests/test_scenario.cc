@@ -465,7 +465,7 @@ TEST(ScenarioRsmPin, Table7AsIfVacantFullController)
     // The guidance distribution shows Case 1 decisions flowing
     // through HybridController::access -> policy -> MDM.
     using GC = core::GuidanceCase;
-    EXPECT_GT(pol->caseCount(GC::Case1), 0u);
+    EXPECT_GT(pol->guidance()->count(GC::Case1), 0u);
     EXPECT_GT(sys.controller().swapCount(), 0u);
     sys.auditInvariants();
 }

@@ -243,6 +243,16 @@ TEST(SweepSpecDeathTest, RejectsMalformedSpecs)
                      "badpolicy", "workload=mcf\n"
                                   "policy=pom,bogus\n")),
                  "\\.sweep:2: unknown policy 'bogus'");
+    // So is a value that parses but no System can run, fixed or
+    // swept.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "zeroinstr", "policy=pom workload=mcf\n"
+                                  "instr=0\n")),
+                 "\\.sweep:2: instr must be at least 1");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "zeroregions", "policy=pom workload=mcf\n\n"
+                                    "sweep=num_regions:32,0\n")),
+                 "\\.sweep:3: num_regions must be at least 1");
 }
 
 TEST(SweepDriver, ResumeEqualsUninterrupted)

@@ -189,8 +189,7 @@ TEST(StatRegistryDeathTest, RejectsDuplicateNames)
 {
     // Duplicate dotted names would silently shadow each other in
     // value() and produce ambiguous report columns; registration
-    // panics instead (scripts/profess_analyze catches the literal
-    // cases statically, this covers runtime-composed prefixes).
+    // panics instead, for literal and runtime-composed names alike.
     StatRegistry reg;
     std::uint64_t c = 0;
     reg.addCounter("dup.name", c);
@@ -198,6 +197,25 @@ TEST(StatRegistryDeathTest, RejectsDuplicateNames)
                  "duplicate statistic name");
     EXPECT_DEATH(reg.addProbe("dup.name", []() { return 0.0; }),
                  "duplicate statistic name");
+}
+
+TEST(StatRegistryDeathTest, RejectsMalformedNames)
+{
+    // Names are dotted lower_snake: OpenMetrics family names are
+    // derived from them and admit nothing else.
+    StatRegistry reg;
+    std::uint64_t c = 0;
+    Histogram h(1.0, 4);
+    reg.addCounter("ok.name_1.p0", c);
+    for (const char *bad : {"", "BadName", "mem.RowHits", "1mem",
+                            ".mem", "mem.", "mem..hits",
+                            "policy.rsm-pom.rsm", "mem hits"}) {
+        EXPECT_DEATH(reg.addCounter(bad, c),
+                     "is not dotted lower_snake")
+            << bad;
+    }
+    EXPECT_DEATH(reg.addHistogram("Lat", h),
+                 "is not dotted lower_snake");
 }
 
 TEST(StatRegistry, ScalesToThousandsOfRegistrations)
@@ -382,8 +400,8 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
 
     // Guidance-case records reconcile with the Table 7 counters.
     std::uint64_t cases = 0;
-    for (unsigned c = 0; c < 5; ++c) {
-        cases += pp->caseCount(
+    for (unsigned c = 0; c < core::Guidance::numCases; ++c) {
+        cases += pp->guidance()->count(
             static_cast<core::GuidanceCase>(c));
     }
     EXPECT_EQ(sink->kindTotal(TraceKind::GuidanceCase), cases);
@@ -397,6 +415,38 @@ TEST(TraceReconciliation, SinkTotalsMatchPolicyCounters)
     // The sampler ran.
     ASSERT_NE(bundle.sampler(), nullptr);
     EXPECT_GT(bundle.sampler()->epochs(), 0u);
+}
+
+TEST(TraceReconciliation, RsmGuidedCountsEveryClassifiedAccess)
+{
+    // rsm-pom classifies, counts and traces each M2 access through
+    // the same Guidance as ProFess: its case counts sum to the
+    // classified accesses (one GuidanceCase record each) and are
+    // exported under policy.rsm_pom.guidance.*.
+    TelemetryConfig cfg;
+    cfg.trace = true;
+    auto sys = makeSystem(quickQuad(), "rsm-pom",
+                          {"mcf", "lbm", "soplex", "milc"}, 42);
+    RunTelemetry bundle(cfg, "rsm_pom");
+    sys->attachTelemetry(bundle);
+    ASSERT_TRUE(sys->run());
+
+    const core::Guidance *g = sys->policy().guidance();
+    ASSERT_NE(g, nullptr);
+    std::uint64_t cases = 0;
+    for (unsigned c = 0; c < core::Guidance::numCases; ++c) {
+        auto gc = static_cast<core::GuidanceCase>(c);
+        cases += g->count(gc);
+        std::string name = std::string("policy.rsm_pom.guidance.") +
+                           core::Guidance::caseName(gc);
+        ASSERT_TRUE(bundle.registry().contains(name)) << name;
+        EXPECT_EQ(bundle.registry().value(name),
+                  static_cast<double>(g->count(gc)))
+            << name;
+    }
+    EXPECT_EQ(bundle.decisionSink()->kindTotal(TraceKind::GuidanceCase),
+              cases);
+    EXPECT_GT(g->count(core::GuidanceCase::Default), 0u);
 }
 
 TEST(Differential, TelemetryOffIsBitIdentical)
