@@ -54,14 +54,8 @@ main(int argc, char **argv)
     const std::size_t num_points =
         sizeof(points) / sizeof(points[0]);
 
-    std::vector<const sim::WorkloadSpec *> wls;
-    unsigned count = 0;
-    for (const std::string &wname : env.workloads) {
-        if (++count > 6)
-            break;
-        if (const sim::WorkloadSpec *w = sim::findWorkload(wname))
-            wls.push_back(w);
-    }
+    std::vector<const sim::WorkloadSpec *> wls = env.workloads;
+    wls.resize(std::min<std::size_t>(wls.size(), 6));
 
     // One flat batch over every (point, workload, policy) triple:
     // all seven ablation points sweep concurrently.

@@ -28,16 +28,10 @@ main(int argc, char **argv)
     cfg.core.warmupInstr = env.warmupInstr;
     sim::ParallelRunner runner = makeRunner(argc, argv);
 
+    std::vector<const sim::WorkloadSpec *> wls = env.workloads;
+    wls.resize(std::min<std::size_t>(wls.size(), 8));
     std::vector<sim::RunJob> jobs;
-    std::vector<std::string> names;
-    unsigned count = 0;
-    for (const std::string &wname : env.workloads) {
-        if (++count > 8)
-            break;
-        const sim::WorkloadSpec *w = sim::findWorkload(wname);
-        if (!w)
-            continue;
-        names.push_back(wname);
+    for (const sim::WorkloadSpec *w : wls) {
         jobs.push_back(sim::multiJob(cfg, "pom", *w));
         jobs.push_back(sim::multiJob(cfg, "rsm-pom", *w));
         jobs.push_back(sim::multiJob(cfg, "profess", *w));
@@ -48,7 +42,7 @@ main(int argc, char **argv)
                 "pom.sdn", "pom.ws", "rsm.sdn", "rsm.ws",
                 "pf.sdn", "pf.ws");
     RatioSeries sdn_rsm, sdn_pf;
-    for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t i = 0; i < wls.size(); ++i) {
         const sim::MultiMetrics &pom = res[3 * i];
         const sim::MultiMetrics &rsm = res[3 * i + 1];
         const sim::MultiMetrics &pf = res[3 * i + 2];
@@ -56,7 +50,7 @@ main(int argc, char **argv)
         sdn_pf.add(pf.maxSlowdown / pom.maxSlowdown);
         std::printf("%-5s | %9.2f %9.3f | %9.2f %9.3f | %9.2f "
                     "%9.3f\n",
-                    names[i].c_str(), pom.maxSlowdown,
+                    wls[i]->name, pom.maxSlowdown,
                     pom.weightedSpeedup, rsm.maxSlowdown,
                     rsm.weightedSpeedup, pf.maxSlowdown,
                     pf.weightedSpeedup);

@@ -9,9 +9,8 @@
  *                     (default 3M single / 2M multi)
  *   PROFESS_WARMUP    warm-up instructions (default 1M)
  *   PROFESS_QUICK     nonzero: quarter-size runs for smoke testing
- *   PROFESS_WORKLOADS comma list (default: all of Table 10)
- *   PROFESS_JOBS      worker threads (default: all hardware
- *                     threads); `--jobs N` / `-j N` overrides
+ *   PROFESS_WORKLOADS comma list of Table 10 names (default: all of
+ *                     Table 10); an unknown or empty entry is fatal
  *   PROFESS_PROGRESS  =1/=0: force per-job progress lines on/off
  *                     (default: on when stderr is a terminal)
  *   PROFESS_LOG       log verbosity (0/1/2 or error/warn/info);
@@ -20,7 +19,8 @@
  *
  * Command line (makeRunner; besides the log flags above, any other
  * argument is fatal):
- *   --jobs N / -j N   worker threads (overrides PROFESS_JOBS)
+ *   --jobs N / -j N   worker threads (default: all hardware
+ *                     threads; 1 runs every job inline)
  *   --trace           record decision + chrome traces
  *   --telemetry-out DIR
  *                     artifact directory for per-run manifests,
@@ -46,6 +46,7 @@
 #ifndef PROFESS_BENCH_BENCH_UTIL_HH
 #define PROFESS_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -69,7 +70,8 @@ struct BenchEnv
     std::uint64_t singleInstr = 3'000'000;
     std::uint64_t multiInstr = 2'000'000;
     std::uint64_t warmupInstr = 1'000'000;
-    std::vector<std::string> workloads;
+    /** Table 10 workloads to run, in PROFESS_WORKLOADS order. */
+    std::vector<const sim::WorkloadSpec *> workloads;
 };
 
 /** @return environment variable `name` as an unsigned integer, or
@@ -97,21 +99,25 @@ benchEnv()
     e.warmupInstr = envUint("PROFESS_WARMUP", e.warmupInstr);
 
     const char *wl = std::getenv("PROFESS_WORKLOADS");
-    if (wl && *wl) {
-        std::string s(wl);
-        std::size_t pos = 0;
-        while (pos < s.size()) {
-            std::size_t c = s.find(',', pos);
-            if (c == std::string::npos)
-                c = s.size();
-            e.workloads.push_back(s.substr(pos, c - pos));
-            pos = c + 1;
-        }
-    } else {
+    if (wl == nullptr) {
         for (const auto &w : sim::multiprogramWorkloads())
-            e.workloads.push_back(w.name);
+            e.workloads.push_back(&w);
+        return e;
     }
-    return e;
+    const std::string list(wl);
+    for (std::size_t pos = 0;;) {
+        std::size_t c = std::min(list.find(',', pos), list.size());
+        const std::string name = list.substr(pos, c - pos);
+        const sim::WorkloadSpec *w = sim::findWorkload(name);
+        fatal_if(w == nullptr,
+                 "environment: '%s' in 'PROFESS_WORKLOADS' is not a "
+                 "Table 10 workload (w01..w19)",
+                 name.c_str());
+        e.workloads.push_back(w);
+        if (c == list.size())
+            return e;
+        pos = c + 1;
+    }
 }
 
 /** Banner naming the paper artifact being regenerated. */
@@ -128,7 +134,7 @@ header(const char *what, const char *paper_ref)
 }
 
 /**
- * Experiment runner honoring `--jobs N` / `-j N` / PROFESS_JOBS,
+ * Experiment runner honoring `--jobs N` / `-j N`,
  * announcing the worker count when running parallel, and built with
  * the RunOptions of the shared flags (logging --quiet/--verbose/
  * --log-level, telemetry --trace/--telemetry-out/--epoch-ticks/

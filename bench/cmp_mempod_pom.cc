@@ -61,16 +61,10 @@ main(int argc, char **argv)
         sim::SystemConfig cfg = sim::SystemConfig::quadCore();
         cfg.core.instrQuota = env.multiInstr;
         cfg.core.warmupInstr = env.warmupInstr;
+        std::vector<const sim::WorkloadSpec *> wls = env.workloads;
+        wls.resize(std::min<std::size_t>(wls.size(), 5));
         std::vector<sim::RunJob> jobs;
-        std::vector<std::string> names;
-        unsigned count = 0;
-        for (const std::string &wname : env.workloads) {
-            if (++count > 5)
-                break;
-            const sim::WorkloadSpec *w = sim::findWorkload(wname);
-            if (!w)
-                continue;
-            names.push_back(wname);
+        for (const sim::WorkloadSpec *w : wls) {
             for (const char *pol : {"pom", "mempod"}) {
                 sim::RunJob j = sim::multiJob(cfg, pol, *w);
                 j.slowdowns = false; // only AMMAT is needed
@@ -84,12 +78,12 @@ main(int argc, char **argv)
         std::printf("%-5s %8s %8s %10s\n", "wl", "pom", "mempod",
                     "ratio");
         RatioSeries mp_ratio;
-        for (std::size_t i = 0; i < names.size(); ++i) {
+        for (std::size_t i = 0; i < wls.size(); ++i) {
             double pom = res[2 * i].run.meanReadLatencyNs;
             double mp = res[2 * i + 1].run.meanReadLatencyNs;
             mp_ratio.add(mp / pom);
             std::printf("%-5s %8.1f %8.1f %10.3f\n",
-                        names[i].c_str(), pom, mp, mp / pom);
+                        wls[i]->name, pom, mp, mp / pom);
         }
         std::printf("MemPod/PoM AMMAT gmean: %.3f (%s; paper "
                     "+18%%)\n",

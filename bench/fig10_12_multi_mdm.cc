@@ -31,12 +31,7 @@ main(int argc, char **argv)
     sim::ParallelRunner runner = makeRunner(argc, argv);
 
     std::vector<sim::RunJob> jobs;
-    std::vector<std::string> names;
-    for (const std::string &wname : env.workloads) {
-        const sim::WorkloadSpec *w = sim::findWorkload(wname);
-        if (!w)
-            continue;
-        names.push_back(wname);
+    for (const sim::WorkloadSpec *w : env.workloads) {
         jobs.push_back(sim::multiJob(cfg, "pom", *w));
         jobs.push_back(sim::multiJob(cfg, "mdm", *w));
     }
@@ -46,7 +41,7 @@ main(int argc, char **argv)
                 "maxSdn(norm)", "ws(norm)", "eff(norm)", "sdn.mdm",
                 "ws.mdm");
     RatioSeries sdn, ws, eff;
-    for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t i = 0; i < env.workloads.size(); ++i) {
         const sim::MultiMetrics &pom = res[2 * i];
         const sim::MultiMetrics &mdm = res[2 * i + 1];
         double r_sdn = mdm.maxSlowdown / pom.maxSlowdown;
@@ -56,7 +51,7 @@ main(int argc, char **argv)
         ws.add(r_ws);
         eff.add(r_eff);
         std::printf("%-5s %12.3f %12.3f %12.3f %10.2f %10.3f\n",
-                    names[i].c_str(), r_sdn, r_ws, r_eff,
+                    env.workloads[i]->name, r_sdn, r_ws, r_eff,
                     mdm.maxSlowdown, mdm.weightedSpeedup);
     }
 

@@ -29,12 +29,7 @@ main(int argc, char **argv)
     sim::ParallelRunner runner = makeRunner(argc, argv);
 
     std::vector<sim::RunJob> jobs;
-    std::vector<std::string> names;
-    for (const std::string &wname : env.workloads) {
-        const sim::WorkloadSpec *w = sim::findWorkload(wname);
-        if (!w)
-            continue;
-        names.push_back(wname);
+    for (const sim::WorkloadSpec *w : env.workloads) {
         jobs.push_back(sim::multiJob(cfg, "pom", *w));
         jobs.push_back(sim::multiJob(cfg, "profess", *w));
     }
@@ -44,7 +39,7 @@ main(int argc, char **argv)
                 "maxSdn(norm)", "ws(norm)", "eff(norm)",
                 "swapFr(norm)");
     RatioSeries sdn, ws, eff, swaps;
-    for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t i = 0; i < env.workloads.size(); ++i) {
         const sim::MultiMetrics &pom = res[2 * i];
         const sim::MultiMetrics &pf = res[2 * i + 1];
         double r_sdn = pf.maxSlowdown / pom.maxSlowdown;
@@ -59,7 +54,8 @@ main(int argc, char **argv)
         eff.add(r_eff);
         swaps.add(r_swap);
         std::printf("%-5s %12.3f %12.3f %12.3f %11.3f\n",
-                    names[i].c_str(), r_sdn, r_ws, r_eff, r_swap);
+                    env.workloads[i]->name, r_sdn, r_ws, r_eff,
+                    r_swap);
     }
 
     std::printf("\nFig. 13 max-slowdown ProFess/PoM: gmean %.3f "

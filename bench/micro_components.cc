@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "common/event.hh"
-#include "common/thread_pool.hh"
 #include "core/mdm.hh"
 #include "hybrid/stc.hh"
 #include "mem/channel.hh"
@@ -241,26 +240,6 @@ BM_SystemThroughput(benchmark::State &state)
         static_cast<double>(instr), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SystemThroughput)->Unit(benchmark::kMillisecond);
-
-void
-BM_ThreadPoolSubmitDrain(benchmark::State &state)
-{
-    // Per-task overhead of the experiment layer's work-stealing
-    // pool (submission + steal + completion accounting).
-    ThreadPool pool(
-        static_cast<unsigned>(state.range(0)));
-    for (auto _ : state) {
-        std::atomic<int> sink{0};
-        for (int i = 0; i < 256; ++i)
-            pool.submit([&sink]() {
-                sink.fetch_add(1, std::memory_order_relaxed);
-            });
-        pool.wait();
-        benchmark::DoNotOptimize(sink.load());
-    }
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_ThreadPoolSubmitDrain)->Arg(1)->Arg(4);
 
 void
 BM_ParallelRunnerBatch(benchmark::State &state)

@@ -109,18 +109,12 @@ main(int argc, char **argv)
         std::printf("%-5s %-24s %-10s %-6s %s\n", "idx", "label",
                     "policy", "sweep", "programs");
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            std::string progs;
-            for (const std::string &p : jobs[i].programs) {
-                if (!progs.empty())
-                    progs += '+';
-                progs += p;
-            }
             std::printf("%-5zu %-24s %-10s %-6llu %s\n", i,
                         jobs[i].label.c_str(),
                         jobs[i].policy.c_str(),
                         static_cast<unsigned long long>(
                             jobs[i].sweepPoint),
-                        progs.c_str());
+                        sim::joinPrograms(jobs[i].programs).c_str());
         }
         return 0;
     }

@@ -41,7 +41,7 @@ struct QuickRun
     std::string
     label() const
     {
-        return std::string(name) + "_" + policy;
+        return sim::runLabel(name, policy);
     }
 
     /** @return the preset with the run's quota and no warm-up. */

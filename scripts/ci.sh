@@ -5,10 +5,11 @@
 # while one local `scripts/ci.sh` still runs the whole gate.
 #
 #   tsan      Debug + ThreadSanitizer, running only the
-#             concurrency-sensitive tests (thread pool, parallel
-#             runner, alone-IPC cache, and the telemetry
-#             differentials whose workers write traces, artifacts
-#             and metric shards concurrently).  A data race or a
+#             concurrency-sensitive tests (the ParallelRunner
+#             fan-out, alone-IPC cache, the telemetry differentials
+#             whose workers write traces, artifacts and metric
+#             shards concurrently, and the sweep driver's journal
+#             appends from its workers).  A data race or a
 #             lock-order inversion (TSan's potential-deadlock
 #             report; there is no static lock-order rule) anywhere
 #             in the parallel experiment path fails this stage.
@@ -52,15 +53,9 @@
 #             and KernelDeterminism.* run at --jobs 1 and at
 #             --jobs 8; a digest mismatch aborts.  This is the
 #             determinism gate for pointer-keyed order, wall-clock
-#             reads, cross-run statics and shared float sums.
-#   scenario  Fault-injection suite: the scenario tests
-#             (swap-abort storms, quiesce audits, RSM/MDM pinning,
-#             fault-schedule determinism) re-run on the ubsan
-#             build.  A dedicated stage so a scenario regression
-#             is named in the CI log even when the full ubsan
-#             sweep also catches it, and so the storm paths are
-#             exercised with every invariant audit compiled in and
-#             sanitized.
+#             reads, cross-run statics and shared float sums.  The
+#             fault-injection (Scenario*) tests run here too, with
+#             every invariant audit compiled in and sanitized.
 #
 # When ccache is installed every cmake build routes through it
 # (compiler-launcher), and the stats are printed at the end; the
@@ -68,15 +63,14 @@
 # compiler + build inputs.
 #
 # Usage: scripts/ci.sh [jobs] [--stages a,b,c]
-#   default stages: tsan,release,perf,telemetry,analyze,ubsan,
-#                   scenario
+#   default stages: tsan,release,perf,telemetry,analyze,ubsan
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
-STAGES="tsan,release,perf,telemetry,analyze,ubsan,scenario"
+STAGES="tsan,release,perf,telemetry,analyze,ubsan"
 while [ $# -gt 0 ]; do
     case "$1" in
         --stages)
@@ -116,28 +110,16 @@ ensure_release() {
     fi
 }
 
-UBSAN_READY=
-ensure_ubsan() {
-    if [ -z "$UBSAN_READY" ]; then
-        cmake_configure -B build-ubsan -S . \
-            -DCMAKE_BUILD_TYPE=Debug \
-            -DPROFESS_UBSAN=ON -DPROFESS_ASAN=ON \
-            -DPROFESS_AUDIT=ON -DPROFESS_DETSAN=ON
-        cmake --build build-ubsan -j "$JOBS"
-        UBSAN_READY=1
-    fi
-}
-
 stage_tsan() {
     cmake_configure -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
     cmake --build build-tsan -j "$JOBS" \
-        --target test_parallel_runner test_telemetry
+        --target test_parallel_runner test_telemetry test_sweep
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R 'ThreadPool|AloneCache|Differential|ParallelRunner|RunOptions'
+            -R 'AloneCache|Differential|ParallelRunner|RunOptions|SweepDriver\.'
 }
 
 stage_release() {
@@ -253,20 +235,13 @@ stage_ubsan() {
     # path), Debug turns it on and sanitizes the checks themselves.
     # PROFESS_DETSAN rides along: the digest instrumentation and
     # journal run under both sanitizers here.
-    ensure_ubsan
+    cmake_configure -B build-ubsan -S . \
+        -DCMAKE_BUILD_TYPE=Debug \
+        -DPROFESS_UBSAN=ON -DPROFESS_ASAN=ON \
+        -DPROFESS_AUDIT=ON -DPROFESS_DETSAN=ON
+    cmake --build build-ubsan -j "$JOBS"
     UBSAN_OPTIONS="print_stacktrace=1" \
         ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
-}
-
-stage_scenario() {
-    # Reuses the ubsan build: PROFESS_AUDIT=ON means every quiesce
-    # audit, rollback invariant and ST/STC structural check
-    # actually executes under both sanitizers while faults are
-    # being injected.
-    ensure_ubsan
-    UBSAN_OPTIONS="print_stacktrace=1" \
-        ctest --test-dir build-ubsan --output-on-failure \
-            -j "$JOBS" -R 'Scenario'
 }
 
 IFS=',' read -r -a STAGE_LIST <<< "$STAGES"
@@ -275,7 +250,7 @@ N=0
 for stage in "${STAGE_LIST[@]}"; do
     N=$((N + 1))
     case "$stage" in
-        tsan|release|perf|telemetry|analyze|ubsan|scenario)
+        tsan|release|perf|telemetry|analyze|ubsan)
             echo "==> [$N/$TOTAL] stage: $stage"
             "stage_$stage"
             ;;

@@ -70,6 +70,21 @@ runIdentityKey(const SystemConfig &cfg, double footprint_scale,
     return key;
 }
 
+std::string
+joinPrograms(const std::vector<std::string> &programs)
+{
+    std::string joined;
+    for (const auto &p : programs)
+        joined += (joined.empty() ? "" : "+") + p;
+    return joined;
+}
+
+std::string
+runLabel(const std::string &label, const std::string &policy)
+{
+    return label + "_" + policy;
+}
+
 double
 AloneIpcCache::getOrCompute(const std::string &key,
                             const std::function<double()> &compute)
@@ -174,12 +189,9 @@ ExperimentRunner::run(const std::string &policy,
     std::unique_ptr<ScenarioController> scenario;
     const ScenarioConfig &sc = options_.scenario;
     if (sc.loaded()) {
-        std::string joined;
-        for (const auto &p : programs)
-            joined += (joined.empty() ? "" : "+") + p;
         scenario = std::make_unique<ScenarioController>(
-            sc.schedule,
-            deriveSeed(seed_base ^ 0x5ce7a810u, policy, joined));
+            sc.schedule, deriveSeed(seed_base ^ 0x5ce7a810u, policy,
+                                    joinPrograms(programs)));
         scenario->attach(sys);
     }
 
@@ -189,8 +201,8 @@ ExperimentRunner::run(const std::string &policy,
     std::unique_ptr<RunTelemetry> telemetry;
     const TelemetryConfig &tc = options_.telemetry;
     if (!label.empty() && tc.enabled()) {
-        telemetry = std::make_unique<RunTelemetry>(
-            tc, label + "_" + policy);
+        telemetry =
+            std::make_unique<RunTelemetry>(tc, runLabel(label, policy));
         sys.attachTelemetry(*telemetry);
         if (scenario != nullptr) {
             scenario->registerTelemetry(telemetry->registry(),
@@ -307,10 +319,7 @@ ExperimentRunner::run(const std::string &policy,
             : 0.0;
 
     if (telemetry != nullptr) {
-        std::string workload;
-        for (const auto &p : programs)
-            workload += (workload.empty() ? "" : "+") + p;
-        telemetry->finish(policy, workload, seed_base,
+        telemetry->finish(policy, joinPrograms(programs), seed_base,
                           configJson(base_), r.completed);
     }
     return r;
@@ -324,14 +333,9 @@ ExperimentRunner::aloneIpc(const std::string &policy,
     // The scenario fingerprint keys the cache too: reference runs
     // executed under a fault schedule must never serve as baselines
     // for scenario-free runs (or for a different schedule).
-    char key[192];
-    std::snprintf(key, sizeof(key), "%016llx/%016llx/%llu/%s/%s",
-                  static_cast<unsigned long long>(
-                      configFingerprint(base_, footprintScale_)),
-                  static_cast<unsigned long long>(
-                      options_.scenario.fingerprint()),
-                  static_cast<unsigned long long>(seed_base),
-                  policy.c_str(), program.c_str());
+    std::string key = runIdentityKey(base_, footprintScale_, "", policy,
+                                     {program}, seed_base);
+    key += "|s" + std::to_string(options_.scenario.fingerprint());
     return cache_->getOrCompute(key, [&]() {
         RunResult r = run(policy, {program}, seed_base);
         fatal_if(!r.completed,
@@ -342,10 +346,17 @@ ExperimentRunner::aloneIpc(const std::string &policy,
 }
 
 MultiMetrics
-ExperimentRunner::runMulti(const std::string &policy,
-                           const WorkloadSpec &workload)
+ExperimentRunner::withSlowdowns(RunResult run)
 {
-    return runMulti(policy, workload, 1);
+    MultiMetrics m;
+    m.run = std::move(run);
+    for (const auto &p : m.run.programs)
+        m.aloneIpc.push_back(aloneIpc(m.run.policy, p));
+    m.slowdown = slowdowns(m.aloneIpc, m.run.ipc);
+    m.weightedSpeedup = weightedSpeedup(m.slowdown);
+    m.maxSlowdown = unfairness(m.slowdown);
+    m.efficiency = energyEfficiency(m.run.servedTotal, m.run.joules);
+    return m;
 }
 
 MultiMetrics
@@ -355,16 +366,7 @@ ExperimentRunner::runMulti(const std::string &policy,
 {
     std::vector<std::string> programs(workload.programs.begin(),
                                       workload.programs.end());
-    MultiMetrics m;
-    m.run = run(policy, programs, seed_base, workload.name);
-    for (const auto &p : programs)
-        m.aloneIpc.push_back(aloneIpc(policy, p));
-    m.slowdown = slowdowns(m.aloneIpc, m.run.ipc);
-    m.weightedSpeedup = weightedSpeedup(m.slowdown);
-    m.maxSlowdown = unfairness(m.slowdown);
-    m.efficiency =
-        energyEfficiency(m.run.servedTotal, m.run.joules);
-    return m;
+    return withSlowdowns(run(policy, programs, seed_base, workload.name));
 }
 
 std::string

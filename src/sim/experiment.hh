@@ -108,6 +108,14 @@ std::string runIdentityKey(const SystemConfig &cfg,
                            const std::vector<std::string> &programs,
                            std::uint64_t seed_base);
 
+/** @return the '+'-joined program list ("mcf+lbm+..."): the mix
+ *  label of a job without one, and the workload of a manifest. */
+std::string joinPrograms(const std::vector<std::string> &programs);
+
+/** @return "<label>_<policy>": the name of a labelled run's
+ *  telemetry bundle, artifact directory and metrics shard. */
+std::string runLabel(const std::string &label, const std::string &policy);
+
 /**
  * How a batch of runs is traced, fault-injected and exported: the
  * one options value handed to ExperimentRunner, ParallelRunner and
@@ -207,26 +215,31 @@ class ExperimentRunner
 
     /**
      * Stand-alone IPC of a program under a policy on the base
-     * system.  Memoized in the AloneIpcCache (keyed by config and
-     * scenario fingerprint + policy + program + seed), so parallel
+     * system.  Memoized in the AloneIpcCache (keyed by the run's
+     * runIdentityKey and the scenario fingerprint), so parallel
      * jobs sharing a cache never recompute a reference run.
      */
     double aloneIpc(const std::string &policy,
                     const std::string &program,
                     std::uint64_t seed_base = 1);
 
-    /** Run a Table 10 workload and attach slowdown metrics. */
-    MultiMetrics runMulti(const std::string &policy,
-                          const WorkloadSpec &workload);
+    /**
+     * Attach slowdown metrics to a finished run: each program's
+     * stand-alone IPC (aloneIpc, at its own fixed seed so the
+     * reference is shared across mixes and sweep points), the
+     * slowdowns, weighted speedup, maximum slowdown and energy
+     * efficiency.
+     */
+    MultiMetrics withSlowdowns(RunResult run);
 
     /**
-     * As above, with an explicit seed for the multi-program run
-     * (the stand-alone references keep their own fixed seeds so
-     * they stay shareable across mixes and sweep points).
+     * Run a Table 10 workload, labelled with its name, and attach
+     * slowdown metrics.  `seed_base` seeds the multi-program run
+     * only.
      */
     MultiMetrics runMulti(const std::string &policy,
                           const WorkloadSpec &workload,
-                          std::uint64_t seed_base);
+                          std::uint64_t seed_base = 1);
 
   private:
     SystemConfig base_;

@@ -1,18 +1,20 @@
 #include "sim/parallel_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <optional>
+#include <thread>
 
 #include <unistd.h>
 
 #include "common/key_value.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace profess
 {
@@ -35,30 +37,23 @@ progressDefault()
     return isatty(STDERR_FILENO) != 0;
 }
 
-/** @return a worker count parsed like any other number, and >= 1. */
-unsigned
-positiveJobs(const KeyValue &kv)
-{
-    unsigned n = valueAs<unsigned>(kv);
-    fatal_if(n == 0, "%s: '%s' must be at least 1", kv.where.c_str(),
-             kv.key.c_str());
-    return n;
-}
-
 /** @return the job's mix label: its label, or the '+'-joined
  *  program list when it has none. */
 std::string
 mixLabel(const RunJob &job)
 {
-    if (!job.label.empty())
-        return job.label;
-    std::string l;
-    for (const auto &p : job.programs)
-        l += (l.empty() ? "" : "+") + p;
-    return l;
+    return job.label.empty() ? joinPrograms(job.programs) : job.label;
 }
 
 } // anonymous namespace
+
+std::uint64_t
+jobSeed(const RunJob &job)
+{
+    return job.seed != 0 ? job.seed
+                         : deriveSeed(job.baseSeed, job.policy,
+                                      mixLabel(job), job.sweepPoint);
+}
 
 std::string
 jobLabel(const RunJob &job)
@@ -68,6 +63,13 @@ jobLabel(const RunJob &job)
     if (job.sweepPoint != 0)
         label += "_s" + std::to_string(job.sweepPoint);
     return label;
+}
+
+std::string
+jobKey(const RunJob &job)
+{
+    return runIdentityKey(job.cfg, job.footprintScale, jobLabel(job),
+                          job.policy, job.programs, jobSeed(job));
 }
 
 RunJob
@@ -99,18 +101,15 @@ singleJob(const SystemConfig &cfg, const std::string &policy,
 }
 
 ParallelRunner::ParallelRunner(unsigned jobs, RunOptions options)
-    : jobs_(jobs == 0 ? jobsFromEnv() : jobs),
+    : jobs_(jobs == 0 ? defaultJobs() : jobs),
       options_(std::move(options)), progress_(progressDefault())
 {
 }
 
 unsigned
-ParallelRunner::jobsFromEnv()
+ParallelRunner::defaultJobs()
 {
-    const char *s = std::getenv("PROFESS_JOBS");
-    if (s == nullptr)
-        return ThreadPool::defaultWorkers();
-    return positiveJobs(KeyValue{"PROFESS_JOBS", s, "environment"});
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 unsigned
@@ -122,38 +121,29 @@ ParallelRunner::jobsFromArgs(int &argc, char **argv)
         std::optional<KeyValue> kv = flagValue(argc, argv, i, "--jobs");
         if (!kv)
             kv = flagValue(argc, argv, i, "-j");
-        if (kv)
-            jobs = positiveJobs(*kv);
-        else
+        if (!kv) {
             argv[out++] = argv[i];
+            continue;
+        }
+        jobs = valueAs<unsigned>(*kv);
+        fatal_if(*jobs == 0, "%s: '%s' must be at least 1",
+                 kv->where.c_str(), kv->key.c_str());
     }
     argc = out;
     argv[argc] = nullptr;
-    return jobs ? *jobs : jobsFromEnv();
+    return jobs ? *jobs : defaultJobs();
 }
 
 MultiMetrics
 ParallelRunner::runOne(const RunJob &job)
 {
     ExperimentRunner runner(job.cfg, options_, job.footprintScale, &cache_);
-    std::uint64_t seed =
-        job.seed != 0 ? job.seed
-                      : deriveSeed(job.baseSeed, job.policy, mixLabel(job),
-                                   job.sweepPoint);
+    RunResult r =
+        runner.run(job.policy, job.programs, jobSeed(job), jobLabel(job));
+    if (job.slowdowns)
+        return runner.withSlowdowns(std::move(r));
     MultiMetrics m;
-    m.run = runner.run(job.policy, job.programs, seed, jobLabel(job));
-    if (job.slowdowns) {
-        // Stand-alone references use their own fixed per-(config,
-        // policy, program) seeds so every mix and sweep point that
-        // shares a config shares the cached run.
-        for (const auto &p : job.programs)
-            m.aloneIpc.push_back(runner.aloneIpc(job.policy, p));
-        m.slowdown = slowdowns(m.aloneIpc, m.run.ipc);
-        m.weightedSpeedup = weightedSpeedup(m.slowdown);
-        m.maxSlowdown = unfairness(m.slowdown);
-        m.efficiency =
-            energyEfficiency(m.run.servedTotal, m.run.joules);
-    }
+    m.run = std::move(r);
     return m;
 }
 
@@ -169,12 +159,9 @@ ParallelRunner::timedJob(const RunJob &job, std::size_t total)
                 .count();
         std::size_t k = ++done_;
         std::lock_guard<std::mutex> lk(progress_mu);
-        std::fprintf(stderr,
-                     "[profess %zu/%zu] %s/%s%s done in %.2fs\n", k,
-                     total,
-                     job.label.empty() ? "mix" : job.label.c_str(),
-                     job.policy.c_str(),
-                     job.sweepPoint != 0 ? "*" : "", secs);
+        std::fprintf(stderr, "[profess %zu/%zu] %s/%s done in %.2fs\n",
+                     k, total, jobLabel(job).c_str(), job.policy.c_str(),
+                     secs);
     }
     return m;
 }
@@ -193,7 +180,7 @@ ParallelRunner::run(const std::vector<RunJob> &batch)
         // only this runner's runs keeps any shard an earlier process
         // left in the directory out of the exposition.
         for (const RunJob &job : batch)
-            runLabels_.push_back(jobLabel(job) + "_" + job.policy);
+            runLabels_.push_back(runLabel(jobLabel(job), job.policy));
         mergeShards(prom, runLabels_);
     }
     return results;
@@ -203,15 +190,30 @@ void
 ParallelRunner::forEach(std::size_t n,
                         const std::function<void(std::size_t)> &fn)
 {
-    if (jobs_ <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mu;
+    std::exception_ptr error;
+    auto work = [&]() {
+        try {
+            for (std::size_t i = next++; i < n; i = next++)
+                fn(i);
+        } catch (...) {
+            // Hand out no more indices; the caller rethrows the
+            // first failure once every thread has joined.
+            next = n;
+            std::lock_guard<std::mutex> lk(error_mu);
+            if (!error)
+                error = std::current_exception();
+        }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < std::min<std::size_t>(jobs_, n); ++t)
+            helpers.emplace_back(work);
+        work();
     }
-    ThreadPool pool(jobs_);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i]() { fn(i); });
-    pool.wait();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace sim

@@ -5,13 +5,14 @@
  *
  * Every figure/table binary in bench/ regenerates its results from
  * independent simulation jobs (workload mixes x policies x sweep
- * points).  The ParallelRunner fans those jobs across a
- * work-stealing thread pool while guaranteeing *bit-identical*
- * results for any worker count:
+ * points).  The ParallelRunner fans those jobs over `--jobs N`
+ * plain threads, the calling thread among them, each claiming the
+ * next job from one shared counter, while guaranteeing
+ * *bit-identical* results for any worker count:
  *
- *  - each job's RNG seed is derived purely from its identity via
- *    deriveSeed(base, policy, mix, sweep_point), never from the
- *    executing thread or completion order;
+ *  - each job's RNG seed is derived purely from its identity
+ *    (jobSeed), never from the executing thread or completion
+ *    order;
  *  - each job simulates in a private System instance;
  *  - stand-alone IPC_SP reference runs are memoized in the
  *    runner's AloneIpcCache, computed exactly once per runner with
@@ -23,15 +24,16 @@
  * each run writes its shard as it finishes and run() rebuilds the
  * exposition from this runner's shards after every batch.
  *
- * The worker count comes from `--jobs N` / `PROFESS_JOBS`
- * (default: hardware_concurrency); `--jobs 1` runs every job
- * inline in the calling thread — the old serial path.
+ * The worker count comes from `--jobs N` (default:
+ * hardware_concurrency); `--jobs 1` runs every job inline in the
+ * calling thread.
  */
 
 #ifndef PROFESS_SIM_PARALLEL_RUNNER_HH
 #define PROFESS_SIM_PARALLEL_RUNNER_HH
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -59,7 +61,7 @@ struct RunJob
     std::uint64_t sweepPoint = 0;
     /** Also compute slowdown metrics (stand-alone references). */
     bool slowdowns = false;
-    /** Base seed; the job seed is derived from it (see deriveSeed),
+    /** Base seed; the job seed is derived from it (see jobSeed),
      *  unless `seed` pins one explicitly. */
     std::uint64_t baseSeed = 1;
     /** Explicit seed override; 0 = derive (the normal case). */
@@ -67,11 +69,18 @@ struct RunJob
     double footprintScale = trace::defaultScale;
 };
 
-/** @return the telemetry label of a job's run: its mix label
- *  ('+'-joined programs when empty), suffixed "_s<point>" for a
- *  nonzero sweep point.  ExperimentRunner names the run
- *  "<label>_<policy>". */
+/** @return the job's seed: `seed` when set, else
+ *  deriveSeed(baseSeed, policy, mix label, sweepPoint), where the
+ *  mix label is `label`, or the '+'-joined programs when empty. */
+std::uint64_t jobSeed(const RunJob &job);
+
+/** @return the telemetry label of a job's run: its mix label,
+ *  suffixed "_s<point>" for a nonzero sweep point. */
 std::string jobLabel(const RunJob &job);
+
+/** @return runIdentityKey of the job's run: the key its DetSan
+ *  digests and its sweep journal record are filed under. */
+std::string jobKey(const RunJob &job);
 
 /** Convenience constructors for the common job shapes. */
 RunJob multiJob(const SystemConfig &cfg, const std::string &policy,
@@ -86,7 +95,7 @@ class ParallelRunner
 {
   public:
     /**
-     * @param jobs Worker count; 0 = `jobsFromEnv()`.
+     * @param jobs Worker count; 0 = `defaultJobs()`.
      * @param options Telemetry and fault scenario of every run.
      */
     explicit ParallelRunner(unsigned jobs = 0, RunOptions options = {});
@@ -112,24 +121,24 @@ class ParallelRunner
     MultiMetrics runOne(const RunJob &job);
 
     /**
-     * Generic escape hatch: invoke `fn(i)` for i in [0, n) on the
-     * pool.  `fn` must confine writes to per-index state.
+     * Invoke `fn(i)` for every i in [0, n), each exactly once, on
+     * min(jobs(), n) threads: the calling thread and up to
+     * jobs() - 1 helpers, each claiming the next index until none
+     * is left.  `fn` must confine writes to per-index state.  If a
+     * call throws, no further index starts and the first exception
+     * is rethrown here once every thread has joined.
      */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &fn);
 
-    /**
-     * Worker count from the environment: PROFESS_JOBS if set (a
-     * decimal integer >= 1, else fatal), else
-     * `std::thread::hardware_concurrency()`.
-     */
-    static unsigned jobsFromEnv();
+    /** @return `std::thread::hardware_concurrency()`, at least 1. */
+    static unsigned defaultJobs();
 
     /**
      * Worker count from `--jobs N` / `--jobs=N` / `-j N` on the
      * command line (stripped from argv, which is compacted in
-     * place; the value parses like PROFESS_JOBS), falling back to
-     * `jobsFromEnv()`.  Used by every bench binary.
+     * place; N is a decimal integer >= 1, else fatal), falling
+     * back to `defaultJobs()`.  Used by every bench binary.
      */
     static unsigned jobsFromArgs(int &argc, char **argv);
 

@@ -365,23 +365,9 @@ SweepDriver::SweepDriver(const SweepSpec &spec, const Options &opts,
     specFp_ = hashCombine(spec_.fingerprint(),
                           runOptions_.scenario.fingerprint());
     jobs_ = spec_.expand();
-    keys_.reserve(jobs_.size());
-    labels_.reserve(jobs_.size());
     runLabels_.reserve(jobs_.size());
-    for (const RunJob &j : jobs_) {
-        // Name each run as ParallelRunner::runOne does: the derived
-        // seed, the jobLabel and the "<label>_<policy>" run label
-        // must name the same run the DetSan journal and the metrics
-        // shard see.
-        std::uint64_t seed = deriveSeed(j.baseSeed, j.policy,
-                                        j.label, j.sweepPoint);
-        std::string tlabel = jobLabel(j);
-        keys_.push_back(runIdentityKey(j.cfg, j.footprintScale,
-                                       tlabel, j.policy, j.programs,
-                                       seed));
-        labels_.push_back(tlabel);
-        runLabels_.push_back(tlabel + "_" + j.policy);
-    }
+    for (const RunJob &j : jobs_)
+        runLabels_.push_back(runLabel(jobLabel(j), j.policy));
     records_.assign(jobs_.size(), SweepRunRecord{});
     done_.assign(jobs_.size(), false);
 }
@@ -481,7 +467,7 @@ SweepDriver::loadJournal()
     for (std::size_t k = 1; k < lines.size(); ++k) {
         SweepRunRecord rec = parseRecord(lines[k]);
         fatal_if(rec.index >= jobs_.size() ||
-                     rec.key != keys_[rec.index],
+                     rec.key != jobKey(jobs_[rec.index]),
                  "%s: journaled run identity does not match the "
                  "spec's expansion; pass --fresh to discard",
                  lines[k][0].where.c_str());
@@ -561,12 +547,10 @@ SweepDriver::run()
             MultiMetrics m = runner.runOne(jobs_[i]);
             SweepRunRecord rec;
             rec.index = i;
-            rec.key = keys_[i];
-            rec.label = labels_[i];
+            rec.key = jobKey(jobs_[i]);
+            rec.label = jobLabel(jobs_[i]);
             rec.policy = jobs_[i].policy;
-            rec.seed = deriveSeed(jobs_[i].baseSeed,
-                                  jobs_[i].policy, jobs_[i].label,
-                                  jobs_[i].sweepPoint);
+            rec.seed = jobSeed(jobs_[i]);
             rec.sweepPoint = jobs_[i].sweepPoint;
             rec.completed = m.run.completed;
             rec.weightedSpeedup = m.weightedSpeedup;

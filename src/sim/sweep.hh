@@ -137,7 +137,7 @@ class SweepDriver
     struct Options
     {
         std::string outDir;      ///< journal + metrics directory
-        unsigned jobs = 0;       ///< workers; 0 = jobsFromEnv()
+        unsigned jobs = 0;       ///< workers; 0 = defaultJobs()
         /** Stop (exit partial) after this many newly executed
          *  runs; 0 = run to completion.  The subset is the first K
          *  pending jobs in canonical order — deterministic, so an
@@ -211,8 +211,6 @@ class SweepDriver
     RunOptions runOptions_; ///< metricsOut = metricsPath()
     std::uint64_t specFp_ = 0; ///< spec + scenario fingerprint
     std::vector<RunJob> jobs_;       ///< canonical order
-    std::vector<std::string> keys_;  ///< runIdentityKey per job
-    std::vector<std::string> labels_; ///< telemetry label per job
     std::vector<std::string> runLabels_; ///< "<label>_<policy>" per job
     std::vector<SweepRunRecord> records_;
     std::vector<bool> done_;

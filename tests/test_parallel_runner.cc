@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel experiment runner: the work-stealing
- * thread pool, deterministic per-job seed derivation, the shared
+ * Tests for the parallel experiment runner: the fan-out of
+ * forEach, deterministic per-job seed derivation, the shared
  * stand-alone reference cache, and — centrally — the differential
  * guarantee that `--jobs 1` and `--jobs N` produce bit-identical
  * RunResult/MultiMetrics under every policy.
@@ -10,17 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "common/invariant.hh"
 #include "common/key_value.hh"
-#include "common/thread_pool.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/run_telemetry.hh"
 #include "sim/system.hh"
@@ -127,44 +129,6 @@ expectIdentical(const MultiMetrics &a, const MultiMetrics &b)
 
 } // anonymous namespace
 
-TEST(ThreadPool, RunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i)
-        pool.submit([&sum, i]() { sum += i; });
-    pool.wait();
-    EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPool, NestedSubmission)
-{
-    // Tasks submitted from workers (stealing targets) must also be
-    // covered by wait().
-    ThreadPool pool(3);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 10; ++i) {
-        pool.submit([&pool, &count]() {
-            for (int j = 0; j < 5; ++j)
-                pool.submit([&count]() { ++count; });
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ReusableAfterWait)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count]() { ++count; });
-    pool.wait();
-    pool.submit([&count]() { ++count; });
-    pool.submit([&count]() { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
 TEST(DeriveSeed, PureAndSensitiveToEveryInput)
 {
     std::uint64_t s = deriveSeed(1, "pom", "w01", 0);
@@ -222,17 +186,13 @@ TEST(AloneCache, ComputesOnceAndDedupsConcurrentRequests)
 {
     AloneIpcCache cache;
     std::atomic<int> computes{0};
-    ThreadPool pool(8);
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&cache, &computes]() {
-            double v = cache.getOrCompute("k", [&computes]() {
-                ++computes;
-                return 42.0;
-            });
-            EXPECT_EQ(v, 42.0);
+    ParallelRunner(8).forEach(32, [&cache, &computes](std::size_t) {
+        double v = cache.getOrCompute("k", [&computes]() {
+            ++computes;
+            return 42.0;
         });
-    }
-    pool.wait();
+        EXPECT_EQ(v, 42.0);
+    });
     EXPECT_EQ(computes.load(), 1);
     EXPECT_EQ(cache.size(), 1u);
     cache.clear();
@@ -241,8 +201,12 @@ TEST(AloneCache, ComputesOnceAndDedupsConcurrentRequests)
 
 TEST(Jobs, EnvAndArgsParsing)
 {
-    ::setenv("PROFESS_JOBS", "5", 1);
-    EXPECT_EQ(ParallelRunner::jobsFromEnv(), 5u);
+    // The command line is the one way to set the worker count: the
+    // environment is not read, not even a malformed value.
+    ::setenv("PROFESS_JOBS", "abc", 1);
+    EXPECT_EQ(jobsOf({"bench"}), ParallelRunner::defaultJobs());
+    ::unsetenv("PROFESS_JOBS");
+    EXPECT_GE(ParallelRunner::defaultJobs(), 1u);
     // Every spelling is applied and stripped; other arguments stay.
     Argv a1{"bench", "--jobs", "3", "--keep"};
     EXPECT_EQ(ParallelRunner::jobsFromArgs(a1.argc, a1.argv()), 3u);
@@ -255,11 +219,6 @@ TEST(Jobs, EnvAndArgsParsing)
     Argv a3{"bench", "-j", "2"};
     EXPECT_EQ(ParallelRunner::jobsFromArgs(a3.argc, a3.argv()), 2u);
     EXPECT_EQ(a3.argc, 1);
-    Argv a4{"bench"};
-    EXPECT_EQ(ParallelRunner::jobsFromArgs(a4.argc, a4.argv()),
-              5u); // falls back to PROFESS_JOBS
-    ::unsetenv("PROFESS_JOBS");
-    EXPECT_GE(ParallelRunner::jobsFromEnv(), 1u);
 
     // Octal, hex, junk and zero are fatal, never misread as a
     // worker count.
@@ -273,15 +232,6 @@ TEST(Jobs, EnvAndArgsParsing)
     EXPECT_EXIT(jobsOf({"bench", "--jobs=0"}),
                 ::testing::ExitedWithCode(1),
                 "command line: '--jobs' must be at least 1");
-    for (const char *bad : {"010", "0x3", "0", ""}) {
-        EXPECT_EXIT(
-            {
-                ::setenv("PROFESS_JOBS", bad, 1);
-                ParallelRunner::jobsFromEnv();
-            },
-            ::testing::ExitedWithCode(1), "environment: .*'PROFESS_JOBS'")
-            << bad;
-    }
     EXPECT_EXIT(jobsOf({"bench", "-j"}), ::testing::ExitedWithCode(1),
                 "-j needs a value");
 }
@@ -453,13 +403,39 @@ TEST(ParallelRunner, SharedCacheSkipsDuplicateReferenceRuns)
 
 TEST(ParallelRunner, ForEachCoversAllIndices)
 {
-    ParallelRunner runner(4);
-    runner.setProgress(false);
-    std::vector<int> hits(64, 0);
-    runner.forEach(hits.size(),
-                   [&hits](std::size_t i) { hits[i] = 1; });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i], 1) << i;
+    // Every index runs exactly once, whether there are fewer
+    // indices than workers, none at all, or many more.
+    ParallelRunner runner(8);
+    for (std::size_t n : {0, 1, 3, 64}) {
+        std::vector<std::atomic<int>> hits(n);
+        runner.forEach(n, [&hits](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+
+    // No more bodies than workers ever run at once: the calling
+    // thread is one of the `jobs` workers, never an extra one.
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        std::atomic<unsigned> running{0};
+        std::atomic<unsigned> peak{0};
+        ParallelRunner(jobs).forEach(32, [&](std::size_t) {
+            unsigned now = ++running;
+            unsigned seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            --running;
+        });
+        EXPECT_LE(peak.load(), jobs) << "jobs=" << jobs;
+    }
+
+    // A failing body reaches the caller, after every thread joined.
+    EXPECT_THROW(runner.forEach(64,
+                                [](std::size_t i) {
+                                    if (i == 5)
+                                        throw std::runtime_error("job");
+                                }),
+                 std::runtime_error);
 }
 
 TEST(ParallelRunner, PerWorkerQueueAuditUnderJobs)
