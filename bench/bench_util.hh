@@ -21,16 +21,18 @@
  * argument is fatal):
  *   --jobs N / -j N   worker threads (default: all hardware
  *                     threads; 1 runs every job inline)
- *   --trace           record decision + chrome traces
+ *   --trace           record decision + chrome traces (needs
+ *                     --telemetry-out)
  *   --telemetry-out DIR
  *                     artifact directory for per-run manifests,
  *                     expositions and time-series
  *   --epoch-ticks N   epoch-sampler period in MC ticks
- *                     (default 25000)
+ *                     (default 25000; needs --telemetry-out)
  *   --metrics-out FILE
  *                     OpenMetrics exposition of every labelled run
- *   --scenario FILE   fault/intervention schedule (see
- *                     src/sim/scenario.hh and EXPERIMENTS.md)
+ *   --scenario FILE   intervention schedule: RSM/MDM pins and
+ *                     quiesce audits (see src/sim/scenario.hh and
+ *                     EXPERIMENTS.md)
  *
  * The last five form the sim::RunOptions value the runner is built
  * with; nothing is read from process-global state.  With
@@ -138,7 +140,7 @@ header(const char *what, const char *paper_ref)
  * announcing the worker count when running parallel, and built with
  * the RunOptions of the shared flags (logging --quiet/--verbose/
  * --log-level, telemetry --trace/--telemetry-out/--epoch-ticks/
- * --metrics-out, fault scenarios --scenario FILE).  The figure
+ * --metrics-out, interventions --scenario FILE).  The figure
  * binaries take no arguments of their own, so anything left in argv
  * is fatal.
  */

@@ -5,8 +5,8 @@
  * matrix's total wall nanoseconds per served access on stdout, one
  * number; per-run figures go to stderr.
  *
- *   telemetry_overhead [--trace] [--telemetry-out DIR]
- *                      [--epoch-ticks N] [--metrics-out FILE]
+ *   telemetry_overhead [--telemetry-out DIR [--trace]
+ *                      [--epoch-ticks N]] [--metrics-out FILE]
  *
  * With no option telemetry is off.  The CI telemetry stage
  * (scripts/ci.sh) runs it three times bare and three times with
@@ -36,7 +36,7 @@ main(int argc, char **argv)
     const sim::RunOptions options = sim::RunOptions::fromArgs(argc, argv);
     fatal_if(argc > 1, "unknown argument '%s'", argv[1]);
     fatal_if(options.scenario.loaded(),
-             "telemetry_overhead runs no fault scenario; drop "
+             "telemetry_overhead runs no scenario; drop "
              "--scenario");
     const sim::TelemetryConfig &tc = options.telemetry;
 

@@ -54,8 +54,9 @@
 #             --jobs 8; a digest mismatch aborts.  This is the
 #             determinism gate for pointer-keyed order, wall-clock
 #             reads, cross-run statics and shared float sums.  The
-#             fault-injection (Scenario*) tests run here too, with
-#             every invariant audit compiled in and sanitized.
+#             scenario-intervention (Scenario*) tests run here too:
+#             their RSM/MDM pins and quiesce audits run with every
+#             invariant audit compiled in and sanitized.
 #
 # When ccache is installed every cmake build routes through it
 # (compiler-launcher), and the stats are printed at the end; the

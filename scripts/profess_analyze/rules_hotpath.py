@@ -21,7 +21,7 @@ hot-virtual-call   virtual dispatch through a member: indirect
                    exemption is the policy boundary
                    (VIRTUAL_EXEMPT): one virtual call per policy
                    event is the plugin architecture itself.
-hot-unlikely       telemetry/fault-hook pointer tests in hot-class
+hot-unlikely       telemetry pointer tests in hot-class
                    bodies must be wrapped in PROFESS_UNLIKELY so
                    the off state stays one predictable branch.
 """
@@ -43,7 +43,6 @@ HOT_ROOTS = [
     ("Channel", "executeSwap"),
     ("HybridController", "access"),
     ("HybridController", "serve"),
-    ("HybridController", "swapDone"),
     ("HybridController", "finishSwap"),
     ("Mdm", "onAccess"),
     ("Mdm", "decide"),
@@ -58,20 +57,16 @@ VIRTUAL_EXEMPT = {
         "inverse edge of the policy boundary (policy -> controller)",
     "TraceSource":
         "per-access trace generation boundary (core model frontend)",
-    "FaultInjector":
-        "fault-injection hook (DESIGN.md 4f): consulted only at "
-        "swap completion behind a PROFESS_UNLIKELY null check; "
-        "absent an injector the virtual calls never execute",
     "BlockOwnerOracle":
         "OS ownership oracle (allocator -> controller): one query "
         "per served access feeds AccessInfo.m1Owner for the policy; "
         "part of the plugin boundary like MigrationPolicy",
 }
 
-#: Telemetry / fault-hook pointer members that hot branches test.
+#: Telemetry pointer members that hot branches test.
 TELEMETRY_PTRS = {
-    "attr_", "chrome_", "decision_", "sink_", "trace_", "faults_",
-    "slot_", "sampler_", "timer_", "telemetry_",
+    "attr_", "chrome_", "decision_", "sink_", "trace_", "slot_",
+    "sampler_", "timer_", "telemetry_",
 }
 
 #: Classes whose bodies get the hot-unlikely branch check.

@@ -49,7 +49,7 @@ enum class TraceKind : std::uint8_t
     MdmDecide = 0,   ///< one MDM swap evaluation (Sec. 3.2.3)
     GuidanceCase,    ///< Table-7 classification (core::Guidance)
     RsmPeriod,       ///< RSM sampling-period rollover (Sec. 3.1.3)
-    ScenarioEvent,   ///< scenario intervention / injected fault
+    ScenarioEvent,   ///< scenario intervention (pin, audit)
     NumKinds
 };
 

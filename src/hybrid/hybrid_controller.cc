@@ -23,8 +23,7 @@ HybridController::HybridController(EventQueue &eq,
     : eq_(eq), memory_(memory), layout_(layout), params_(params),
       policy_(policy), oracle_(oracle), st_(layout), stc_(params.stc),
       perProgram_(params.numPrograms),
-      ctrStFills_(stats_.counterRef("st_fills")),
-      swapRetryLat_(256.0, 64)
+      ctrStFills_(stats_.counterRef("st_fills"))
 {
     fatal_if(layout.numChannels != memory.numChannels(),
              "layout expects %u channels, memory has %u",
@@ -290,8 +289,7 @@ HybridController::requestSwap(std::uint64_t group, unsigned slot)
 void
 HybridController::startSwap(std::uint64_t group,
                             unsigned promote_slot, unsigned m1_slot,
-                            StcMeta &meta, unsigned attempt,
-                            Tick first_abort)
+                            StcMeta &meta)
 {
     panic_if(meta.swapping, "double swap on group %llu",
              static_cast<unsigned long long>(group));
@@ -301,54 +299,21 @@ HybridController::startSwap(std::uint64_t group,
     panic_if(loc == 0, "promoting a block already in M1");
 
     GroupInfo &gi = groups_[group];
-    if (PROFESS_UNLIKELY(chrome_ != nullptr)) {
-        // Profiled variant: span from request to completion (sim
-        // ticks), one track per channel.
-        Tick begin = eq_.now();
-        unsigned tid = layout_.channelOf(group);
-        gi.chan->executeSwap(
-            gi.m1Addr, gi.m1Addr + (loc - 1) * m2Stride_,
-            layout_.blockBytes,
-            [this, group, promote_slot, m1_slot, attempt,
-             first_abort, begin, tid]() {
-                swapDone(group, promote_slot, m1_slot, attempt,
-                         first_abort);
-                if (PROFESS_UNLIKELY(chrome_ != nullptr)) {
-                    chrome_->complete("swap", "hybrid", begin,
-                                      eq_.now() - begin, tid);
-                }
-            },
-            policy_.slowSwap());
-        return;
-    }
+    Tick begin = eq_.now();
     gi.chan->executeSwap(
         gi.m1Addr, gi.m1Addr + (loc - 1) * m2Stride_,
         layout_.blockBytes,
-        [this, group, promote_slot, m1_slot, attempt,
-         first_abort]() {
-            swapDone(group, promote_slot, m1_slot, attempt,
-                     first_abort);
+        [this, group, promote_slot, m1_slot, begin]() {
+            finishSwap(group, promote_slot, m1_slot);
+            // Span from request to completion (sim ticks), one
+            // track per channel.
+            if (PROFESS_UNLIKELY(chrome_ != nullptr)) {
+                chrome_->complete("swap", "hybrid", begin,
+                                  eq_.now() - begin,
+                                  layout_.channelOf(group));
+            }
         },
         policy_.slowSwap());
-}
-
-void
-HybridController::swapDone(std::uint64_t group, unsigned promote_slot,
-                           unsigned m1_slot, unsigned attempt,
-                           Tick first_abort)
-{
-    if (PROFESS_UNLIKELY(faults_ != nullptr) &&
-        faults_->swapAborts(group, eq_.now())) {
-        abortSwap(group, promote_slot, m1_slot, attempt,
-                  attempt == 0 ? eq_.now() : first_abort);
-        return;
-    }
-    // A swap that needed retries finally landed: its retry latency
-    // is first abort to commit.
-    if (PROFESS_UNLIKELY(attempt > 0))
-        swapRetryLat_.add(static_cast<double>(eq_.now() -
-                                              first_abort));
-    finishSwap(group, promote_slot, m1_slot);
 }
 
 void
@@ -378,71 +343,6 @@ HybridController::finishSwap(std::uint64_t group,
         serve(group, *stc_.peek(group), pa);
         pa = next;
     }
-}
-
-void
-HybridController::abortSwap(std::uint64_t group,
-                            unsigned promote_slot, unsigned m1_slot,
-                            unsigned attempt, Tick first_abort)
-{
-    (void)m1_slot;
-    stats_.inc("swap_aborts");
-    StcMeta *m = stc_.peek(group);
-    panic_if(m == nullptr, "aborted swap lost its STC entry");
-    // Rollback is implicit: swapSlots() never ran, so the ATB and
-    // QACs still describe the pre-swap state.  Clearing the swapping
-    // flag re-arms the group.
-    m->swapping = false;
-    PROFESS_AUDIT_ONLY(st_.auditGroup(group);
-                       stc_.auditSet(group, st_));
-
-    // Serve waiters before deciding on a retry so an abort can never
-    // wedge the group: they read the unchanged pre-swap locations.
-    // (Serving them may itself start a fresh swap; the retry below
-    // then finds the group busy and drops out.)
-    PendingAccess *pa = groups_[group].swapWaiters.take();
-    while (pa != nullptr) {
-        PendingAccess *next = pa->next;
-        serve(group, *stc_.peek(group), pa);
-        pa = next;
-    }
-
-    if (attempt >= faults_->swapMaxRetries()) {
-        stats_.inc("swap_degraded");
-        // A dropped swap still closes its retry window.
-        swapRetryLat_.add(
-            static_cast<double>(eq_.now() - first_abort));
-        faults_->noteSwapDegraded(group, eq_.now());
-        return;
-    }
-    stats_.inc("swap_retries");
-    faults_->noteSwapRetry(group, eq_.now());
-    Cycles backoff = faults_->swapRetryBackoff() << attempt;
-    eq_.scheduleIn(backoff, [this, group, promote_slot, attempt,
-                             first_abort]() {
-        retrySwap(group, promote_slot, attempt + 1, first_abort);
-    });
-}
-
-void
-HybridController::retrySwap(std::uint64_t group,
-                            unsigned promote_slot, unsigned attempt,
-                            Tick first_abort)
-{
-    StcMeta *m = stc_.peek(group);
-    unsigned loc = (m != nullptr && !m->swapping)
-                       ? st_.locationOf(group, promote_slot)
-                       : 0;
-    if (loc == 0) {
-        // Entry evicted, another swap already in flight, or the
-        // block reached M1 by other means: the retry is moot.
-        stats_.inc("swap_retry_dropped");
-        swapRetryLat_.add(
-            static_cast<double>(eq_.now() - first_abort));
-        return;
-    }
-    startSwap(group, promote_slot, st_.slotInM1(group), *m, attempt,
-              first_abort);
 }
 
 bool
@@ -575,7 +475,6 @@ HybridController::resetStats()
         p = ProgramStats{};
     swaps_ = 0;
     stats_.reset();
-    swapRetryLat_.reset();
     stc_.resetStats();
 }
 
@@ -603,8 +502,6 @@ HybridController::registerTelemetry(
 {
     registry.addSet(prefix, stats_);
     registry.addCounter(prefix + ".swaps", swaps_);
-    registry.addHistogram(prefix + ".swap_retry_latency",
-                          swapRetryLat_);
     stc_.registerTelemetry(registry, prefix + ".stc");
     for (unsigned i = 0; i < perProgram_.size(); ++i) {
         std::string pp = prefix + ".p" + std::to_string(i);

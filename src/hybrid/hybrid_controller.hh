@@ -57,38 +57,6 @@ struct TimerSlot;
 namespace hybrid
 {
 
-/**
- * Fault-injection hook for deterministic failure testing
- * (sim::ScenarioController).  When installed, the controller
- * consults it at every swap completion: an aborted swap never
- * commits (the ATB/QAC state simply stays pre-swap), waiting
- * accesses are served from the unchanged locations, and the swap is
- * re-armed with exponential backoff up to swapMaxRetries(), after
- * which it degrades gracefully (the group stays consistent and
- * serviceable, the swap is dropped).  Absent an injector the only
- * cost is one predicted-not-taken null check per swap completion.
- */
-class FaultInjector
-{
-  public:
-    virtual ~FaultInjector() = default;
-
-    /** @return true to abort the swap completing on `group` now. */
-    virtual bool swapAborts(std::uint64_t group, Tick now) = 0;
-
-    /** @return retry bound for aborted swaps. */
-    virtual unsigned swapMaxRetries() const = 0;
-
-    /** @return base retry backoff (doubled per attempt). */
-    virtual Cycles swapRetryBackoff() const = 0;
-
-    /** An aborted swap was re-armed. */
-    virtual void noteSwapRetry(std::uint64_t group, Tick now) = 0;
-
-    /** An aborted swap exhausted its retries and was dropped. */
-    virtual void noteSwapDegraded(std::uint64_t group, Tick now) = 0;
-};
-
 /** Memory controller for the hybrid memory. */
 class HybridController : public policy::SwapHost
 {
@@ -233,9 +201,6 @@ class HybridController : public policy::SwapHost
         attr_ = attr;
     }
 
-    /** Install a fault-injection hook (null disables). */
-    void setFaultInjector(FaultInjector *f) { faults_ = f; }
-
     /**
      * @return true when no translation fill or swap is in flight on
      *         any group — the quiesce condition under which
@@ -319,22 +284,10 @@ class HybridController : public policy::SwapHost
     void serve(std::uint64_t group, StcMeta &meta, PendingAccess *pa);
     void startFill(std::uint64_t group, PendingAccess *pa);
     void finishFill(std::uint64_t group);
-    // Aborted swaps thread `attempt` and the tick of their first
-    // abort through the retry chain so the retry-latency histogram
-    // can measure first-abort to final-outcome time.
     void startSwap(std::uint64_t group, unsigned promote_slot,
-                   unsigned m1_slot, StcMeta &meta,
-                   unsigned attempt = 0, Tick first_abort = 0);
-    void swapDone(std::uint64_t group, unsigned promote_slot,
-                  unsigned m1_slot, unsigned attempt,
-                  Tick first_abort);
+                   unsigned m1_slot, StcMeta &meta);
     void finishSwap(std::uint64_t group, unsigned promote_slot,
                     unsigned m1_slot);
-    void abortSwap(std::uint64_t group, unsigned promote_slot,
-                   unsigned m1_slot, unsigned attempt,
-                   Tick first_abort);
-    void retrySwap(std::uint64_t group, unsigned promote_slot,
-                   unsigned attempt, Tick first_abort);
     void schedulePeriodic();
     void scheduleStatsFold();
     void foldLongResidents();
@@ -382,14 +335,9 @@ class HybridController : public policy::SwapHost
     LazyCounter ctrStcEvictions_{stats_, "stc_evictions"};
     LazyCounter ctrStWritebacks_{stats_, "st_writebacks"};
     LazyCounter ctrStatsFolds_{stats_, "stats_folds"};
-    /** First-abort to final-outcome time of retried swaps (MC
-     *  cycles); fed only on the abort path, surfaced through the
-     *  registry as hybrid.swap_retry_latency. */
-    Histogram swapRetryLat_;
     telemetry::ChromeTraceSink *chrome_ = nullptr;
     telemetry::TimerSlot *accessTimer_ = nullptr;
     telemetry::LatencyAttribution *attr_ = nullptr;
-    FaultInjector *faults_ = nullptr;
 };
 
 } // namespace hybrid

@@ -16,7 +16,7 @@ Channel::Channel(EventQueue &eq, const TimingParams &m1t,
                  const ModuleGeometry &m2g, const EnergyParams &ep,
                  const ChannelConfig &cfg)
     : eq_(eq), m1t_(m1t), m2t_(m2t), m1g_(m1g), m2g_(m2g), cfg_(cfg),
-      m2BaseTwr_(m2t.tWR), banks_(m1g.banks + m2g.banks),
+      banks_(m1g.banks + m2g.banks),
       hitRow_(m1g.banks + m2g.banks, noRow), energy_(ep),
       ctrDemandReads_(stats_.counterRef("demand_reads")),
       ctrDemandWrites_(stats_.counterRef("demand_writes")),
@@ -85,13 +85,6 @@ Cycles
 Channel::swapLatency(std::uint64_t block_bytes) const
 {
     return swapLatencyCycles(m1t_, m2t_, block_bytes);
-}
-
-void
-Channel::setM2WriteScale(double scale)
-{
-    double twr = static_cast<double>(m2BaseTwr_) * scale;
-    m2t_.tWR = twr < 1.0 ? 1 : static_cast<Cycles>(twr + 0.5);
 }
 
 void

@@ -189,18 +189,10 @@ class Channel
     const TimingParams &m2Timing() const { return m2t_; }
 
     /**
-     * Scale the M2 write-recovery time (tWR) relative to its
-     * construction-time value (fault injection: transient PCM
-     * write-latency spikes).  1.0 restores the baseline; the result
-     * is clamped to at least one cycle.  Takes effect for
-     * subsequently committed requests and swaps.
-     */
-    void setM2WriteScale(double scale);
-
-    /**
-     * Hold every bank of a module busy until `until` (fault
-     * injection: a bank-busy window).  In-flight requests complete;
-     * new activations and column commands wait out the window.
+     * Hold every bank of a module busy until `until` (test hook:
+     * drives the scheduler's wake-up dedup).  In-flight requests
+     * complete; new activations and column commands wait out the
+     * window.
      */
     void injectBankBusy(Module m, Tick until);
 
@@ -327,7 +319,6 @@ class Channel
     TimingParams m1t_, m2t_;
     ModuleGeometry m1g_, m2g_;
     ChannelConfig cfg_;
-    Cycles m2BaseTwr_; ///< construction-time tWR_M2 (spike baseline)
 
     std::vector<Bank> banks_; ///< M1 banks, then M2 banks
     /** Per bank: the row a queued request must target to be a

@@ -139,6 +139,7 @@ RunOptions::fromArgs(int &argc, char **argv)
 {
     RunOptions o;
     TelemetryConfig &t = o.telemetry;
+    bool epoch_ticks = false;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         std::optional<KeyValue> kv;
@@ -153,6 +154,7 @@ RunOptions::fromArgs(int &argc, char **argv)
             fatal_if(t.epochInterval == 0,
                      "%s: '--epoch-ticks' must be positive",
                      kv->where.c_str());
+            epoch_ticks = true;
         } else if ((kv = flagValue(argc, argv, i, "--scenario"))) {
             o.scenario.setSchedule(ScenarioSchedule::fromFile(kv->value));
             o.scenario.file = kv->value;
@@ -162,6 +164,12 @@ RunOptions::fromArgs(int &argc, char **argv)
     }
     argc = out;
     argv[argc] = nullptr;
+    // Traces and epochs are written only into the artifact
+    // directory; without it they would be collected and dropped.
+    fatal_if(t.trace && t.outDir.empty(),
+             "command line: '--trace' needs '--telemetry-out DIR'");
+    fatal_if(epoch_ticks && t.outDir.empty(),
+             "command line: '--epoch-ticks' needs '--telemetry-out DIR'");
     return o;
 }
 
@@ -182,16 +190,13 @@ ExperimentRunner::run(const std::string &policy,
     System sys(base_, policy, std::move(sources));
 
     // Scenario interventions, when loaded, attach before telemetry
-    // so injected events are visible to the sinks.  The seed is
-    // derived purely from the job identity (never from worker id or
-    // batch position), keeping fault schedules bit-identical at any
+    // so their events are visible to the sinks.  They draw no
+    // random numbers, so a schedule is bit-identical at any
     // --jobs N.
     std::unique_ptr<ScenarioController> scenario;
     const ScenarioConfig &sc = options_.scenario;
     if (sc.loaded()) {
-        scenario = std::make_unique<ScenarioController>(
-            sc.schedule, deriveSeed(seed_base ^ 0x5ce7a810u, policy,
-                                    joinPrograms(programs)));
+        scenario = std::make_unique<ScenarioController>(sc.schedule);
         scenario->attach(sys);
     }
 
@@ -331,7 +336,7 @@ ExperimentRunner::aloneIpc(const std::string &policy,
                            std::uint64_t seed_base)
 {
     // The scenario fingerprint keys the cache too: reference runs
-    // executed under a fault schedule must never serve as baselines
+    // executed under a scenario schedule must never serve as baselines
     // for scenario-free runs (or for a different schedule).
     std::string key = runIdentityKey(base_, footprintScale_, "", policy,
                                      {program}, seed_base);

@@ -117,7 +117,7 @@ std::string joinPrograms(const std::vector<std::string> &programs);
 std::string runLabel(const std::string &label, const std::string &policy);
 
 /**
- * How a batch of runs is traced, fault-injected and exported: the
+ * How a batch of runs is traced, intervened on and exported: the
  * one options value handed to ExperimentRunner, ParallelRunner and
  * SweepDriver.  Nothing here enters SystemConfig, so options never
  * change a config fingerprint or a derived seed.
@@ -131,9 +131,10 @@ struct RunOptions
      * Strip and apply the shared flags from argv, compacting it in
      * place: --trace, --telemetry-out DIR, --epoch-ticks N,
      * --metrics-out FILE and --scenario FILE (each valued flag also
-     * as --flag=VALUE).  A valued flag without its value, and an
-     * epoch period that is not a positive decimal integer, are
-     * fatal.
+     * as --flag=VALUE).  A valued flag without its value, an epoch
+     * period that is not a positive decimal integer, and --trace or
+     * --epoch-ticks without --telemetry-out (their output goes only
+     * to that directory) are fatal.
      */
     static RunOptions fromArgs(int &argc, char **argv);
 };
@@ -175,7 +176,7 @@ class ExperimentRunner
   public:
     /**
      * @param base Base system configuration used for every run.
-     * @param options Telemetry and fault scenario of every run.
+     * @param options Telemetry and scenario of every run.
      * @param footprint_scale Scale of Table 9 footprints (matches
      *        the capacity scaling of `base`).
      * @param cache Stand-alone reference-run cache to share (a

@@ -96,7 +96,7 @@ class ParallelRunner
   public:
     /**
      * @param jobs Worker count; 0 = `defaultJobs()`.
-     * @param options Telemetry and fault scenario of every run.
+     * @param options Telemetry and scenario of every run.
      */
     explicit ParallelRunner(unsigned jobs = 0, RunOptions options = {});
 

@@ -25,7 +25,7 @@
  * the bundle for labelled runs only (stand-alone IPC_SP reference
  * runs have no label and always run clean).
  *
- * The fault-injection subsystem (src/sim/scenario.hh) mirrors this
+ * The scenario subsystem (src/sim/scenario.hh) mirrors this
  * pattern: ScenarioConfig is the --scenario FILE half of the run
  * options, and ExperimentRunner::run() registers scenario event
  * counters and trace records into this bundle when both are active.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "common/key_value.hh"
@@ -11,7 +10,6 @@
 #include "common/trace_sink.hh"
 #include "core/mdm.hh"
 #include "core/rsm.hh"
-#include "mem/memory_system.hh"
 #include "sim/system.hh"
 
 namespace profess
@@ -45,12 +43,6 @@ const char *
 interventionKindName(InterventionKind k)
 {
     switch (k) {
-      case InterventionKind::WriteSpike:
-        return "write_spike";
-      case InterventionKind::BankBusy:
-        return "bank_busy";
-      case InterventionKind::SwapAbort:
-        return "swap_abort";
       case InterventionKind::PinRsm:
         return "pin_rsm";
       case InterventionKind::UnpinRsm:
@@ -72,62 +64,14 @@ ScenarioSchedule::add(const Intervention &iv)
     fatal_if(iv.kind >= InterventionKind::NumKinds,
              "scenario: invalid intervention kind %u",
              static_cast<unsigned>(iv.kind));
-    fatal_if(iv.probability < 0.0 || iv.probability > 1.0,
-             "scenario: probability %.3f outside [0, 1]",
-             iv.probability);
-    fatal_if(iv.kind == InterventionKind::WriteSpike &&
-                 !(iv.scale > 0.0 && std::isfinite(iv.scale)),
-             "scenario: write-spike scale %.3f must be finite "
-             "and positive",
-             iv.scale);
     fatal_if(iv.kind == InterventionKind::PinRsm &&
                  !(std::isfinite(iv.sfA) && iv.sfA > 0.0 &&
                    std::isfinite(iv.sfB) && iv.sfB >= 1.0),
              "scenario: pinned factors sfA=%.3f sfB=%.3f violate "
              "SF_A > 0, SF_B >= 1",
              iv.sfA, iv.sfB);
-    fatal_if(iv.backoff == 0, "scenario: retry backoff must be > 0");
     ivs_.push_back(iv);
     return *this;
-}
-
-ScenarioSchedule &
-ScenarioSchedule::writeSpike(Tick at, Tick duration, double scale,
-                             int channel)
-{
-    Intervention iv;
-    iv.at = at;
-    iv.kind = InterventionKind::WriteSpike;
-    iv.duration = duration;
-    iv.scale = scale;
-    iv.channel = channel;
-    return add(iv);
-}
-
-ScenarioSchedule &
-ScenarioSchedule::bankBusy(Tick at, Tick duration, int channel)
-{
-    Intervention iv;
-    iv.at = at;
-    iv.kind = InterventionKind::BankBusy;
-    iv.duration = duration;
-    iv.channel = channel;
-    return add(iv);
-}
-
-ScenarioSchedule &
-ScenarioSchedule::swapAbortWindow(Tick at, Tick duration,
-                                  double probability,
-                                  unsigned max_retries, Cycles backoff)
-{
-    Intervention iv;
-    iv.at = at;
-    iv.kind = InterventionKind::SwapAbort;
-    iv.duration = duration;
-    iv.probability = probability;
-    iv.maxRetries = max_retries;
-    iv.backoff = backoff;
-    return add(iv);
 }
 
 ScenarioSchedule &
@@ -190,19 +134,12 @@ ScenarioSchedule::fingerprint() const
     for (const Intervention &iv : ivs_) {
         h = hashCombine(h, iv.at);
         h = hashCombine(h, static_cast<std::uint64_t>(iv.kind));
-        h = hashCombine(h, iv.duration);
-        h = hashCombine(h, doubleBits(iv.scale));
-        h = hashCombine(h, doubleBits(iv.probability));
-        h = hashCombine(h, static_cast<std::uint64_t>(
-                               static_cast<std::int64_t>(iv.channel)));
         h = hashCombine(h, static_cast<std::uint64_t>(
                                static_cast<std::int64_t>(iv.program)));
         h = hashCombine(h, doubleBits(iv.sfA));
         h = hashCombine(h, doubleBits(iv.sfB));
         h = hashCombine(h,
                         static_cast<std::uint64_t>(iv.decisionSwap));
-        h = hashCombine(h, static_cast<std::uint64_t>(iv.maxRetries));
-        h = hashCombine(h, iv.backoff);
     }
     return h != 0 ? h : 0x9e3779b97f4a7c15ull;
 }
@@ -238,14 +175,6 @@ ScenarioSchedule::fromFile(const std::string &path)
             } else if (kv.key == "kind") {
                 iv.kind = parseKind(kv);
                 have_kind = true;
-            } else if (kv.key == "duration") {
-                iv.duration = valueAs<Tick>(kv);
-            } else if (kv.key == "scale") {
-                iv.scale = valueAs<double>(kv);
-            } else if (kv.key == "probability") {
-                iv.probability = valueAs<double>(kv);
-            } else if (kv.key == "channel") {
-                iv.channel = valueAs<int>(kv);
             } else if (kv.key == "program") {
                 iv.program = valueAs<int>(kv);
             } else if (kv.key == "sf_a") {
@@ -257,10 +186,6 @@ ScenarioSchedule::fromFile(const std::string &path)
                          "%s: decision must be swap or noswap, got '%s'",
                          kv.where.c_str(), kv.value.c_str());
                 iv.decisionSwap = (kv.value == "swap");
-            } else if (kv.key == "max_retries") {
-                iv.maxRetries = valueAs<unsigned>(kv);
-            } else if (kv.key == "backoff") {
-                iv.backoff = valueAs<Cycles>(kv);
             } else {
                 fatal("%s: unknown key '%s'", kv.where.c_str(),
                       kv.key.c_str());
@@ -277,7 +202,7 @@ const ScenarioConfig &
 ScenarioConfig::global()
 {
     // Never written: the default options, read only by
-    // perfbench/perfbench.cc:76-77.
+    // perfbench/perfbench.cc:77.
     static const ScenarioConfig cfg;
     return cfg;
 }
@@ -286,16 +211,6 @@ const char *
 ScenarioController::eventName(EventCode c)
 {
     switch (c) {
-      case EventCode::WriteSpikeBegin:
-        return "write_spike_begin";
-      case EventCode::WriteSpikeEnd:
-        return "write_spike_end";
-      case EventCode::BankBusy:
-        return "bank_busy";
-      case EventCode::AbortWindowBegin:
-        return "abort_window_begin";
-      case EventCode::AbortWindowEnd:
-        return "abort_window_end";
       case EventCode::RsmPin:
         return "rsm_pin";
       case EventCode::RsmUnpin:
@@ -312,23 +227,13 @@ ScenarioController::eventName(EventCode c)
         return "quiesce_deferred";
       case EventCode::QuiesceGiveup:
         return "quiesce_giveup";
-      case EventCode::SwapAbortInjected:
-        return "swap_abort_injected";
-      case EventCode::SwapRetry:
-        return "swap_retry";
-      case EventCode::SwapDegraded:
-        return "swap_degraded";
-      case EventCode::BankBusyRearm:
-        return "bank_busy_rearm";
       default:
         return "unknown";
     }
 }
 
-ScenarioController::ScenarioController(const ScenarioSchedule &schedule,
-                                       std::uint64_t seed)
-    : schedule_(schedule),
-      rng_(seed, /*stream=*/0x5ce7a810u)
+ScenarioController::ScenarioController(const ScenarioSchedule &schedule)
+    : schedule_(schedule)
 {
     // Pre-create every event counter: StatSet entries materialize
     // on first inc(), but registerTelemetry() snapshots the set at
@@ -346,7 +251,6 @@ ScenarioController::attach(System &sys)
     panic_if(sys_ != nullptr, "scenario controller attached twice");
     sys_ = &sys;
     eq_ = &sys.eventQueue();
-    sys.controller().setFaultInjector(this);
     Tick now = eq_->now();
     for (const Intervention &iv : schedule_.interventions()) {
         // schedule_ is owned by this controller, so the pointer
@@ -362,79 +266,10 @@ ScenarioController::fire(const Intervention &iv)
 {
     Tick now = eq_->now();
     switch (iv.kind) {
-      case InterventionKind::WriteSpike: {
-        mem::MemorySystem &mem = sys_->memory();
-        for (unsigned c = 0; c < mem.numChannels(); ++c) {
-            if (iv.channel >= 0 &&
-                c != static_cast<unsigned>(iv.channel))
-                continue;
-            mem.channel(c).setM2WriteScale(iv.scale);
-        }
-        note(EventCode::WriteSpikeBegin, 0, now, iv.scale,
-             static_cast<double>(iv.duration));
-        if (iv.duration > 0) {
-            int channel = iv.channel;
-            eq_->scheduleIn(iv.duration, [this, channel]() {
-                mem::MemorySystem &m = sys_->memory();
-                for (unsigned c = 0; c < m.numChannels(); ++c) {
-                    if (channel >= 0 &&
-                        c != static_cast<unsigned>(channel))
-                        continue;
-                    m.channel(c).setM2WriteScale(1.0);
-                }
-                note(EventCode::WriteSpikeEnd, 0, eq_->now());
-            });
-        }
-        break;
-      }
-      case InterventionKind::BankBusy: {
-        mem::MemorySystem &mem = sys_->memory();
-        Tick until = now + iv.duration;
-        for (unsigned c = 0; c < mem.numChannels(); ++c) {
-            if (iv.channel >= 0 &&
-                c != static_cast<unsigned>(iv.channel))
-                continue;
-            mem.channel(c).injectBankBusy(mem::Module::M2, until);
-        }
-        note(EventCode::BankBusy, 0, now,
-             static_cast<double>(iv.duration));
-        // Keep the window armed: swaps committed inside it reset
-        // the involved banks' ready times to the swap end, which
-        // would otherwise erase the rest of the throttling window.
-        if (now + bankBusyRearmPeriod < until) {
-            int channel = iv.channel;
-            eq_->scheduleIn(bankBusyRearmPeriod,
-                            [this, channel, until]() {
-                                rearmBankBusy(channel, until);
-                            });
-        }
-        break;
-      }
-      case InterventionKind::SwapAbort: {
-        abortWindowEnd_ =
-            iv.duration > 0 ? now + iv.duration
-                            : std::numeric_limits<Tick>::max();
-        abortProbability_ = iv.probability;
-        abortMaxRetries_ = iv.maxRetries;
-        abortBackoff_ = iv.backoff;
-        note(EventCode::AbortWindowBegin, 0, now, iv.probability,
-             static_cast<double>(iv.duration));
-        if (iv.duration > 0) {
-            eq_->scheduleIn(iv.duration, [this]() {
-                // A newer, longer window may have superseded this
-                // one; only the window actually ending now closes.
-                if (eq_->now() >= abortWindowEnd_) {
-                    abortProbability_ = 0.0;
-                    note(EventCode::AbortWindowEnd, 0, eq_->now());
-                }
-            });
-        }
-        break;
-      }
       case InterventionKind::PinRsm: {
         core::Rsm *rsm = sys_->policy().rsm();
         if (rsm == nullptr) {
-            note(EventCode::PinUnsupported, 0, now);
+            note(EventCode::PinUnsupported, now);
             break;
         }
         if (iv.program < 0) {
@@ -445,13 +280,13 @@ ScenarioController::fire(const Intervention &iv)
             rsm->pinFactors(static_cast<ProgramId>(iv.program),
                             iv.sfA, iv.sfB);
         }
-        note(EventCode::RsmPin, 0, now, iv.sfA, iv.sfB);
+        note(EventCode::RsmPin, now, iv.sfA, iv.sfB);
         break;
       }
       case InterventionKind::UnpinRsm: {
         core::Rsm *rsm = sys_->policy().rsm();
         if (rsm == nullptr) {
-            note(EventCode::PinUnsupported, 0, now);
+            note(EventCode::PinUnsupported, now);
             break;
         }
         if (iv.program < 0) {
@@ -460,23 +295,23 @@ ScenarioController::fire(const Intervention &iv)
         } else {
             rsm->unpinFactors(static_cast<ProgramId>(iv.program));
         }
-        note(EventCode::RsmUnpin, 0, now);
+        note(EventCode::RsmUnpin, now);
         break;
       }
       case InterventionKind::PinMdm:
       case InterventionKind::UnpinMdm: {
         core::Mdm *mdm = sys_->policy().mdm();
         if (mdm == nullptr) {
-            note(EventCode::PinUnsupported, 0, now);
+            note(EventCode::PinUnsupported, now);
         } else if (iv.kind == InterventionKind::PinMdm) {
             mdm->pinDecision(iv.decisionSwap
                                  ? policy::Decision::Swap
                                  : policy::Decision::NoSwap);
-            note(EventCode::MdmPin, 0, now,
+            note(EventCode::MdmPin, now,
                  iv.decisionSwap ? 1.0 : 0.0);
         } else {
             mdm->unpinDecision();
-            note(EventCode::MdmUnpin, 0, now);
+            note(EventCode::MdmUnpin, now);
         }
         break;
       }
@@ -490,42 +325,17 @@ ScenarioController::fire(const Intervention &iv)
 }
 
 void
-ScenarioController::rearmBankBusy(int channel, Tick until)
-{
-    Tick now = eq_->now();
-    if (now >= until)
-        return;
-    mem::MemorySystem &mem = sys_->memory();
-    for (unsigned c = 0; c < mem.numChannels(); ++c) {
-        if (channel >= 0 && c != static_cast<unsigned>(channel))
-            continue;
-        // Re-bumping is a max(), so it is idempotent for banks
-        // still holding the window and only lifts banks a swap
-        // reset below it.
-        mem.channel(c).injectBankBusy(mem::Module::M2, until);
-    }
-    note(EventCode::BankBusyRearm, 0, now,
-         static_cast<double>(until - now));
-    if (now + bankBusyRearmPeriod < until) {
-        eq_->scheduleIn(bankBusyRearmPeriod,
-                        [this, channel, until]() {
-                            rearmBankBusy(channel, until);
-                        });
-    }
-}
-
-void
 ScenarioController::runQuiesceAudit(const Intervention &iv,
                                     unsigned deferrals)
 {
     Tick now = eq_->now();
     if (!sys_->controller().quiescent()) {
         if (deferrals >= quiesceMaxDeferrals) {
-            note(EventCode::QuiesceGiveup, 0, now,
+            note(EventCode::QuiesceGiveup, now,
                  static_cast<double>(deferrals));
             return;
         }
-        note(EventCode::QuiesceDeferred, 0, now,
+        note(EventCode::QuiesceDeferred, now,
              static_cast<double>(deferrals));
         const Intervention *p = &iv;
         eq_->scheduleIn(quiesceBackoff, [this, p, deferrals]() {
@@ -538,32 +348,8 @@ ScenarioController::runQuiesceAudit(const Intervention &iv,
     // all structural invariants must hold.
     sys_->controller().auditStcQacCoherence();
     sys_->auditInvariants();
-    note(EventCode::QuiesceAuditRun, 0, now,
+    note(EventCode::QuiesceAuditRun, now,
          static_cast<double>(deferrals));
-}
-
-bool
-ScenarioController::swapAborts(std::uint64_t group, Tick now)
-{
-    if (now >= abortWindowEnd_ || abortProbability_ <= 0.0)
-        return false;
-    if (rng_.uniform() >= abortProbability_)
-        return false;
-    note(EventCode::SwapAbortInjected, group, now,
-         abortProbability_);
-    return true;
-}
-
-void
-ScenarioController::noteSwapRetry(std::uint64_t group, Tick now)
-{
-    note(EventCode::SwapRetry, group, now);
-}
-
-void
-ScenarioController::noteSwapDegraded(std::uint64_t group, Tick now)
-{
-    note(EventCode::SwapDegraded, group, now);
 }
 
 std::uint64_t
@@ -583,14 +369,12 @@ ScenarioController::registerTelemetry(
 }
 
 void
-ScenarioController::note(EventCode code, std::uint64_t group,
-                         Tick now, double a, double b)
+ScenarioController::note(EventCode code, Tick now, double a, double b)
 {
     stats_.inc(eventName(code));
     if (PROFESS_UNLIKELY(trace_ != nullptr)) {
         telemetry::TraceRecord r;
         r.tick = now;
-        r.group = group;
         r.a = a;
         r.b = b;
         r.detail = static_cast<std::uint32_t>(code);

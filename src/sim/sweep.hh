@@ -148,7 +148,7 @@ class SweepDriver
     };
 
     /**
-     * @param run_options Telemetry and fault scenario of every run.
+     * @param run_options Telemetry and scenario of every run.
      *        Its exposition is always outDir/metrics.prom, so a
      *        metricsOut of its own is fatal.
      */

@@ -190,15 +190,40 @@ void
 SystemConfig::validate(
     const std::function<std::string(const char *)> &where) const
 {
-    auto atLeastOne = [&where](bool ok, const char *knob) {
+    // In knob-table order, so the first bad knob is the one named;
+    // the STC capacity check follows the entry size it divides by.
+    auto require = [&where](bool ok, const char *knob,
+                            const std::string &rule) {
         if (ok)
             return;
         std::string at = where ? where(knob) : std::string();
-        fatal("%s%s%s must be at least 1", at.c_str(),
-              at.empty() ? "" : ": ", knob);
+        fatal("%s%s%s must %s", at.c_str(), at.empty() ? "" : ": ",
+              knob, rule.c_str());
     };
+    auto atLeastOne = [&require](bool ok, const char *knob) {
+        require(ok, knob, "be at least 1");
+    };
+    atLeastOne(numChannels >= 1, "num_channels");
+    require(slotsPerGroup % 2 == 1 && slotsPerGroup >= 3 &&
+                slotsPerGroup <= hybrid::maxSlots,
+            "slots_per_group",
+            "be odd, from 3 to " + std::to_string(hybrid::maxSlots));
     atLeastOne(numRegions >= 1, "num_regions");
+    require(std::isfinite(m2WriteScale) && m2WriteScale >= 0.0,
+            "m2_write_scale", "be finite and at least 0");
+    atLeastOne(stc.ways >= 1, "stc_ways");
+    atLeastOne(stc.entryBytes >= 1, "stc_entry_bytes");
+    require(stc.capacityBytes / stc.entryBytes >= stc.ways,
+            "stc_capacity_bytes",
+            "hold at least stc_ways (" + std::to_string(stc.ways) +
+                ") entries of stc_entry_bytes (" +
+                std::to_string(stc.entryBytes) + ")");
+    atLeastOne(core.width >= 1, "core_width");
+    atLeastOne(core.robSize >= 1, "rob_size");
+    atLeastOne(core.maxOutstanding >= 1, "max_outstanding");
+    atLeastOne(core.coreCyclesPerTick >= 1, "core_cycles_per_tick");
     atLeastOne(core.instrQuota >= 1, "instr");
+    atLeastOne(msamp >= 1, "msamp");
 }
 
 std::vector<const char *>

@@ -59,8 +59,11 @@ struct SystemConfig
     bool rsmPerRegionStats = false; ///< Table 4 instrumentation
 
     /**
-     * Fatal unless a System can run this config: at least one RSM
-     * region and one instruction per core.  `where(knob)`, when
+     * Fatal unless a System can run this config: every knob the
+     * components divide by or size a table with is at least 1,
+     * slots_per_group is odd and at most hybrid::maxSlots, the STC
+     * holds at least one set, and m2_write_scale is finite and not
+     * negative.  `where(knob)`, when
      * given, names the input that set the offending knob
      * (file:line) and prefixes the message.  The System constructor
      * and SweepSpec::fromFile (for every sweep point) call it, so a
@@ -211,13 +214,13 @@ class System : public cpu::MemPort
         return *controller_;
     }
 
-    /** @return the hybrid controller (scenario/fault injection). */
+    /** @return the hybrid controller (scenario audits). */
     hybrid::HybridController &controller() { return *controller_; }
 
     /** @return the memory system. */
     const mem::MemorySystem &memory() const { return *memory_; }
 
-    /** @return the memory system (scenario/fault injection). */
+    /** @return the memory system. */
     mem::MemorySystem &memory() { return *memory_; }
 
     /** @return the page allocator. */

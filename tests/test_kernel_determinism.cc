@@ -372,17 +372,17 @@ struct QuickPin
 
 const QuickPin quickPins[] = {
     {"single_mcf_pom", 7361, 304, 16088, 14694, 7, 54, 19,
-     0xa7d3cc994ebc3c17ull, 4289, 1970, 6827, 7361},
+     0xbff0c7815640aaa7ull, 4289, 1970, 6827, 7361},
     {"single_mcf_mdm", 7226, 17, 15519, 13087, 7, 58, 20,
-     0x71b6bca5469e273full, 4284, 1927, 6604, 7226},
+     0x86635e652272348bull, 4284, 1927, 6604, 7226},
     {"single_mcf_profess", 7133, 14, 15425, 13082, 7, 53, 21,
-     0x93accd79dc93aa23ull, 4129, 1972, 6594, 7133},
+     0xaadbc27dadcc0f7full, 4129, 1972, 6594, 7133},
     {"quad_w01_pom", 12060, 794, 22333, 23436, 13, 104, 62,
-     0x16795a3e23c6ace2ull, 9656, 1607, 4456, 12063},
+     0x478c216974f67cb2ull, 9656, 1607, 4456, 12063},
     {"quad_w01_mdm", 11715, 1, 21046, 16732, 13, 109, 37,
-     0xd55a1e965e2bff17ull, 9500, 1544, 4099, 11731},
+     0x74b1ecc7791ad84bull, 9500, 1544, 4099, 11731},
     {"quad_w01_profess", 12009, 1, 21563, 17215, 13, 106, 48,
-     0xad061f8219228723ull, 9672, 1602, 4335, 12048},
+     0x148c0bcecb88cc97ull, 9672, 1602, 4335, 12048},
 };
 
 } // anonymous namespace

@@ -242,10 +242,10 @@ TEST(RunOptions, FromArgsAppliesAndStripsSharedFlags)
         ::testing::TempDir() + "/profess_run_options.scenario";
     std::FILE *f = std::fopen(scenario.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("at=1000 kind=write_spike duration=5000 scale=4.0\n", f);
+    std::fputs("at=1000 kind=pin_mdm decision=noswap\n", f);
     std::fclose(f);
     ScenarioSchedule want;
-    want.writeSpike(1000, 5000, 4.0);
+    want.pinMdmDecision(1000, false);
 
     // Flags are applied and stripped; unrelated arguments survive.
     Argv a{"bench",         "--trace",          "--telemetry-out",
@@ -300,6 +300,15 @@ TEST(RunOptions, MissingValueOrBadPeriodIsFatal)
     EXPECT_EXIT(optionsOf({"bench", "--epoch-ticks=0"}),
                 ::testing::ExitedWithCode(1),
                 "'--epoch-ticks' must be positive");
+    // Traces and epochs are written only into --telemetry-out's
+    // directory; without it the flag would do nothing.
+    EXPECT_EXIT(optionsOf({"bench", "--trace", "--metrics-out",
+                           "/tmp/m.prom"}),
+                ::testing::ExitedWithCode(1),
+                "'--trace' needs '--telemetry-out DIR'");
+    EXPECT_EXIT(optionsOf({"bench", "--epoch-ticks", "123"}),
+                ::testing::ExitedWithCode(1),
+                "'--epoch-ticks' needs '--telemetry-out DIR'");
 }
 
 /**

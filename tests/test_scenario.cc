@@ -1,17 +1,16 @@
 /**
  * @file
- * Tests for the deterministic fault-injection / scenario subsystem
- * (src/sim/scenario.hh) and the audits it unblocks:
+ * Tests for the scenario-intervention subsystem (src/sim/scenario.hh)
+ * and the audits it unblocks:
  *
- *  - schedule building, file parsing and fingerprinting;
+ *  - schedule building, file parsing (a removed or unknown kind or
+ *    key dies with file:line) and fingerprinting;
  *  - off-mode differential: a run with no scenario attached is
  *    bit-identical to one with an empty schedule attached;
- *  - injected-fault determinism: a fault schedule produces
- *    bit-identical results at --jobs 1 and --jobs 8;
- *  - swap-abort storms: every abort rolls back and either retries
- *    or degrades (exact accounting), no swap group ever wedges;
+ *  - pin determinism: a pin schedule produces bit-identical results
+ *    at --jobs 1 and --jobs 8, and differs from a clean run;
  *  - stat/trace reconciliation: scenario counters equal the
- *    decision sink's ScenarioEvent total exactly;
+ *    decision sink's ScenarioEvent records, code by code;
  *  - Table 7 "as if vacant" forced via the RSM factor-pinning hook
  *    through the full controller path;
  *  - cross-component q_I coherence audits at quiesce points.
@@ -128,24 +127,27 @@ TEST(ScenarioSchedule, BuilderAndFingerprint)
     EXPECT_EQ(empty.fingerprint(), 0u);
 
     ScenarioSchedule a;
-    a.writeSpike(1000, 5000, 4.0).swapAbortWindow(2000, 8000, 0.25);
+    a.pinRsmFactors(1000, 0, 4.0, 2.0).pinMdmDecision(2000, false);
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a.interventions().size(), 2u);
     EXPECT_NE(a.fingerprint(), 0u);
 
     // Same schedule built again: same fingerprint.
     ScenarioSchedule b;
-    b.writeSpike(1000, 5000, 4.0).swapAbortWindow(2000, 8000, 0.25);
+    b.pinRsmFactors(1000, 0, 4.0, 2.0).pinMdmDecision(2000, false);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
 
     // Any field change must move the fingerprint.
     ScenarioSchedule c;
-    c.writeSpike(1000, 5000, 4.5).swapAbortWindow(2000, 8000, 0.25);
+    c.pinRsmFactors(1000, 0, 4.5, 2.0).pinMdmDecision(2000, false);
     EXPECT_NE(a.fingerprint(), c.fingerprint());
+    ScenarioSchedule e;
+    e.pinRsmFactors(1000, 0, 4.0, 2.0).pinMdmDecision(2000, true);
+    EXPECT_NE(a.fingerprint(), e.fingerprint());
 
     // Order matters (interventions can overlap/override).
     ScenarioSchedule d;
-    d.swapAbortWindow(2000, 8000, 0.25).writeSpike(1000, 5000, 4.0);
+    d.pinMdmDecision(2000, false).pinRsmFactors(1000, 0, 4.0, 2.0);
     EXPECT_NE(a.fingerprint(), d.fingerprint());
 }
 
@@ -155,33 +157,53 @@ TEST(ScenarioSchedule, FileParseMatchesBuilder)
         ::testing::TempDir() + "/profess_scenario_test.txt";
     std::FILE *f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("# fault sweep fixture\n"
-               "at=1000 kind=write_spike duration=5000 scale=4.0\n"
+    std::fputs("# intervention fixture\n"
+               "at=1000 kind=pin_mdm decision=noswap\n"
                "\n"
-               "at=2000 kind=swap_abort duration=8000 "
-               "probability=0.25 max_retries=3 backoff=256\n"
+               "at=2000 kind=unpin_mdm\n"
                "at=9000 kind=pin_rsm program=0 sf_a=4.0 sf_b=4.0\n"
+               "at=9200 kind=unpin_rsm program=0\n"
                "at=9500 kind=quiesce_audit\n",
                f);
     std::fclose(f);
 
     ScenarioSchedule parsed = ScenarioSchedule::fromFile(path);
-    ASSERT_EQ(parsed.interventions().size(), 4u);
+    ASSERT_EQ(parsed.interventions().size(), 5u);
 
     ScenarioSchedule built;
-    built.writeSpike(1000, 5000, 4.0)
-        .swapAbortWindow(2000, 8000, 0.25, 3, 256)
+    built.pinMdmDecision(1000, false)
+        .unpinMdmDecision(2000)
         .pinRsmFactors(9000, 0, 4.0, 4.0)
+        .unpinRsmFactors(9200, 0)
         .quiesceAudit(9500);
     EXPECT_EQ(parsed.fingerprint(), built.fingerprint());
     std::remove(path.c_str());
 }
 
+TEST(ScenarioScheduleDeathTest, RemovedKindAndKeyAreFatal)
+{
+    // Only pins and quiesce audits exist: a schedule naming another
+    // kind or one of its keys dies at parse, citing file:line.
+    auto parse = [](const char *name, const char *text) {
+        std::string path = ::testing::TempDir() + "/" + name;
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        std::fputs(text, f);
+        std::fclose(f);
+        ScenarioSchedule::fromFile(path);
+    };
+    EXPECT_DEATH(parse("removed_kind.scn",
+                       "at=0 kind=quiesce_audit\n"
+                       "at=0 kind=swap_abort\n"),
+                 "removed_kind\\.scn:2: unknown intervention kind "
+                 "'swap_abort'");
+    EXPECT_DEATH(parse("removed_key.scn",
+                       "at=0 kind=pin_mdm probability=0.25\n"),
+                 "removed_key\\.scn:1: unknown key 'probability'");
+}
+
 // ---------------------------------------------------------------
 // Off-mode differential: attaching a controller with an EMPTY
-// schedule must be bit-identical to not attaching one at all.  The
-// only residue is the predicted-not-taken fault hook at swap
-// completion, which must never fire.
+// schedule must be bit-identical to not attaching one at all.
 // ---------------------------------------------------------------
 
 TEST(ScenarioOffMode, EmptyScheduleBitIdentical)
@@ -192,7 +214,7 @@ TEST(ScenarioOffMode, EmptyScheduleBitIdentical)
 
     System sys(tinyConfig(), "profess", fourSources(3));
     ScenarioSchedule empty;
-    ScenarioController ctrl(empty, deriveSeed(42, "profess", "mix"));
+    ScenarioController ctrl(empty);
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
 
@@ -201,17 +223,17 @@ TEST(ScenarioOffMode, EmptyScheduleBitIdentical)
 }
 
 // ---------------------------------------------------------------
-// Injected-fault determinism: with a loaded schedule the results
-// must be bit-identical at --jobs 1 and --jobs 8 (the scenario seed
-// derives from the job identity, never the worker), and must
-// differ from a clean run (the faults really happened).
+// Pin determinism: with a loaded schedule the results must be
+// bit-identical at --jobs 1 and --jobs 8, and must differ from a
+// clean run (the pins really acted).  ProFess takes every pin,
+// rsm-pom only the RSM ones and mdm only the MDM ones.
 // ---------------------------------------------------------------
 
 TEST(ScenarioDeterminism, FaultScheduleIdenticalAcrossJobs)
 {
     SystemConfig cfg = tinyConfig();
     std::vector<RunJob> batch;
-    for (const char *policy : {"profess", "pom", "mempod"}) {
+    for (const char *policy : {"profess", "rsm-pom", "mdm"}) {
         RunJob j;
         j.cfg = cfg;
         j.policy = policy;
@@ -221,107 +243,40 @@ TEST(ScenarioDeterminism, FaultScheduleIdenticalAcrossJobs)
     }
 
     ScenarioSchedule s;
-    s.writeSpike(5000, 40000, 6.0)
-        .bankBusy(20000, 4000)
-        .swapAbortWindow(0, 0, 0.3, 3, 128);
-    RunOptions faulted;
-    faulted.scenario.setSchedule(s);
+    s.pinRsmFactors(5000, 0, 4.0, 4.0)
+        .pinMdmDecision(20000, /*swap=*/false)
+        .quiesceAudit(30000)
+        .unpinMdmDecision(40000);
+    RunOptions pinned;
+    pinned.scenario.setSchedule(s);
     auto runWith = [&batch](unsigned jobs, const RunOptions &opts) {
         ParallelRunner runner(jobs, opts);
         runner.setProgress(false);
         return runner.run(batch);
     };
-    // Clean baseline first, then the same batch under faults.
+    // Clean baseline first, then the same batch under the pins.
     std::vector<MultiMetrics> clean = runWith(1, RunOptions{});
-    std::vector<MultiMetrics> serial = runWith(1, faulted);
-    std::vector<MultiMetrics> parallel = runWith(8, faulted);
+    std::vector<MultiMetrics> serial = runWith(1, pinned);
+    std::vector<MultiMetrics> parallel = runWith(8, pinned);
 
     ASSERT_EQ(serial.size(), batch.size());
     ASSERT_EQ(parallel.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i)
         expectIdentical(serial[i].run, parallel[i].run);
 
-    // The faults must actually have perturbed the simulation.
+    // The pins must actually have perturbed the simulation.
     bool any_diff = false;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         for (std::size_t c = 0; c < clean[i].run.ipc.size(); ++c)
             any_diff |= clean[i].run.ipc[c] != serial[i].run.ipc[c];
     }
-    EXPECT_TRUE(any_diff)
-        << "fault schedule had no observable effect";
-}
-
-// ---------------------------------------------------------------
-// Swap-abort storm: at probability 0.5 every completing swap has a
-// coin-flip abort.  The run must still complete (no wedged swap
-// groups), every abort must be followed by exactly one retry or
-// one degradation, and every invariant audit must stay green.
-// ---------------------------------------------------------------
-
-TEST(ScenarioSwapAbort, StormRetriesRollsBackAndCompletes)
-{
-    std::uint64_t audits_before = audit::checksRun();
-
-    System sys(tinyConfig(), "profess", fourSources(3));
-    ScenarioSchedule s;
-    s.swapAbortWindow(/*at=*/0, /*duration=*/0, /*probability=*/0.5,
-                      /*max_retries=*/3, /*backoff=*/64);
-    ScenarioController ctrl(s, deriveSeed(7, "profess", "storm"));
-    ctrl.attach(sys);
-
-    // Completion under a 50% abort storm is the wedge-freedom
-    // proof: a wedged group would stall its cores forever.
-    ASSERT_TRUE(sys.run());
-
-    std::uint64_t injected = ctrl.counter("swap_abort_injected");
-    std::uint64_t retries = ctrl.counter("swap_retry");
-    std::uint64_t degraded = ctrl.counter("swap_degraded");
-    EXPECT_GT(injected, 0u);
-    EXPECT_GT(retries, 0u);
-
-    // Exact accounting: every abort is immediately either retried
-    // or degraded, nothing is double-counted or lost.
-    EXPECT_EQ(injected, retries + degraded);
-
-    // The controller's own counters mirror the scenario's (modulo
-    // the warm-up reset: the controller counts only post-reset
-    // events, so it can never exceed the scenario's totals).
-    const StatSet &cs = sys.controller().stats();
-    EXPECT_LE(cs.counter("swap_aborts"), injected);
-    EXPECT_EQ(cs.counter("swap_aborts"),
-              cs.counter("swap_retries") +
-                  cs.counter("swap_degraded"));
-
-    // Abort rate over completion attempts must clear the >=10%
-    // storm bar from the acceptance criteria (p=0.5 gives ~50%).
-    std::uint64_t attempts = injected + sys.controller().swapCount();
-    ASSERT_GT(attempts, 0u);
-    EXPECT_GE(injected * 10, attempts);
-
-    // The retry-latency histogram surfaces through the registry
-    // (ROADMAP follow-up): each swap that suffered >= 1 abort
-    // closes its first-abort -> resolution window exactly once, so
-    // the count is positive, bounded by the abort total, and the
-    // accumulated wait is positive (every window spans >= one
-    // backoff).
-    telemetry::StatRegistry reg;
-    sys.controller().registerTelemetry(reg, "hybrid");
-    double retry_lat_count =
-        reg.value("hybrid.swap_retry_latency.count");
-    EXPECT_GT(retry_lat_count, 0.0);
-    EXPECT_LE(retry_lat_count, static_cast<double>(injected));
-    EXPECT_GT(reg.value("hybrid.swap_retry_latency.sum"), 0.0);
-
-    // Post-run structural audits: ST permutations, STC residency,
-    // queue ordering — all must have survived the storm.
-    sys.auditInvariants();
-    EXPECT_GT(audit::checksRun(), audits_before);
+    EXPECT_TRUE(any_diff) << "pin schedule had no observable effect";
 }
 
 // ---------------------------------------------------------------
 // Stat/trace reconciliation: every scenario event is mirrored 1:1
-// into the decision trace, so the StatSet total and the sink's
-// ScenarioEvent kind-total must match exactly.
+// into the decision trace, so each counter equals the number of
+// ScenarioEvent records carrying its code.
 // ---------------------------------------------------------------
 
 TEST(ScenarioTrace, StatAndTraceTotalsReconcile)
@@ -330,14 +285,13 @@ TEST(ScenarioTrace, StatAndTraceTotalsReconcile)
 
     System sys(tinyConfig(), "profess", fourSources(3));
     ScenarioSchedule s;
-    s.writeSpike(2000, 10000, 4.0)
-        .bankBusy(15000, 2000)
-        .swapAbortWindow(0, 0, 0.4, 2, 64)
+    s.pinMdmDecision(10000, /*swap=*/false)
+        .unpinMdmDecision(20000)
+        .quiesceAudit(25000)
         .pinRsmFactors(30000, 0, 2.0, 2.0)
         .unpinRsmFactors(45000, 0)
-        .quiesceAudit(25000)
         .quiesceAudit(50000);
-    ScenarioController ctrl(s, deriveSeed(11, "profess", "trace"));
+    ScenarioController ctrl(s);
     ctrl.setTraceSink(&sink);
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
@@ -346,91 +300,33 @@ TEST(ScenarioTrace, StatAndTraceTotalsReconcile)
     EXPECT_EQ(ctrl.eventTotal(),
               sink.kindTotal(telemetry::TraceKind::ScenarioEvent));
 
-    // Per-detail mirroring of the swap retry/degrade path: with an
-    // unwrapped ring every abort, retry and degradation appears in
-    // the trace exactly as often as in the counters, and the abort
-    // accounting closes record-by-record.
+    // Per-code mirroring: with an unwrapped ring every event appears
+    // in the trace exactly as often as in its counter.
     ASSERT_EQ(sink.total(), sink.retainedCount())
         << "ring wrapped; grow the sink for exact mirroring";
-    std::uint64_t aborts = 0, retries = 0, degrades = 0;
+    using Code = ScenarioController::EventCode;
+    std::vector<std::uint64_t> traced(
+        static_cast<std::size_t>(Code::NumCodes), 0);
     for (const telemetry::TraceRecord &r : sink.retained()) {
-        if (r.kind !=
+        if (r.kind ==
             static_cast<std::uint8_t>(
-                telemetry::TraceKind::ScenarioEvent))
-            continue;
-        switch (static_cast<ScenarioController::EventCode>(
-            r.detail)) {
-          case ScenarioController::EventCode::SwapAbortInjected:
-            ++aborts;
-            break;
-          case ScenarioController::EventCode::SwapRetry:
-            ++retries;
-            break;
-          case ScenarioController::EventCode::SwapDegraded:
-            ++degrades;
-            break;
-          default:
-            break;
+                telemetry::TraceKind::ScenarioEvent)) {
+            ASSERT_LT(r.detail, traced.size());
+            ++traced[r.detail];
         }
     }
-    EXPECT_EQ(aborts, ctrl.counter("swap_abort_injected"));
-    EXPECT_EQ(retries, ctrl.counter("swap_retry"));
-    EXPECT_EQ(degrades, ctrl.counter("swap_degraded"));
-    EXPECT_GT(aborts, 0u);
-    EXPECT_EQ(aborts, retries + degrades);
-}
-
-// ---------------------------------------------------------------
-// Satellite: bank_busy windows re-arm.  Swaps overwrite the bumped
-// bank ready times, so a single bump under-models a sustained
-// window; the controller re-bumps every few hundred ticks until the
-// window closes.  The re-arm is event-queue local (no RNG, no wall
-// clock): repeated runs are bit-identical, and the window measurably
-// perturbs the run.
-// ---------------------------------------------------------------
-
-TEST(ScenarioBankBusy, WindowRearmsSustainsAndStaysDeterministic)
-{
-    System bare(tinyConfig(), "profess", fourSources(3));
-    ASSERT_TRUE(bare.run());
-    RunDigest base = digest(bare);
-
-    ScenarioSchedule s;
-    const Tick window = 40000;
-    s.bankBusy(/*at=*/10000, /*duration=*/window);
-
-    struct Outcome
-    {
-        RunDigest d;
-        std::uint64_t rearms;
-    };
-    auto runOnce = [&s]() {
-        System sys(tinyConfig(), "profess", fourSources(3));
-        ScenarioController ctrl(s,
-                                deriveSeed(19, "profess", "busy"));
-        ctrl.attach(sys);
-        EXPECT_TRUE(sys.run());
-        return Outcome{digest(sys), ctrl.counter("bank_busy_rearm")};
-    };
-    Outcome first = runOnce();
-    Outcome second = runOnce();
-
-    // The window was re-bumped throughout its duration (roughly
-    // every 256 ticks; half that rate is the generous floor).
-    EXPECT_GT(first.rearms, window / 256 / 2);
-
-    // Determinism: same schedule, same seed -> same everything.
-    expectIdentical(first.d, second.d);
-    EXPECT_EQ(first.rearms, second.rearms);
-
-    // Effectiveness: a sustained 40k-tick M2 stall must leave a
-    // visible mark on the run relative to the clean baseline.
-    bool any_diff = first.d.finalTick != base.finalTick ||
-                    first.d.servedTotal != base.servedTotal;
-    for (std::size_t i = 0; i < base.ipc.size(); ++i)
-        any_diff |= base.ipc[i] != first.d.ipc[i];
-    EXPECT_TRUE(any_diff)
-        << "sustained bank-busy window had no observable effect";
+    for (unsigned c = 0; c < traced.size(); ++c) {
+        const char *name =
+            ScenarioController::eventName(static_cast<Code>(c));
+        EXPECT_EQ(traced[c], ctrl.counter(name)) << name;
+    }
+    EXPECT_EQ(ctrl.counter("mdm_pin"), 1u);
+    EXPECT_EQ(ctrl.counter("mdm_unpin"), 1u);
+    EXPECT_EQ(ctrl.counter("rsm_pin"), 1u);
+    EXPECT_EQ(ctrl.counter("rsm_unpin"), 1u);
+    EXPECT_EQ(ctrl.counter("quiesce_audit") +
+                  ctrl.counter("quiesce_giveup"),
+              2u);
 }
 
 // ---------------------------------------------------------------
@@ -448,7 +344,7 @@ TEST(ScenarioRsmPin, Table7AsIfVacantFullController)
     s.pinRsmFactors(0, 0, 4.0, 4.0);
     for (int p = 1; p < 4; ++p)
         s.pinRsmFactors(0, p, 1.0, 1.0);
-    ScenarioController ctrl(s, deriveSeed(5, "profess", "table7"));
+    ScenarioController ctrl(s);
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
 
@@ -477,7 +373,7 @@ TEST(ScenarioRsmPin, PinsEveryPolicyWithAnRsm)
     System sys(tinyConfig(), "rsm-pom", fourSources(3));
     ScenarioSchedule s;
     s.pinRsmFactors(1000, 0, 4.0, 4.0);
-    ScenarioController ctrl(s, deriveSeed(5, "rsm-pom", "pin"));
+    ScenarioController ctrl(s);
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
 
@@ -504,7 +400,7 @@ TEST(ScenarioQuiesce, QacCoherenceAuditsRun)
     const unsigned requests = 6;
     for (unsigned i = 0; i < requests; ++i)
         s.quiesceAudit(5000 + i * 7000);
-    ScenarioController ctrl(s, deriveSeed(13, "profess", "quiesce"));
+    ScenarioController ctrl(s);
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
 
@@ -528,7 +424,7 @@ TEST(ScenarioMdmPin, ForcedNoSwapSuppressesSwaps)
     System sys(tinyConfig(), "mdm", fourSources(3));
     ScenarioSchedule s;
     s.pinMdmDecision(0, /*swap=*/false);
-    ScenarioController ctrl(s, deriveSeed(17, "mdm", "pin"));
+    ScenarioController ctrl(s);
     ctrl.attach(sys);
     ASSERT_TRUE(sys.run());
 

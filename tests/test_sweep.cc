@@ -253,6 +253,22 @@ TEST(SweepSpecDeathTest, RejectsMalformedSpecs)
                      "zeroregions", "policy=pom workload=mcf\n\n"
                                     "sweep=num_regions:32,0\n")),
                  "\\.sweep:3: num_regions must be at least 1");
+    // Past validate(), these divide by zero in HybridLayout::build
+    // and the StCache constructor.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "oneslot", "policy=pom workload=mcf\n"
+                                "sweep=slots_per_group:9,1\n")),
+                 "\\.sweep:2: slots_per_group must be odd, from 3 to 17");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "zeroentry", "policy=pom workload=mcf\n\n"
+                                  "stc_entry_bytes=0\n")),
+                 "\\.sweep:3: stc_entry_bytes must be at least 1");
+    // A NaN write-recovery scale never finishes a run.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "nanwrite", "policy=pom workload=mcf\n"
+                                 "m2_write_scale=nan\n")),
+                 "\\.sweep:2: m2_write_scale must be finite and at "
+                 "least 0");
 }
 
 TEST(SweepDriver, ResumeEqualsUninterrupted)
