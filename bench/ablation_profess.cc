@@ -8,6 +8,11 @@
  * Expected shape: very small thresholds let RSM noise flip
  * decisions; very large ones disable guidance and degenerate to
  * MDM.  Msamp trades responsiveness against noise (Sec. 3.1.3).
+ *
+ * Each point sets three knobs at once, which one sweep= axis of a
+ * spec cannot express.  Besides the knobs of bench_util.hh it takes
+ * workload=<w,...>, the Table 10 workloads to run (default
+ * w01-w06).
  */
 
 #include "bench_util.hh"
@@ -31,10 +36,27 @@ struct AblationPoint
 int
 main(int argc, char **argv)
 {
-    BenchEnv env = benchEnv();
+    sim::ParallelRunner runner = makeRunner(argc, argv);
+    sim::SystemConfig base = figureConfig(/*quad=*/true);
+    KeyValue names{"workload", "w01,w02,w03,w04,w05,w06", "default"};
+    for (const KeyValue &kv : keyValueArgs(argc, argv)) {
+        if (kv.key == "workload")
+            names = kv;
+        else
+            sim::applyKnob(base, kv);
+    }
+    std::vector<const sim::WorkloadSpec *> wls;
+    for (const std::string &name : splitList(names.value, ',')) {
+        wls.push_back(sim::findWorkload(name));
+        fatal_if(wls.back() == nullptr,
+                 "%s: '%s' in 'workload' is not a Table 10 workload "
+                 "(w01..w19)",
+                 names.where.c_str(), name.c_str());
+    }
+    fatal_if(wls.empty(), "%s: no workload", names.where.c_str());
     header("Ablation: ProFess thresholds and Msamp",
            "Sec. 3.3 / Sec. 3.1.3 design choices");
-    const std::uint64_t msamp = sim::SystemConfig::quadCore().msamp;
+    const std::uint64_t msamp = base.msamp;
     std::printf("\n(first six Table 10 workloads, ProFess "
                 "normalized to PoM; threshold rows at the default "
                 "Msamp=%llu)\n\n",
@@ -54,20 +76,15 @@ main(int argc, char **argv)
     const std::size_t num_points =
         sizeof(points) / sizeof(points[0]);
 
-    std::vector<const sim::WorkloadSpec *> wls = env.workloads;
-    wls.resize(std::min<std::size_t>(wls.size(), 6));
-
     // One flat batch over every (point, workload, policy) triple:
     // all seven ablation points sweep concurrently.
-    sim::ParallelRunner runner = makeRunner(argc, argv);
     std::vector<sim::RunJob> jobs;
     for (std::size_t k = 0; k < num_points; ++k) {
-        sim::SystemConfig cfg = sim::SystemConfig::quadCore();
-        cfg.core.instrQuota = env.multiInstr;
-        cfg.core.warmupInstr = env.warmupInstr;
+        sim::SystemConfig cfg = base;
         cfg.professFactorThreshold = points[k].factorThr;
         cfg.professProductThreshold = points[k].productThr;
         cfg.msamp = points[k].msamp;
+        cfg.validate();
         for (const sim::WorkloadSpec *w : wls) {
             jobs.push_back(sim::multiJob(cfg, "pom", *w, k));
             jobs.push_back(sim::multiJob(cfg, "profess", *w, k));
@@ -76,17 +93,18 @@ main(int argc, char **argv)
     std::vector<sim::MultiMetrics> res = runner.run(jobs);
 
     for (std::size_t k = 0; k < num_points; ++k) {
-        RatioSeries sdn, ws;
+        std::vector<double> sdn, ws;
         for (std::size_t j = 0; j < wls.size(); ++j) {
             const sim::MultiMetrics &pom =
                 res[(k * wls.size() + j) * 2];
             const sim::MultiMetrics &pf =
                 res[(k * wls.size() + j) * 2 + 1];
-            sdn.add(pf.maxSlowdown / pom.maxSlowdown);
-            ws.add(pf.weightedSpeedup / pom.weightedSpeedup);
+            sdn.push_back(pf.maxSlowdown / pom.maxSlowdown);
+            ws.push_back(pf.weightedSpeedup / pom.weightedSpeedup);
         }
         std::printf("%-28s maxSdn/PoM %.3f   ws/PoM %.3f\n",
-                    points[k].label, sdn.gmean(), ws.gmean());
+                    points[k].label, geometricMean(sdn),
+                    geometricMean(ws));
         if (k == 3)
             std::printf("\n");
     }

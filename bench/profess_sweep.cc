@@ -4,6 +4,7 @@
  *
  *   profess_sweep --spec FILE --out DIR [--jobs N] [--max-runs K]
  *                 [--fresh] [--dry-run] [--no-progress]
+ *                 [key=value ...]
  *
  * Expands the declarative spec (see src/sim/sweep.hh for the
  * format), runs the grid over the parallel runner, and journals
@@ -14,6 +15,15 @@
  * skipped, and the finalized outputs (journal + merged
  * DIR/metrics.prom) are byte-identical to an uninterrupted sweep
  * at any --jobs N.
+ *
+ * key=value arguments after the flags act as a last line of the
+ * spec (a knob overrides the file's, and policy=, workload= or
+ * seed= replaces its list), e.g. the smoke size
+ * `instr=20000 warmup=10000 workload=w01`.
+ *
+ * stdout carries the spec's summary line and its report
+ * (sim::renderReport): the same bytes at any --jobs N and after a
+ * resume.  Progress and the journal status go to stderr.
  *
  * The shared --trace, --telemetry-out DIR, --epoch-ticks N and
  * --scenario FILE flags (sim::RunOptions) apply to every run;
@@ -44,7 +54,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s --spec FILE --out DIR [--jobs N] "
                  "[--max-runs K] [--fresh] [--dry-run] "
-                 "[--no-progress]\n",
+                 "[--no-progress] [key=value ...]\n",
                  argv0);
     std::exit(1);
 }
@@ -62,6 +72,7 @@ main(int argc, char **argv)
     opts.jobs = sim::ParallelRunner::jobsFromArgs(argc, argv);
     opts.progress = true;
     bool dry_run = false;
+    int knobs = 1; // argv[1..knobs) holds the key=value arguments
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&]() -> std::string {
@@ -82,6 +93,8 @@ main(int argc, char **argv)
             dry_run = true;
         } else if (arg == "--no-progress") {
             opts.progress = false;
+        } else if (!arg.starts_with("-")) {
+            argv[knobs++] = argv[i];
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n",
                          arg.c_str());
@@ -91,7 +104,8 @@ main(int argc, char **argv)
     if (spec_path.empty() || opts.outDir.empty())
         usage(argv[0]);
 
-    sim::SweepSpec spec = sim::SweepSpec::fromFile(spec_path);
+    sim::SweepSpec spec =
+        sim::SweepSpec::fromFile(spec_path, keyValueArgs(knobs, argv));
     std::printf("sweep %s: %zu runs (%zu point%s x %zu mix%s x "
                 "%zu polic%s x %zu seed%s), spec %016llx\n",
                 spec_path.c_str(), spec.numRuns(),
@@ -110,7 +124,7 @@ main(int argc, char **argv)
                     "policy", "sweep", "programs");
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             std::printf("%-5zu %-24s %-10s %-6llu %s\n", i,
-                        jobs[i].label.c_str(),
+                        sim::jobLabel(jobs[i]).c_str(),
                         jobs[i].policy.c_str(),
                         static_cast<unsigned long long>(
                             jobs[i].sweepPoint),
@@ -122,32 +136,19 @@ main(int argc, char **argv)
     sim::SweepDriver driver(spec, opts, std::move(run_options));
     bool finalized = driver.run();
 
-    std::printf("\n%-5s %-24s %-10s %-9s %-9s %-9s %s\n", "idx",
-                "label", "policy", "wspeedup", "maxslow", "eff",
-                "state");
-    const std::vector<sim::SweepRunRecord> &recs = driver.records();
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        const sim::SweepRunRecord &r = recs[i];
-        if (r.key.empty()) {
-            std::printf("%-5zu (pending)\n", i);
-            continue;
-        }
-        std::printf("%-5zu %-24s %-10s %-9.4f %-9.4f %-9.3f %s\n",
-                    i, r.label.c_str(), r.policy.c_str(),
-                    r.weightedSpeedup, r.maxSlowdown, r.efficiency,
-                    r.completed ? "ok" : "incomplete");
-    }
-    std::printf("\n%zu/%zu runs journaled (%zu resumed, %zu "
-                "executed here)%s\n",
-                driver.resumedRuns() + driver.executedRuns(),
-                driver.totalRuns(), driver.resumedRuns(),
-                driver.executedRuns(),
-                finalized ? "; sweep finalized"
-                          : "; re-run to resume");
+    std::fputs(sim::renderReport(spec, driver.records()).c_str(), stdout);
+    std::fprintf(stderr,
+                 "%zu/%zu runs journaled (%zu resumed, %zu "
+                 "executed here)%s\n",
+                 driver.resumedRuns() + driver.executedRuns(),
+                 driver.totalRuns(), driver.resumedRuns(),
+                 driver.executedRuns(),
+                 finalized ? "; sweep finalized"
+                           : "; re-run to resume");
     if (!finalized)
         return 75; // EX_TEMPFAIL: partial, resumable
-    std::printf("journal:  %s\nmetrics:  %s\n",
-                driver.journalPath().c_str(),
-                driver.metricsPath().c_str());
+    std::fprintf(stderr, "journal:  %s\nmetrics:  %s\n",
+                 driver.journalPath().c_str(),
+                 driver.metricsPath().c_str());
     return 0;
 }

@@ -59,7 +59,7 @@ struct QuickRun
     std::uint64_t
     seed() const
     {
-        return sim::deriveSeed(1, policy, name, 0);
+        return sim::deriveSeed(1, policy, name);
     }
 
     /** @return the run's system, built and not yet run. */

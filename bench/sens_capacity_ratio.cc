@@ -9,6 +9,9 @@
  * Expected shape: MDM's relative gain shrinks slightly at 1:4
  * (less competition for M1) and holds at 1:16 (paper: +12% / +14% /
  * +14%).
+ *
+ * Each point sets two knobs at once, which one sweep= axis of a
+ * spec cannot express.
  */
 
 #include "bench_util.hh"
@@ -31,7 +34,10 @@ struct RatioPoint
 int
 main(int argc, char **argv)
 {
-    BenchEnv env = benchEnv();
+    sim::ParallelRunner runner = makeRunner(argc, argv);
+    sim::SystemConfig base = figureConfig(/*quad=*/false);
+    for (const KeyValue &kv : keyValueArgs(argc, argv))
+        sim::applyKnob(base, kv);
     header("Sec. 5.2: sensitivity to the M1:M2 capacity ratio",
            "Sec. 5.2 (capacity-ratio study)");
 
@@ -41,25 +47,26 @@ main(int argc, char **argv)
         {"1:16", 17, 512 * KiB},
     };
 
-    sim::ParallelRunner runner = makeRunner(argc, argv);
+    sim::SystemConfig cfgs[3];
+    for (int i = 0; i < 3; ++i) {
+        cfgs[i] = base;
+        cfgs[i].slotsPerGroup = points[i].slots;
+        cfgs[i].m1BytesPerChannel = points[i].m1Bytes;
+        cfgs[i].validate();
+    }
     std::vector<std::string> programs = allPrograms();
     std::vector<sim::RunJob> jobs;
     for (const std::string &prog : programs) {
         for (int i = 0; i < 3; ++i) {
-            sim::SystemConfig cfg = sim::SystemConfig::singleCore();
-            cfg.core.instrQuota = env.singleInstr;
-            cfg.core.warmupInstr = env.warmupInstr;
-            cfg.slotsPerGroup = points[i].slots;
-            cfg.m1BytesPerChannel = points[i].m1Bytes;
-            jobs.push_back(sim::singleJob(cfg, "pom", prog, i));
-            jobs.push_back(sim::singleJob(cfg, "mdm", prog, i));
+            jobs.push_back(sim::singleJob(cfgs[i], "pom", prog, i));
+            jobs.push_back(sim::singleJob(cfgs[i], "mdm", prog, i));
         }
     }
     std::vector<sim::MultiMetrics> res = runner.run(jobs);
 
     std::printf("\n%-12s %10s %10s %10s\n", "program", "1:4",
                 "1:8", "1:16");
-    RatioSeries g[3];
+    std::vector<double> g[3];
     for (std::size_t p = 0; p < programs.size(); ++p) {
         const std::string &prog = programs[p];
         std::printf("%-12s", prog.c_str());
@@ -77,7 +84,7 @@ main(int argc, char **argv)
             bool fits =
                 fp_bytes < static_cast<double>(points[i].m1Bytes);
             if (!fits)
-                g[i].add(r);
+                g[i].push_back(r);
             std::printf(" %9.3f%s", r, fits ? "*" : " ");
         }
         std::printf("\n");
@@ -86,6 +93,7 @@ main(int argc, char **argv)
                 "average, as in the paper)\n");
     std::printf("MDM/PoM IPC gmean: 1:4 %.3f | 1:8 %.3f | 1:16 "
                 "%.3f  (paper: 1.12 / 1.14 / 1.14)\n",
-                g[0].gmean(), g[1].gmean(), g[2].gmean());
+                geometricMean(g[0]), geometricMean(g[1]),
+                geometricMean(g[2]));
     return 0;
 }

@@ -25,7 +25,10 @@ using namespace profess::bench;
 int
 main(int argc, char **argv)
 {
-    BenchEnv env = benchEnv();
+    sim::ParallelRunner runner = makeRunner(argc, argv);
+    sim::SystemConfig base = figureConfig(/*quad=*/false);
+    for (const KeyValue &kv : keyValueArgs(argc, argv))
+        sim::applyKnob(base, kv);
     header("Table 4: RSM sampling accuracy", "Table 4");
 
     const std::uint64_t msamps[] = {1024, 2048, 4096};
@@ -41,16 +44,19 @@ main(int argc, char **argv)
         double avgPct = 0.0;
     };
     Cell cells[3][3];
+    auto config = [&base, &msamps](std::size_t mi) {
+        sim::SystemConfig cfg = base;
+        cfg.msamp = msamps[mi];
+        cfg.rsmPerRegionStats = true;
+        return cfg;
+    };
+    for (std::size_t mi = 0; mi < 3; ++mi)
+        config(mi).validate();
 
-    sim::ParallelRunner runner = makeRunner(argc, argv);
     runner.forEach(9, [&](std::size_t idx) {
         std::size_t pi = idx / 3;
         std::size_t mi = idx % 3;
-        sim::SystemConfig cfg = sim::SystemConfig::singleCore();
-        cfg.core.instrQuota = env.singleInstr;
-        cfg.core.warmupInstr = env.warmupInstr;
-        cfg.msamp = msamps[mi];
-        cfg.rsmPerRegionStats = true;
+        sim::SystemConfig cfg = config(mi);
 
         std::vector<std::unique_ptr<trace::TraceSource>> src;
         src.push_back(trace::makeSpecSource(

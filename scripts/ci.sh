@@ -20,6 +20,14 @@
 #             and runs the resumable-sweep differential on
 #             bench/sweeps/nightly.sweep
 #             (profess_sweep_resume_differential).
+#   figures   The figure set at default size, the one command that
+#             regenerates every figure and table: each spec under
+#             bench/sweeps/ (but the test grid nightly.sweep) through
+#             profess_sweep, and the three figure binaries that are
+#             not specs.  The set runs at --jobs 1 and at --jobs 4,
+#             and each report (stdout) must be byte-identical
+#             between the two.  Prints each pass's CPU-seconds
+#             (user + sys); the reports stay in build/figures/.
 #   perf      A 3-second perfbench/run.py run per benchmark workload
 #             (every PROFESS_* variable unset: perfbench refuses
 #             them) must report "correct": true, i.e. every job's
@@ -64,14 +72,14 @@
 # compiler + build inputs.
 #
 # Usage: scripts/ci.sh [jobs] [--stages a,b,c]
-#   default stages: tsan,release,perf,telemetry,analyze,ubsan
+#   default stages: tsan,release,figures,perf,telemetry,analyze,ubsan
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
-STAGES="tsan,release,perf,telemetry,analyze,ubsan"
+STAGES="tsan,release,figures,perf,telemetry,analyze,ubsan"
 while [ $# -gt 0 ]; do
     case "$1" in
         --stages)
@@ -126,6 +134,47 @@ stage_tsan() {
 stage_release() {
     ensure_release
     ctest --test-dir build --output-on-failure -j "$JOBS"
+}
+
+# figure_set JOBS DIR: every figure of the set at --jobs JOBS, each
+# report in DIR/<name>.JOBS.txt; stderr goes to DIR/log.
+figure_set() {
+    local jobs=$1 out=$2 spec name
+    for spec in bench/sweeps/*.sweep; do
+        name="$(basename "$spec" .sweep)"
+        [ "$name" = nightly ] && continue
+        ./build/bench/profess_sweep --spec "$spec" \
+            --out "$out/$name.$jobs" --fresh --no-progress \
+            --jobs "$jobs" >"$out/$name.$jobs.txt" 2>>"$out/log" ||
+            return 1
+    done
+    for name in table4_sampling_accuracy sens_capacity_ratio \
+                ablation_profess; do
+        "./build/bench/$name" --jobs "$jobs" >"$out/$name.$jobs.txt" \
+            2>>"$out/log" || return 1
+    done
+}
+
+stage_figures() {
+    ensure_release
+    local out=build/figures jobs cpu report
+    rm -rf "$out"
+    mkdir -p "$out"
+    for jobs in 1 4; do
+        if ! cpu="$( { TIMEFORMAT='%3U %3S'
+                      time figure_set "$jobs" "$out"; } 2>&1 )"; then
+            cat "$out/log" >&2
+            exit 1
+        fi
+        awk -v jobs="$jobs" -v t="$cpu" 'BEGIN {
+            split(t, a, " ")
+            printf "    figure set at --jobs %s: %.1f CPU-s\n", jobs,
+                a[1] + a[2]
+        }'
+    done
+    for report in "$out"/*.1.txt; do
+        cmp "$report" "${report%.1.txt}.4.txt"
+    done
 }
 
 stage_perf() {
@@ -251,7 +300,7 @@ N=0
 for stage in "${STAGE_LIST[@]}"; do
     N=$((N + 1))
     case "$stage" in
-        tsan|release|perf|telemetry|analyze|ubsan)
+        tsan|release|figures|perf|telemetry|analyze|ubsan)
             echo "==> [$N/$TOTAL] stage: $stage"
             "stage_$stage"
             ;;

@@ -23,6 +23,20 @@ splitToken(const std::string &tok, const std::string &where)
 
 } // anonymous namespace
 
+std::vector<std::string>
+splitList(std::string_view s, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= s.size()) {
+        std::size_t c = std::min(s.find(sep, pos), s.size());
+        if (c > pos)
+            out.emplace_back(s.substr(pos, c - pos));
+        pos = c + 1;
+    }
+    return out;
+}
+
 std::vector<std::vector<KeyValue>>
 readKeyValueLines(const std::string &path)
 {

@@ -1,9 +1,10 @@
 /**
  * @file
- * The one key=value reader, shared by sweep specs, scenario files,
- * example command lines and the bench environment: a line reader
- * for '#'-commented files of whitespace-separated key=value tokens,
- * and typed values that must parse whole and fit their type.
+ * The one key=value reader, shared by sweep specs, scenario files
+ * and the command lines of examples, figure binaries and
+ * profess_sweep: a line reader for '#'-commented files of
+ * whitespace-separated key=value tokens, comma lists, and typed
+ * values that must parse whole and fit their type.
  */
 
 #ifndef PROFESS_COMMON_KEY_VALUE_HH
@@ -90,6 +91,10 @@ valueAs(const KeyValue &kv)
     fatal("%s: bad value '%s' for '%s' (needs %s)", kv.where.c_str(),
           kv.value.c_str(), kv.key.c_str(), want.c_str());
 }
+
+/** @return the non-empty pieces of `s` between `sep`s ("a,,b" is
+ *  {"a", "b"}). */
+std::vector<std::string> splitList(std::string_view s, char sep);
 
 /**
  * Read `path` ('#' starts a comment) as whitespace-separated

@@ -1,6 +1,7 @@
 #include "common/stats.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -87,7 +88,9 @@ boxSummary(std::vector<double> data)
     s.q1 = interpQuantile(data, 0.25);
     s.median = interpQuantile(data, 0.50);
     s.q3 = interpQuantile(data, 0.75);
-    s.gmean = geometricMean(data);
+    // Zero or below has no logarithm: no geometric mean then.
+    s.gmean = s.min > 0.0 ? geometricMean(data)
+                          : std::numeric_limits<double>::quiet_NaN();
     return s;
 }
 

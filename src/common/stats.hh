@@ -312,7 +312,7 @@ struct BoxSummary
  * Compute a BoxSummary of a series.
  *
  * Quartiles use linear interpolation between order statistics; the
- * geometric mean requires strictly positive data.
+ * geometric mean is NaN unless every value is positive.
  */
 BoxSummary boxSummary(std::vector<double> data);
 

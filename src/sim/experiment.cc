@@ -21,12 +21,14 @@ namespace sim
 
 std::uint64_t
 deriveSeed(std::uint64_t base, std::string_view policy,
-           std::string_view mix, std::uint64_t sweep_point)
+           std::string_view mix)
 {
     std::uint64_t h = mix64(base);
     h = hashCombine(h, policy);
     h = hashCombine(h, mix);
-    h = hashCombine(h, sweep_point);
+    // The retired sweep-point input, always 0: hashing it keeps
+    // every unswept run's seed (and the pinned digests) unchanged.
+    h = hashCombine(h, std::uint64_t{0});
     // Trace sources mix small slot offsets into the seed; keep the
     // derived seed nonzero and well-spread.
     return h == 0 ? 0x9e3779b97f4a7c15ull : h;

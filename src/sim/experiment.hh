@@ -74,15 +74,17 @@ struct MultiMetrics
  * which is what makes the parallel runner's `--jobs 1` vs
  * `--jobs N` outputs comparable (tests/test_parallel_runner.cc).
  *
+ * A run's configuration is not an input: every point of a swept
+ * knob draws the same trace streams as the unswept config, so a
+ * difference between points is the knob's, not seed noise.
+ *
  * @param base Base seed (the experiment family's seed).
  * @param policy Policy name.
  * @param mix Workload-mix label (workload name, or program name
  *        for stand-alone runs).
- * @param sweep_point Index of the sweep point, 0 if none.
  */
 std::uint64_t deriveSeed(std::uint64_t base, std::string_view policy,
-                         std::string_view mix,
-                         std::uint64_t sweep_point = 0);
+                         std::string_view mix);
 
 /**
  * Fingerprint of every field of a SystemConfig (the knob table,

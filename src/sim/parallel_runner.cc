@@ -50,16 +50,18 @@ mixLabel(const RunJob &job)
 std::uint64_t
 jobSeed(const RunJob &job)
 {
-    return job.seed != 0 ? job.seed
-                         : deriveSeed(job.baseSeed, job.policy,
-                                      mixLabel(job), job.sweepPoint);
+    return job.seed != 0
+               ? job.seed
+               : deriveSeed(job.baseSeed, job.policy, mixLabel(job));
 }
 
 std::string
 jobLabel(const RunJob &job)
 {
-    // Distinguish sweep points sharing a mix.
+    // Distinguish seeds and sweep points sharing a mix.
     std::string label = mixLabel(job);
+    if (job.seedInLabel)
+        label += "_r" + std::to_string(job.baseSeed);
     if (job.sweepPoint != 0)
         label += "_s" + std::to_string(job.sweepPoint);
     return label;

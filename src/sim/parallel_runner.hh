@@ -3,9 +3,9 @@
  * Parallel experiment runner (the experiment layer's scaling
  * substrate).
  *
- * Every figure/table binary in bench/ regenerates its results from
+ * Every figure and table in bench/ regenerates its results from
  * independent simulation jobs (workload mixes x policies x sweep
- * points).  The ParallelRunner fans those jobs over `--jobs N`
+ * points x seeds).  The ParallelRunner fans those jobs over `--jobs N`
  * plain threads, the calling thread among them, each claiming the
  * next job from one shared counter, while guaranteeing
  * *bit-identical* results for any worker count:
@@ -53,12 +53,17 @@ struct RunJob
     std::string policy;
     std::vector<std::string> programs;
     /**
-     * Workload-mix label: seeds the job (with policy and
-     * sweepPoint) and names it in progress output.  Defaults to
-     * the '+'-joined program list when empty.
+     * Workload-mix label: seeds the job (with policy and base seed)
+     * and names it in progress output.  Defaults to the '+'-joined
+     * program list when empty.
      */
     std::string label;
+    /** Sweep point, for naming only: a nonzero point suffixes the
+     *  run's name with "_s<point>" (jobLabel). */
     std::uint64_t sweepPoint = 0;
+    /** Name the run "<label>_r<baseSeed>" (a grid of several
+     *  seeds), for naming only. */
+    bool seedInLabel = false;
     /** Also compute slowdown metrics (stand-alone references). */
     bool slowdowns = false;
     /** Base seed; the job seed is derived from it (see jobSeed),
@@ -70,12 +75,13 @@ struct RunJob
 };
 
 /** @return the job's seed: `seed` when set, else
- *  deriveSeed(baseSeed, policy, mix label, sweepPoint), where the
- *  mix label is `label`, or the '+'-joined programs when empty. */
+ *  deriveSeed(baseSeed, policy, mix label), where the mix label is
+ *  `label`, or the '+'-joined programs when empty. */
 std::uint64_t jobSeed(const RunJob &job);
 
 /** @return the telemetry label of a job's run: its mix label,
- *  suffixed "_s<point>" for a nonzero sweep point. */
+ *  suffixed "_r<baseSeed>" when seedInLabel is set and "_s<point>"
+ *  for a nonzero sweep point. */
 std::string jobLabel(const RunJob &job);
 
 /** @return runIdentityKey of the job's run: the key its DetSan

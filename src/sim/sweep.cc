@@ -32,20 +32,19 @@ namespace
 // Spec parsing
 //
 
-std::vector<std::string>
-splitList(const std::string &s, char sep)
+/**
+ * Append `v` to a grid axis; fatal, citing kv.where, when it is
+ * there already: the job would run twice under one journal key.
+ */
+template <typename T>
+void
+addOnce(std::vector<T> &axis, T v, const KeyValue &kv,
+        const std::string &text)
 {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t c = s.find(sep, pos);
-        if (c == std::string::npos)
-            c = s.size();
-        if (c > pos)
-            out.push_back(s.substr(pos, c - pos));
-        pos = c + 1;
-    }
-    return out;
+    fatal_if(std::find(axis.begin(), axis.end(), v) != axis.end(),
+             "%s: repeated %s '%s'", kv.where.c_str(), kv.key.c_str(),
+             text.c_str());
+    axis.push_back(std::move(v));
 }
 
 } // anonymous namespace
@@ -69,7 +68,8 @@ SweepSpec::mixPrograms(const std::string &mix)
 }
 
 SweepSpec
-SweepSpec::fromFile(const std::string &path)
+SweepSpec::fromFile(const std::string &path,
+                    const std::vector<KeyValue> &args)
 {
     SweepSpec s;
     s.seeds.clear();
@@ -78,54 +78,77 @@ SweepSpec::fromFile(const std::string &path)
     // runs later.
     SystemConfig scratch;
     std::string sweep_where;
-    for (const std::vector<KeyValue> &line : readKeyValueLines(path)) {
-        for (const KeyValue &kv : line) {
-            const char *where = kv.where.c_str();
-            if (kv.key == "preset") {
-                fatal_if(kv.value != "quad" && kv.value != "single",
-                         "%s: preset must be quad or single, got '%s'",
-                         where, kv.value.c_str());
-                s.preset = kv.value;
-            } else if (kv.key == "policy") {
-                for (const std::string &p : splitList(kv.value, ',')) {
-                    findPolicy(p, kv.where);
-                    s.policies.push_back(p);
-                }
-            } else if (kv.key == "workload") {
-                for (const std::string &m : splitList(kv.value, ','))
-                    s.mixes.push_back(m);
-            } else if (kv.key == "seed") {
-                for (const std::string &v : splitList(kv.value, ','))
-                    s.seeds.push_back(valueAs<std::uint64_t>(
-                        KeyValue{kv.key, v, kv.where}));
-            } else if (kv.key == "slowdowns") {
-                s.slowdowns = valueAs<bool>(kv);
-            } else if (kv.key == "sweep") {
-                fatal_if(!s.sweepKey.empty(),
-                         "%s: a sweep file sweeps at most one axis "
-                         "(already sweeping '%s')",
-                         where, s.sweepKey.c_str());
-                std::size_t colon = kv.value.find(':');
-                fatal_if(colon == std::string::npos || colon == 0 ||
-                             colon + 1 >= kv.value.size(),
-                         "%s: sweep needs <key>:<v1,v2,...>, got '%s'",
-                         where, kv.value.c_str());
-                s.sweepKey = kv.value.substr(0, colon);
-                sweep_where = kv.where;
-                s.sweepValues =
-                    splitList(kv.value.substr(colon + 1), ',');
-                fatal_if(s.sweepValues.empty(),
-                         "%s: sweep axis '%s' has no values", where,
-                         s.sweepKey.c_str());
-                for (const std::string &v : s.sweepValues)
-                    applyKnob(scratch,
-                              KeyValue{s.sweepKey, v, kv.where});
-            } else {
-                applyKnob(scratch, kv);
-                s.overrides.push_back(kv);
+    std::string baseline_where;
+    auto parse = [&](const KeyValue &kv) {
+        const char *where = kv.where.c_str();
+        if (kv.key == "preset") {
+            fatal_if(kv.value != "quad" && kv.value != "single",
+                     "%s: preset must be quad or single, got '%s'",
+                     where, kv.value.c_str());
+            s.preset = kv.value;
+        } else if (kv.key == "policy") {
+            for (const std::string &p : splitList(kv.value, ',')) {
+                findPolicy(p, kv.where);
+                addOnce(s.policies, p, kv, p);
             }
+        } else if (kv.key == "workload") {
+            for (const std::string &m : splitList(kv.value, ','))
+                addOnce(s.mixes, m, kv, m);
+        } else if (kv.key == "seed") {
+            for (const std::string &v : splitList(kv.value, ','))
+                addOnce(s.seeds,
+                        valueAs<std::uint64_t>(KeyValue{kv.key, v, kv.where}),
+                        kv, v);
+        } else if (kv.key == "slowdowns") {
+            s.slowdowns = valueAs<bool>(kv);
+        } else if (kv.key == "baseline") {
+            s.baseline = kv.value;
+            baseline_where = kv.where;
+        } else if (kv.key == "sweep") {
+            fatal_if(!s.sweepKey.empty(),
+                     "%s: a sweep file sweeps at most one axis "
+                     "(already sweeping '%s')",
+                     where, s.sweepKey.c_str());
+            std::size_t colon = kv.value.find(':');
+            fatal_if(colon == std::string::npos || colon == 0 ||
+                         colon + 1 >= kv.value.size(),
+                     "%s: sweep needs <key>:<v1,v2,...>, got '%s'",
+                     where, kv.value.c_str());
+            s.sweepKey = kv.value.substr(0, colon);
+            sweep_where = kv.where;
+            for (const std::string &v :
+                 splitList(kv.value.substr(colon + 1), ',')) {
+                applyKnob(scratch, KeyValue{s.sweepKey, v, kv.where});
+                addOnce(s.sweepValues, v, kv, v);
+            }
+            fatal_if(s.sweepValues.empty(),
+                     "%s: sweep axis '%s' has no values", where,
+                     s.sweepKey.c_str());
+        } else {
+            applyKnob(scratch, kv);
+            s.overrides.push_back(kv);
         }
+    };
+    for (const std::vector<KeyValue> &line : readKeyValueLines(path)) {
+        for (const KeyValue &kv : line)
+            parse(kv);
     }
+    // The arguments come last: a later knob wins, and a list they
+    // give replaces the file's.
+    auto given = [&args](const char *key) {
+        return std::any_of(
+            args.begin(), args.end(),
+            [key](const KeyValue &kv) { return kv.key == key; });
+    };
+    if (given("policy"))
+        s.policies.clear();
+    if (given("workload"))
+        s.mixes.clear();
+    if (given("seed"))
+        s.seeds.clear();
+    for (const KeyValue &kv : args)
+        parse(kv);
+
     fatal_if(s.policies.empty(), "%s: no policy= given",
              path.c_str());
     fatal_if(s.mixes.empty(), "%s: no workload= given",
@@ -136,6 +159,11 @@ SweepSpec::fromFile(const std::string &path)
         fatal_if(o.key == s.sweepKey, "%s: '%s' is both fixed and swept",
                  o.where.c_str(), o.key.c_str());
     }
+    fatal_if(!s.baseline.empty() && s.baselinePolicy() == s.npos &&
+                 s.baselinePoint() == s.npos,
+             "%s: baseline '%s' is neither a policy of the spec nor "
+             "<swept knob>:<one of its values>",
+             baseline_where.c_str(), s.baseline.c_str());
     for (const std::string &m : s.mixes)
         mixPrograms(m);
     // Every point must be runnable before any runs, so a bad value
@@ -152,6 +180,28 @@ SweepSpec::fromFile(const std::string &path)
     for (std::size_t p = 0; p < s.numSweepPoints(); ++p)
         s.configAt(p).validate(where);
     return s;
+}
+
+std::size_t
+SweepSpec::baselinePolicy() const
+{
+    auto it = std::find(policies.begin(), policies.end(), baseline);
+    return it == policies.end()
+               ? npos
+               : static_cast<std::size_t>(it - policies.begin());
+}
+
+std::size_t
+SweepSpec::baselinePoint() const
+{
+    const std::string prefix = sweepKey + ":";
+    if (sweepKey.empty() || !baseline.starts_with(prefix))
+        return npos;
+    auto it = std::find(sweepValues.begin(), sweepValues.end(),
+                        baseline.substr(prefix.size()));
+    return it == sweepValues.end()
+               ? npos
+               : static_cast<std::size_t>(it - sweepValues.begin());
 }
 
 std::uint64_t
@@ -219,13 +269,11 @@ SweepSpec::expand() const
                     j.policy = pol;
                     j.programs = progs;
                     j.label = mix;
-                    // Several seeds of one mix need distinct
-                    // labels: the label seeds the run and names
-                    // its telemetry shard.
-                    if (seeds.size() > 1)
-                        j.label += "_r" + std::to_string(seed);
-                    // 1-based so every swept point gets an "_s<p>"
-                    // telemetry suffix (sweepPoint 0 = unswept).
+                    // Several seeds or points of one mix need
+                    // distinct run names (telemetry shards, journal
+                    // keys); the points are 1-based so each gets an
+                    // "_s<p>" suffix (sweepPoint 0 = unswept).
+                    j.seedInLabel = seeds.size() > 1;
                     j.sweepPoint = swept ? p + 1 : 0;
                     j.slowdowns = slowdowns;
                     j.baseSeed = seed;
@@ -253,6 +301,26 @@ appendG17(std::string &s, double v)
     s += buf;
 }
 
+/** Append " key=v0,v1,..." (%.17g each); nothing when `v` is
+ *  empty. */
+void
+appendList(std::string &s, const char *key, const std::vector<double> &v)
+{
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        s += i == 0 ? std::string(" ") + key + "=" : ",";
+        appendG17(s, v[i]);
+    }
+}
+
+std::vector<double>
+parseList(const KeyValue &kv)
+{
+    std::vector<double> v;
+    for (const std::string &x : splitList(kv.value, ','))
+        v.push_back(valueAs<double>(KeyValue{kv.key, x, kv.where}));
+    return v;
+}
+
 std::string
 renderRecord(const SweepRunRecord &r)
 {
@@ -271,6 +339,14 @@ renderRecord(const SweepRunRecord &r)
     appendG17(s, r.efficiency);
     s += " served=" + std::to_string(r.servedTotal);
     s += " swaps=" + std::to_string(r.swaps);
+    appendList(s, "ipc", r.ipc);
+    appendList(s, "sdn", r.slowdown);
+    s += " m1fr=";
+    appendG17(s, r.m1Fraction);
+    s += " stc=";
+    appendG17(s, r.stcHitRate);
+    s += " rdlat=";
+    appendG17(s, r.readLatencyNs);
     return s + "\n";
 }
 
@@ -310,6 +386,16 @@ parseRecord(const std::vector<KeyValue> &line)
             r.servedTotal = valueAs<std::uint64_t>(kv);
         else if (kv.key == "swaps")
             r.swaps = valueAs<std::uint64_t>(kv);
+        else if (kv.key == "ipc")
+            r.ipc = parseList(kv);
+        else if (kv.key == "sdn")
+            r.slowdown = parseList(kv);
+        else if (kv.key == "m1fr")
+            r.m1Fraction = valueAs<double>(kv);
+        else if (kv.key == "stc")
+            r.stcHitRate = valueAs<double>(kv);
+        else if (kv.key == "rdlat")
+            r.readLatencyNs = valueAs<double>(kv);
     }
     fatal_if(renderRecord(r) != text + "\n",
              "%s: corrupt sweep journal record", line[0].where.c_str());
@@ -321,7 +407,7 @@ renderHeader(std::uint64_t spec_fp, std::size_t runs)
 {
     char buf[80];
     std::snprintf(buf, sizeof(buf),
-                  "profess_sweep=2 spec=%016llx runs=%zu\n",
+                  "profess_sweep=3 spec=%016llx runs=%zu\n",
                   static_cast<unsigned long long>(spec_fp), runs);
     return buf;
 }
@@ -558,6 +644,11 @@ SweepDriver::run()
             rec.efficiency = m.efficiency;
             rec.servedTotal = m.run.servedTotal;
             rec.swaps = m.run.swaps;
+            rec.ipc = m.run.ipc;
+            rec.slowdown = m.slowdown;
+            rec.m1Fraction = m.run.m1Fraction;
+            rec.stcHitRate = m.run.stcHitRate;
+            rec.readLatencyNs = m.run.meanReadLatencyNs;
             std::size_t count;
             {
                 std::lock_guard<std::mutex> lk(journalMu_);

@@ -14,14 +14,23 @@
  *   slowdowns=1                 # attach stand-alone references
  *   instr=120000 warmup=60000   # fixed config overrides
  *   sweep=min_benefit:4,8,16    # the (single) swept config axis
+ *   baseline=pom                # the report's ratio denominator:
+ *                               # a policy, or a swept point
+ *                               # (baseline=min_benefit:8)
  *
  * Fixed overrides and the swept axis take any knob of the
- * SystemConfig table (forEachKnob in sim/system.hh).
+ * SystemConfig table (forEachKnob in sim/system.hh).  A run's seed
+ * depends only on (base seed, policy, mix), so every sweep point
+ * and every other seed of a grid replays the same trace streams.
+ *
+ * renderReport is the one reducer: from the records it prints each
+ * metric per mix (or per program) for every policy and point, the
+ * ratios against the baseline, and a summary row per column.
  *
  * SweepDriver expands the spec deterministically, fans the jobs
  * over ParallelRunner, and checkpoints each completed run as one
  * fsync'd line of an append-only journal (sweep.journal in the
- * output directory): a "profess_sweep=2 spec=<hex> runs=<n>" header,
+ * output directory): a "profess_sweep=3 spec=<hex> runs=<n>" header,
  * then one key=value record per run, keyed by the same
  * configFingerprint|label|policy|programs|seed identity the DetSan
  * journal uses (runIdentityKey).  Per-run metrics are durable the
@@ -62,6 +71,8 @@ namespace sim
 class SweepSpec
 {
   public:
+    static constexpr std::size_t npos = std::string::npos;
+
     std::string preset = "quad";    ///< quad | single
     std::vector<std::string> policies;
     std::vector<std::string> mixes; ///< Table 10 names or a+b+c+d
@@ -70,20 +81,37 @@ class SweepSpec
     std::vector<KeyValue> overrides; ///< fixed knobs (applyKnob)
     std::string sweepKey;           ///< "" = no swept axis
     std::vector<std::string> sweepValues; ///< knob values, as text
+    /** The report's baseline: a policy, or "<sweepKey>:<value>";
+     *  "" = no ratio columns. */
+    std::string baseline;
 
     /**
      * Parse a spec file: '#' comments, whitespace-separated
-     * key=value tokens (readKeyValueLines).  Fatal with file:line
+     * key=value tokens (readKeyValueLines), then `args` (e.g.
+     * command-line tokens) as a last line whose policy=, workload=
+     * and seed= replace the file's lists.  Fatal with file:line
      * on malformed input, unknown keys, knob values that do not
      * parse or fit, unknown policies (findPolicy) or
-     * workloads/programs, a second sweep= axis, or a sweep point
-     * no System can run (SystemConfig::validate).
+     * workloads/programs, a repeated policy, workload, seed or
+     * sweep value, a second sweep= axis, a baseline that names no
+     * policy or sweep point of the spec, or a sweep point no
+     * System can run (SystemConfig::validate).
      */
-    static SweepSpec fromFile(const std::string &path);
+    static SweepSpec fromFile(const std::string &path,
+                              const std::vector<KeyValue> &args = {});
 
-    /** Order-sensitive fingerprint of every field (validates a
-     *  journal against the spec that wrote it). */
+    /** Order-sensitive fingerprint of every field that changes a
+     *  run (validates a journal against the spec that wrote it);
+     *  the baseline changes only the report and is left out. */
     std::uint64_t fingerprint() const;
+
+    /** @return the baseline's index in `policies`, or npos when
+     *  the baseline is not a policy. */
+    std::size_t baselinePolicy() const;
+
+    /** @return the baseline's sweep point, or npos when the
+     *  baseline is not a point of the swept axis. */
+    std::size_t baselinePoint() const;
 
     /** @return sweep points (1 when no axis is swept). */
     std::size_t numSweepPoints() const
@@ -105,10 +133,10 @@ class SweepSpec
 
     /**
      * Expand into jobs in canonical order (sweep point, mix,
-     * policy, seed — all innermost-last).  Job labels are the mix
-     * name, suffixed "_r<seed>" when several seeds are swept; with
-     * a swept axis, sweep points are numbered from 1 so every
-     * point's telemetry label carries an "_s<point>" suffix.
+     * policy, seed — all innermost-last).  A job's label, which
+     * seeds it, is its mix name.  Its run is named (jobLabel)
+     * "_r<seed>" when several seeds are swept, and with a swept
+     * axis "_s<point>", points numbered from 1.
      */
     std::vector<RunJob> expand() const;
 };
@@ -128,7 +156,28 @@ struct SweepRunRecord
     double efficiency = 0.0;
     std::uint64_t servedTotal = 0;
     std::uint64_t swaps = 0;
+    std::vector<double> ipc;      ///< per program, at quota
+    std::vector<double> slowdown; ///< per program; empty without
+                                  ///< slowdowns
+    double m1Fraction = 0.0;      ///< requests served from M1
+    double stcHitRate = 0.0;
+    double readLatencyNs = 0.0;   ///< mean read latency
 };
+
+/**
+ * The figure reducer.  Pairs each record with the one that differs
+ * from it only on the baseline's axis (policy or sweep point) and
+ * renders, per metric, a table: one row per mix (per program for
+ * IPC and slowdown; with several seeds, per mix and seed), a column
+ * per policy and point, the ratio columns, and summary rows
+ * (boxSummary and the geometric mean) under every column.  A record
+ * that is not completed, and a ratio with a zero denominator, are
+ * left out of every cell and summary and counted under the table.
+ *
+ * @param records One per job of spec.expand(), in its order.
+ */
+std::string renderReport(const SweepSpec &spec,
+                         const std::vector<SweepRunRecord> &records);
 
 /** The crash-safe orchestrator (see file comment). */
 class SweepDriver

@@ -9,6 +9,7 @@
 #include "core/mdm_policy.hh"
 #include "core/profess.hh"
 #include "core/rsm_guided.hh"
+#include "mem/geometry.hh"
 #include "policy/cameo.hh"
 #include "policy/mempod.hh"
 #include "policy/os_coarse.hh"
@@ -204,6 +205,17 @@ SystemConfig::validate(
         require(ok, knob, "be at least 1");
     };
     atLeastOne(numChannels >= 1, "num_channels");
+    // A module is whole rows in each of its banks
+    // (mem::ModuleGeometry::withCapacity).
+    auto wholeRows = [&require](std::uint64_t bytes, const char *knob) {
+        const mem::ModuleGeometry module;
+        const std::uint64_t bank_rows = module.banks * module.rowBytes;
+        require(bytes != 0 && bytes % bank_rows == 0, knob,
+                "be a nonzero multiple of banks x row bytes (" +
+                    std::to_string(bank_rows) + ")");
+    };
+    wholeRows(m1BytesPerChannel, "m1_bytes_per_channel");
+    wholeRows(m2BytesPerChannel, "m2_bytes_per_channel");
     require(slotsPerGroup % 2 == 1 && slotsPerGroup >= 3 &&
                 slotsPerGroup <= hybrid::maxSlots,
             "slots_per_group",

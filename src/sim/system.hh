@@ -59,8 +59,10 @@ struct SystemConfig
     bool rsmPerRegionStats = false; ///< Table 4 instrumentation
 
     /**
-     * Fatal unless a System can run this config: every knob the
-     * components divide by or size a table with is at least 1,
+     * Fatal unless a System can run this config: each module
+     * capacity is a nonzero multiple of its banks x row bytes,
+     * every knob the components divide by or size a table with is
+     * at least 1,
      * slots_per_group is odd and at most hybrid::maxSlots, the STC
      * holds at least one set, and m2_write_scale is finite and not
      * negative.  `where(knob)`, when

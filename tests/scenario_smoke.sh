@@ -1,16 +1,16 @@
 #!/bin/sh
-# A figure binary run on an intervention schedule: its RSM and MDM
-# pins and quiesce audits must reach the runs and be counted in the
-# --metrics-out exposition.
+# A figure spec run on an intervention schedule: its RSM and MDM pins
+# and quiesce audits must reach the runs and be counted in the
+# sweep's exposition.
 #
-#   scenario_smoke.sh FIG13_BINARY SCRATCH_DIR
+#   scenario_smoke.sh PROFESS_SWEEP SPEC SCRATCH_DIR
 set -eu
-fig=$1
-dir=$2
-prom="$dir/metrics.prom"
+sweep=$1
+spec=$2
+dir=$3
+prom="$dir/out/metrics.prom"
 rm -rf "$dir"
 mkdir -p "$dir"
-export PROFESS_INSTR=20000 PROFESS_WARMUP=10000 PROFESS_WORKLOADS=w01
 
 cat >"$dir/schedule.scn" <<'SCN'
 # program 0 reads as 4x slowed down from tick 20000 on
@@ -23,7 +23,8 @@ at=60000 kind=quiesce_audit
 at=100000 kind=quiesce_audit
 SCN
 
-"$fig" --jobs 2 --scenario "$dir/schedule.scn" --metrics-out "$prom" \
+"$sweep" --spec "$spec" --out "$dir/out" --fresh --no-progress --jobs 2 \
+    --scenario "$dir/schedule.scn" instr=20000 warmup=10000 workload=w01 \
     >/dev/null
 
 # nonzero FAMILY: some run's FAMILY counter is above zero.

@@ -258,14 +258,14 @@ TEST(KeyValue, BoolsAreZeroOrOne)
 
 TEST(KeyValueDeathTest, MalformedIntegerIsFatal)
 {
-    // The parser behind every integer knob, PROFESS_INSTR and
+    // The parser behind every integer knob (instr=) and
     // profess_sweep --max-runs.
     for (const char *bad :
          {"2e6", "12abc", "", "-1", "010", "18446744073709551616"}) {
-        KeyValue kv{"PROFESS_INSTR", bad, "environment"};
+        KeyValue kv{"instr", bad, "command line"};
         EXPECT_DEATH(valueAs<std::uint64_t>(kv),
-                     "environment: bad value '.*' for "
-                     "'PROFESS_INSTR' \\(needs a non-negative integer")
+                     "command line: bad value '.*' for "
+                     "'instr' \\(needs a non-negative integer")
             << bad;
     }
 }

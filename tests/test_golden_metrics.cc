@@ -250,12 +250,8 @@ TEST(Golden, RsmSfBSwapAccounting)
 TEST(Golden, SeedDerivationConstants)
 {
     EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ull);
-    EXPECT_EQ(deriveSeed(1, "pom", "w01", 0),
-              0x804aeeff04fcd246ull);
-    EXPECT_EQ(deriveSeed(1, "mdm", "w01", 0),
-              0x761e67319c5b64ddull);
-    EXPECT_EQ(deriveSeed(1, "pom", "w01", 1),
-              0xb8f98e71655754afull);
+    EXPECT_EQ(deriveSeed(1, "pom", "w01"), 0x804aeeff04fcd246ull);
+    EXPECT_EQ(deriveSeed(1, "mdm", "w01"), 0x761e67319c5b64ddull);
 }
 
 // ---------------------------------------------------------------

@@ -131,12 +131,11 @@ expectIdentical(const MultiMetrics &a, const MultiMetrics &b)
 
 TEST(DeriveSeed, PureAndSensitiveToEveryInput)
 {
-    std::uint64_t s = deriveSeed(1, "pom", "w01", 0);
-    EXPECT_EQ(s, deriveSeed(1, "pom", "w01", 0));
-    EXPECT_NE(s, deriveSeed(2, "pom", "w01", 0));
-    EXPECT_NE(s, deriveSeed(1, "mdm", "w01", 0));
-    EXPECT_NE(s, deriveSeed(1, "pom", "w02", 0));
-    EXPECT_NE(s, deriveSeed(1, "pom", "w01", 1));
+    std::uint64_t s = deriveSeed(1, "pom", "w01");
+    EXPECT_EQ(s, deriveSeed(1, "pom", "w01"));
+    EXPECT_NE(s, deriveSeed(2, "pom", "w01"));
+    EXPECT_NE(s, deriveSeed(1, "mdm", "w01"));
+    EXPECT_NE(s, deriveSeed(1, "pom", "w02"));
     EXPECT_NE(s, 0u);
 }
 
@@ -402,12 +401,12 @@ TEST(ParallelRunner, SharedCacheSkipsDuplicateReferenceRuns)
         }
     }
     EXPECT_EQ(runner.cache().size(), distinct);
-    // Both sweep points see identical reference IPCs...
+    // Both sweep points see identical reference IPCs, and the same
+    // mix seed: the sweep point only names the run.
     for (std::size_t i = 0; i < r[0].aloneIpc.size(); ++i)
         EXPECT_EQ(r[0].aloneIpc[i], r[1].aloneIpc[i]);
-    // ...but distinct mix seeds (sweepPoint differs).
-    EXPECT_NE(deriveSeed(1, "pom", "w01", 0),
-              deriveSeed(1, "pom", "w01", 1));
+    EXPECT_EQ(jobSeed(batch[0]), jobSeed(batch[1]));
+    EXPECT_NE(jobLabel(batch[0]), jobLabel(batch[1]));
 }
 
 TEST(ParallelRunner, ForEachCoversAllIndices)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -89,6 +90,70 @@ runFull(const SweepSpec &spec, const std::string &tag, unsigned jobs)
     return opts.outDir;
 }
 
+/** Run `spec` to completion; return its records. */
+std::vector<SweepRunRecord>
+runRecords(const SweepSpec &spec, const std::string &tag)
+{
+    SweepDriver::Options opts;
+    opts.outDir = tempBase(tag);
+    opts.jobs = 2;
+    opts.fresh = true;
+    SweepDriver driver(spec, opts);
+    EXPECT_TRUE(driver.run());
+    return driver.records();
+}
+
+/** Two records hold the same results, whatever their names. */
+void
+expectSameResults(const SweepRunRecord &a, const SweepRunRecord &b)
+{
+    EXPECT_TRUE(a.completed);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.weightedSpeedup, b.weightedSpeedup);
+    EXPECT_EQ(a.maxSlowdown, b.maxSlowdown);
+    EXPECT_EQ(a.efficiency, b.efficiency);
+    EXPECT_EQ(a.servedTotal, b.servedTotal);
+    EXPECT_EQ(a.swaps, b.swaps);
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.slowdown, b.slowdown);
+    EXPECT_EQ(a.m1Fraction, b.m1Fraction);
+    EXPECT_EQ(a.stcHitRate, b.stcHitRate);
+    EXPECT_EQ(a.readLatencyNs, b.readLatencyNs);
+}
+
+bool
+fileExists(const std::string &path)
+{
+    return ::access(path.c_str(), F_OK) == 0;
+}
+
+/** `text`'s lines with each run of blanks collapsed to one. */
+std::vector<std::string>
+squeezedLines(const std::string &text)
+{
+    std::vector<std::string> out(1);
+    for (char c : text) {
+        if (c == '\n')
+            out.emplace_back();
+        else if (c != ' ' || (!out.back().empty() && out.back().back() != ' '))
+            out.back() += c;
+    }
+    for (std::string &l : out) {
+        while (!l.empty() && l.back() == ' ')
+            l.pop_back();
+    }
+    return out;
+}
+
+/** `report` has a line that reads `line`, blanks squeezed. */
+bool
+hasLine(const std::string &report, const std::string &line)
+{
+    std::vector<std::string> lines = squeezedLines(report);
+    return std::find(lines.begin(), lines.end(), line) != lines.end();
+}
+
 } // anonymous namespace
 
 TEST(SweepSpec, ParsesAndExpands)
@@ -111,9 +176,12 @@ TEST(SweepSpec, ParsesAndExpands)
     ASSERT_EQ(jobs.size(), 4u);
     // Canonical order: mix, then policy, then seed innermost.
     EXPECT_EQ(jobs[0].policy, "always");
-    EXPECT_EQ(jobs[0].label, "mcf_r1");
     EXPECT_EQ(jobs[0].baseSeed, 1u);
-    EXPECT_EQ(jobs[1].label, "mcf_r2");
+    // The label seeds the run; the seed suffix only names it.
+    EXPECT_EQ(jobs[0].label, "mcf");
+    EXPECT_EQ(jobs[1].label, "mcf");
+    EXPECT_EQ(jobLabel(jobs[0]), "mcf_r1");
+    EXPECT_EQ(jobLabel(jobs[1]), "mcf_r2");
     EXPECT_EQ(jobs[2].policy, "never");
     // No swept axis: sweepPoint stays 0 (no "_s" label suffix).
     for (const RunJob &j : jobs) {
@@ -153,6 +221,61 @@ TEST(SweepSpec, SweptAxisExpandsPerPoint)
     EXPECT_EQ(jobs[0].cfg.minBenefit, 4u);
     EXPECT_EQ(jobs[1].cfg.minBenefit, 8u);
     EXPECT_EQ(jobs[0].label, "w01"); // one seed: no _r suffix
+}
+
+TEST(SweepSpec, SweptPointAtTheDefaultJournalsTheUnsweptResults)
+{
+    // A run's seed does not depend on its sweep point: the point at
+    // the preset's min_benefit (8) is the unswept run, bit for bit.
+    const std::string grid = "preset=single policy=pom,mdm workload=mcf\n"
+                             "instr=30000 warmup=5000 slowdowns=1\n";
+    std::vector<SweepRunRecord> plain = runRecords(
+        SweepSpec::fromFile(writeSpecFile("plain", grid)), "plain");
+    std::vector<SweepRunRecord> swept = runRecords(
+        SweepSpec::fromFile(writeSpecFile(
+            "swept", grid + "sweep=min_benefit:4,8\n")),
+        "swept");
+    ASSERT_EQ(plain.size(), 2u);
+    ASSERT_EQ(swept.size(), 4u);
+    expectSameResults(plain[0], swept[2]);
+    expectSameResults(plain[1], swept[3]);
+    EXPECT_EQ(swept[2].label, "mcf_s2");
+}
+
+TEST(SweepSpec, SeedOneOfSeveralEqualsSeedOneAlone)
+{
+    // Another seed in the grid leaves seed 1's run as it was.
+    const std::string grid = "preset=quad policy=pom workload=w01\n"
+                             "instr=20000 warmup=10000 slowdowns=1\n";
+    std::vector<SweepRunRecord> one = runRecords(
+        SweepSpec::fromFile(writeSpecFile("seed1", grid)), "seed1");
+    std::vector<SweepRunRecord> two = runRecords(
+        SweepSpec::fromFile(writeSpecFile("seed12", grid + "seed=1,2\n")),
+        "seed12");
+    ASSERT_EQ(one.size(), 1u);
+    ASSERT_EQ(two.size(), 2u);
+    expectSameResults(one[0], two[0]);
+    EXPECT_EQ(two[0].label, "w01_r1");
+}
+
+TEST(SweepSpec, ArgumentsOverrideTheFile)
+{
+    // The command line's knobs win, and its lists replace the
+    // file's.
+    SweepSpec spec = SweepSpec::fromFile(
+        writeSpecFile("args", "preset=quad policy=pom,mdm\n"
+                              "workload=w01,w02 seed=3\n"
+                              "instr=2000000 warmup=1000000\n"),
+        {{"instr", "20000", "command line"},
+         {"workload", "w09", "command line"},
+         {"policy", "profess", "command line"},
+         {"policy", "pom", "command line"}});
+    EXPECT_EQ(spec.configAt(0).core.instrQuota, 20000u);
+    EXPECT_EQ(spec.configAt(0).core.warmupInstr, 1000000u);
+    EXPECT_EQ(spec.mixes, (std::vector<std::string>{"w09"}));
+    EXPECT_EQ(spec.policies,
+              (std::vector<std::string>{"profess", "pom"}));
+    EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{3}));
 }
 
 TEST(SweepSpec, NightlyPointsKeepTheirFingerprints)
@@ -269,6 +392,138 @@ TEST(SweepSpecDeathTest, RejectsMalformedSpecs)
                                  "m2_write_scale=nan\n")),
                  "\\.sweep:2: m2_write_scale must be finite and at "
                  "least 0");
+    // A repeated grid entry would run one job twice under one
+    // journal key, and no report could pair it.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "twopom", "workload=mcf\npolicy=pom,pom\n")),
+                 "\\.sweep:2: repeated policy 'pom'");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "twow01", "policy=pom\nworkload=w01\n"
+                               "workload=w01\n")),
+                 "\\.sweep:3: repeated workload 'w01'");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "twoseeds", "policy=pom workload=mcf seed=1,1\n")),
+                 "\\.sweep:1: repeated seed '1'");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "twopoints", "policy=pom workload=mcf\n"
+                                  "sweep=msamp:512,512\n")),
+                 "\\.sweep:2: repeated sweep '512'");
+    // A baseline must name a policy or a point of the swept knob.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "basepol", "policy=pom workload=mcf\n"
+                                "baseline=mdm\n")),
+                 "\\.sweep:2: baseline 'mdm' is neither");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "basept", "policy=pom workload=mcf\n"
+                               "sweep=msamp:512,1024\n"
+                               "baseline=msamp:2048\n")),
+                 "\\.sweep:3: baseline 'msamp:2048' is neither");
+    // A capacity that is not whole rows in every bank.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "m2rows", "policy=pom workload=mcf\n"
+                               "m2_bytes_per_channel=0\n")),
+                 "\\.sweep:2: m2_bytes_per_channel must be a nonzero "
+                 "multiple of banks x row bytes \\(131072\\)");
+}
+
+TEST(SweepDriverDeathTest, UnrunnableCapacityDiesBeforeAnyRun)
+{
+    // Point 2's module is not whole rows: the sweep dies at parse,
+    // citing the axis, before it writes a journal.
+    const std::string path = writeSpecFile(
+        "capacity", "preset=single policy=pom workload=mcf\n"
+                    "instr=20000 warmup=0\n"
+                    "sweep=m1_bytes_per_channel:1048576,1000\n");
+    SweepDriver::Options opts;
+    opts.outDir = tempBase("capacity_dir");
+    opts.jobs = 1;
+    EXPECT_DEATH(
+        {
+            SweepDriver driver(SweepSpec::fromFile(path), opts);
+            driver.run();
+        },
+        "\\.sweep:3: m1_bytes_per_channel must be a nonzero multiple "
+        "of banks x row bytes \\(131072\\)");
+    EXPECT_FALSE(fileExists(opts.outDir + "/sweep.journal"));
+}
+
+namespace
+{
+
+/** A completed record of one single-program run. */
+SweepRunRecord
+record(std::size_t index, double ipc, std::uint64_t swaps)
+{
+    SweepRunRecord r;
+    r.index = index;
+    r.completed = true;
+    r.ipc = {ipc};
+    r.servedTotal = 100;
+    r.swaps = swaps;
+    r.m1Fraction = 0.5;
+    r.stcHitRate = 0.5;
+    r.readLatencyNs = 100.0;
+    return r;
+}
+
+} // anonymous namespace
+
+TEST(SweepReport, PairsOnThePolicyAxis)
+{
+    SweepSpec spec = SweepSpec::fromFile(writeSpecFile(
+        "rpol", "preset=single policy=pom,mdm baseline=pom\n"
+                "workload=mcf,lbm,milc,soplex slowdowns=0\n"));
+    // In expand()'s order: (mix, policy).  soplex's mdm run did not
+    // complete; mcf's pom run made no swaps.
+    std::vector<SweepRunRecord> recs = {
+        record(0, 0.5, 0),  record(1, 1.0, 5),  // mcf
+        record(2, 0.25, 10), record(3, 2.0, 5), // lbm
+        record(4, 0.1, 20), record(5, 0.2, 40), // milc
+        record(6, 0.4, 10), record(7, 0.9, 1),  // soplex
+    };
+    recs[7].completed = false;
+    const std::string rep = renderReport(spec, recs);
+    EXPECT_TRUE(hasLine(rep, "baseline pom: ratio columns are "
+                             "<policy>/pom"));
+    EXPECT_TRUE(hasLine(rep, "left out: 1 of 8 runs not completed"));
+    EXPECT_TRUE(hasLine(rep, "program pom mdm mdm/pom"));
+    EXPECT_TRUE(hasLine(rep, "mcf 0.500 1.000 2.000"));
+    EXPECT_TRUE(hasLine(rep, "lbm 0.250 2.000 8.000"));
+    EXPECT_TRUE(hasLine(rep, "milc 0.100 0.200 2.000"));
+    EXPECT_TRUE(hasLine(rep, "soplex 0.400 - -"));
+    // Summary rows over the values each column kept.
+    EXPECT_TRUE(hasLine(rep, "n 4 3 3"));
+    EXPECT_TRUE(hasLine(rep, "min 0.100 0.200 2.000"));
+    EXPECT_TRUE(hasLine(rep, "median 0.325 1.000 2.000"));
+    EXPECT_TRUE(hasLine(rep, "max 0.500 2.000 8.000"));
+    EXPECT_TRUE(hasLine(rep, "gmean 0.266 0.737 3.175"));
+    // swapfr: mcf's ratio has a zero denominator; its pom column
+    // has no geometric mean.
+    EXPECT_TRUE(hasLine(rep, "mcf 0.000 0.050 -"));
+    EXPECT_TRUE(hasLine(rep, "lbm 0.100 0.050 0.500"));
+    EXPECT_TRUE(hasLine(rep, "gmean - 0.100 1.000"));
+    EXPECT_TRUE(hasLine(rep, "(left out: 1 ratio with a zero "
+                             "denominator)"));
+    // No stand-alone references: no slowdown tables.
+    EXPECT_EQ(rep.find("\nsdn:"), std::string::npos);
+    EXPECT_NE(rep.find("\nrdlat:"), std::string::npos);
+}
+
+TEST(SweepReport, PairsOnTheSweptAxis)
+{
+    SweepSpec spec = SweepSpec::fromFile(writeSpecFile(
+        "rpt", "preset=single policy=mdm workload=mcf slowdowns=0\n"
+               "sweep=stc_capacity_bytes:512,1024,2048\n"
+               "baseline=stc_capacity_bytes:1024\n"));
+    std::vector<SweepRunRecord> recs = {
+        record(0, 0.3, 1), record(1, 0.6, 2), record(2, 0.9, 3)};
+    const std::string rep = renderReport(spec, recs);
+    EXPECT_TRUE(hasLine(rep, "baseline stc_capacity_bytes:1024: ratio "
+                             "columns are <point>/1024"));
+    EXPECT_TRUE(hasLine(rep, "program mdm@512 mdm@1024 mdm@2048 "
+                             "mdm@512/1024 mdm@2048/1024"));
+    EXPECT_TRUE(hasLine(rep, "mcf 0.300 0.600 0.900 0.500 1.500"));
+    EXPECT_EQ(rep.find("left out"), std::string::npos);
 }
 
 TEST(SweepDriver, ResumeEqualsUninterrupted)
