@@ -57,10 +57,12 @@ main(int argc, char **argv)
     header("Ablation: ProFess thresholds and Msamp",
            "Sec. 3.3 / Sec. 3.1.3 design choices");
     const std::uint64_t msamp = base.msamp;
-    std::printf("\n(first six Table 10 workloads, ProFess "
-                "normalized to PoM; threshold rows at the default "
-                "Msamp=%llu)\n\n",
-                static_cast<unsigned long long>(msamp));
+    std::string run = wls.front()->name;
+    for (std::size_t j = 1; j < wls.size(); ++j)
+        run.append(",").append(wls[j]->name);
+    std::printf("\n(Table 10 workloads %s, ProFess normalized to "
+                "PoM; threshold rows at the default Msamp=%llu)\n\n",
+                run.c_str(), static_cast<unsigned long long>(msamp));
 
     const double t32 = 1.0 + 1.0 / 32.0;
     const double t16 = 1.0 + 1.0 / 16.0;

@@ -16,10 +16,13 @@
 #   release   Release build, full test suite (the tier-1 gate).
 #             Besides the unit tests, ctest pins the quick kernel
 #             matrix's exact work counts and final-registry digests
-#             (KernelDeterminism.QuickMatrixWorkAndRegistryPinned)
-#             and runs the resumable-sweep differential on
+#             (KernelDeterminism.QuickMatrixWorkAndRegistryPinned),
+#             runs the resumable-sweep differential on
 #             bench/sweeps/nightly.sweep
-#             (profess_sweep_resume_differential).
+#             (profess_sweep_resume_differential) and the allocation
+#             gate (tests/test_alloc.cc: no host allocation after
+#             warm-up, per built-in policy on one single-core and
+#             one quad-core mix).
 #   figures   The figure set at default size, the one command that
 #             regenerates every figure and table: each spec under
 #             bench/sweeps/ (but the test grid nightly.sweep) through
@@ -44,9 +47,8 @@
 #             .github/workflows/ci.yml).
 #   analyze   Correctness tooling: scripts/profess_analyze, cut to
 #             the rules no runtime gate covers (unordered iteration
-#             into output, hot-path reachability, hot-path headers,
-#             RNG, includes; zero findings required, SARIF written
-#             for code-scanning upload), clang-format in
+#             into output, RNG, includes; zero findings required,
+#             SARIF written for code-scanning upload), clang-format in
 #             check-only mode and clang-tidy over src/.  The clang
 #             tools are pinned in CI (see ci.yml) and a missing
 #             binary there is a hard failure — a silently skipped

@@ -1,6 +1,6 @@
 """CLI: python3 scripts/profess_analyze [paths...] [--sarif OUT].
 
-Exit status: 0 clean, 1 findings, 2 usage or waiver errors.
+Exit status: 0 clean, 1 findings, 2 usage errors.
 """
 
 import argparse
@@ -17,21 +17,17 @@ if __package__ in (None, ""):
 
 from . import __version__                       # noqa: E402
 from . import engine, sarif                     # noqa: E402
-from .waivers import WaiverError                # noqa: E402
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="profess_analyze",
-        description="ProFess determinism & hot-path analyzer")
+        description="ProFess determinism and include analyzer")
     ap.add_argument("paths", nargs="*",
                     help="files or directories (default: src tests "
                          "bench examples)")
     ap.add_argument("--sarif", metavar="OUT",
                     help="also write findings as SARIF 2.1.0")
-    ap.add_argument("--no-waivers", action="store_true",
-                    help="report raw findings, ignore "
-                         "lint_waivers.json")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule catalog and exit")
     ap.add_argument("--repo", default=None,
@@ -47,37 +43,21 @@ def main(argv=None):
     repo = args.repo or os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
 
-    try:
-        res = engine.analyze(repo, paths=args.paths or None,
-                             use_waivers=not args.no_waivers)
-    except WaiverError as e:
-        print("profess_analyze: waiver error: %s" % e,
-              file=sys.stderr)
-        return 2
-
-    for f in res.kept:
+    findings = engine.analyze(repo, paths=args.paths or None)
+    for f in findings:
         print(f.render())
 
-    errors = len(res.kept)
-    for w in res.stale_waivers:
-        print("profess_analyze: stale waiver (matched nothing): "
-              "[%s] %s -- remove it" % (w.rule, w.path),
-              file=sys.stderr)
-    if res.stale_waivers:
-        return 2
-
     if args.sarif:
-        sarif.write(args.sarif, res.kept, engine.ALL_RULES,
+        sarif.write(args.sarif, findings, engine.ALL_RULES,
                     __version__)
 
-    if errors:
-        print("profess_analyze: %d finding(s) (%d waived)"
-              % (errors, len(res.waived)), file=sys.stderr)
+    if findings:
+        print("profess_analyze: %d finding(s)" % len(findings),
+              file=sys.stderr)
         return 1
-    print("profess_analyze: clean (%d file(s), %d rule(s), "
-          "%d waived)" % (len(engine.source_files(
-              repo, args.paths or None)), len(engine.ALL_RULES),
-              len(res.waived)), file=sys.stderr)
+    print("profess_analyze: clean (%d file(s), %d rule(s))"
+          % (len(engine.source_files(repo, args.paths or None)),
+             len(engine.ALL_RULES)), file=sys.stderr)
     return 0
 
 

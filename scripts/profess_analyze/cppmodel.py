@@ -3,16 +3,14 @@
 Built from the token stream (lexer.py), one TU per source file:
 
   classes         name -> ClassInfo: member declarations (name ->
-                  type text), virtual method names, base classes
-  functions       every function definition with its qualified
-                  name, body token extent, enclosing class and call
-                  sites (callee name + receiver member, if any)
+                  type text)
+  functions       every function definition with its name and body
+                  token extent
 
 The parser is heuristic -- a scope stack driven by brace matching,
-good enough for this codebase's uniform style -- and deliberately
-over-approximates: rules built on it must tolerate an occasional
-unresolved call, never a missed extent.  Everything is line-
-addressed so findings point at real source lines.
+good enough for this codebase's uniform style -- and would rather
+take a brace for a function body than miss one.  Everything is
+line-addressed so findings point at real source lines.
 """
 
 from .lexer import Tok, tokenize
@@ -37,33 +35,14 @@ class ClassInfo:
     def __init__(self, name, line):
         self.name = name
         self.line = line
-        self.bases = []            # base class names (last id each)
         self.members = {}          # member name -> type text
-        self.virtual_methods = set()
-
-
-class Call:
-    """One call site inside a function body."""
-
-    __slots__ = ("name", "receiver", "line")
-
-    def __init__(self, name, receiver, line):
-        self.name = name          # callee (last identifier)
-        self.receiver = receiver  # receiver id before . / -> or None
-        self.line = line
 
 
 class Function:
-    def __init__(self, name, cls, line):
+    def __init__(self, name, line):
         self.name = name          # unqualified
-        self.cls = cls            # enclosing/qualifying class or None
         self.line = line
         self.body = (0, 0)        # [start, end) token indices
-        self.calls = []           # [Call]
-
-    @property
-    def qualified(self):
-        return "%s::%s" % (self.cls, self.name) if self.cls else self.name
 
 
 class TU:
@@ -116,13 +95,13 @@ class _Parser:
         self.toks = tu.tokens
 
     def parse(self):
-        self._scan_scope(0, len(self.toks), cls=None)
+        self._scan_scope(0, len(self.toks))
 
     # ------------------------------------------------------------
     # Scope scanning
     # ------------------------------------------------------------
 
-    def _scan_scope(self, i, end, cls):
+    def _scan_scope(self, i, end):
         """Scan [i, end) at namespace/class scope."""
         toks = self.toks
         while i < end:
@@ -137,13 +116,12 @@ class _Parser:
                     j += 1
                 if j < end and toks[j].text == "{":
                     close = _match_brace(toks, j)
-                    self._scan_scope(j + 1, close - 1, cls)
+                    self._scan_scope(j + 1, close - 1)
                     i = close
                     continue
                 i = j + 1
                 continue
-            if (t.kind == Tok.ID and t.text in ("class", "struct")
-                    and cls is None):
+            if t.kind == Tok.ID and t.text in ("class", "struct"):
                 nxt = self._class_def(i, end)
                 if nxt is not None:
                     i = nxt
@@ -161,8 +139,7 @@ class _Parser:
                 # Stray brace (extern "C", initializer...): skip.
                 i = _match_brace(toks, i)
                 continue
-            nxt = self._function_or_decl(i, end, cls)
-            i = nxt
+            i = self._function_or_decl(i, end)
 
     def _class_def(self, i, end):
         """Parse class/struct definition at toks[i]; None if a
@@ -176,13 +153,8 @@ class _Parser:
         j += 1
         info = ClassInfo(name, toks[i].line)
         if j < end and toks[j].text == ":":
-            j += 1
-            while j < end and toks[j].text != "{":
-                if toks[j].kind == Tok.ID and toks[j].text not in (
-                        "public", "private", "protected", "virtual"):
-                    info.bases.append(toks[j].text)
+            while j < end and toks[j].text != "{":  # base list
                 j += 1
-            # keep only last id per base path (A::B -> B kept anyway)
         if j >= end or toks[j].text != "{":
             return None  # forward decl / variable of elaborated type
         close = _match_brace(toks, j)
@@ -218,64 +190,37 @@ class _Parser:
                 continue
             # statement: up to ';' or a brace-bodied member function
             stmt_start = i
-            is_virtual = False
             j = i
-            depth_guard = 0
             while j < end:
                 tj = toks[j]
-                if tj.kind == Tok.ID and tj.text == "virtual":
-                    is_virtual = True
                 if tj.text == "(":
                     j = _match_paren(toks, j)
                     continue
-                if tj.text == "{":
+                if tj.text in ("{", ";"):
                     break
-                if tj.text == ";":
-                    break
-                if tj.text == "=":
-                    # default member init or = 0 / = default
-                    pass
                 j += 1
-                depth_guard += 1
-                if depth_guard > 100000:
-                    break
             if j >= end:
                 break
             if toks[j].text == "{":
                 # member function definition (or braced init).
-                fn = self._try_function(stmt_start, j, info.name)
+                fn = self._try_function(stmt_start, j)
                 close = _match_brace(toks, j)
                 if fn is not None:
                     fn.body = (j + 1, close - 1)
-                    self._scan_body(fn)
                     self.tu.functions.append(fn)
-                    if is_virtual:
-                        info.virtual_methods.add(fn.name)
                 i = close
                 if i < end and toks[i].text == ";":
                     i += 1
                 continue
             # plain declaration ending at ';'
-            self._class_member_decl(stmt_start, j, info, is_virtual)
+            self._class_member_decl(stmt_start, j, info)
             i = j + 1
 
-    def _class_member_decl(self, i, end, info, is_virtual):
-        """Member variable or method declaration in [i, end)."""
+    def _class_member_decl(self, i, end, info):
+        """Member variable declaration in [i, end); methods are
+        skipped."""
         toks = self.toks
-        # method declaration: name '(' ... ')'
-        k = i
-        paren = None
-        while k < end:
-            if toks[k].text == "(":
-                paren = k
-                break
-            k += 1
-        if paren is not None:
-            # name before '(' is the method
-            m = paren - 1
-            if m >= i and toks[m].kind == Tok.ID:
-                if is_virtual or self._is_virtual_decl(i, paren):
-                    info.virtual_methods.add(toks[m].text)
+        if any(toks[k].text == "(" for k in range(i, end)):
             return
         # variable: last id before '=' / '{' / end is the name
         stop = end
@@ -299,17 +244,11 @@ class _Parser:
             return
         info.members[name] = type_text
 
-    def _is_virtual_decl(self, i, paren):
-        for k in range(i, paren):
-            if self.toks[k].text == "virtual":
-                return True
-        return False
-
     # ------------------------------------------------------------
     # Function definitions at namespace scope
     # ------------------------------------------------------------
 
-    def _function_or_decl(self, i, end, cls):
+    def _function_or_decl(self, i, end):
         """At namespace scope: one declaration/definition starting
         at i.  @return index after it."""
         toks = self.toks
@@ -324,13 +263,11 @@ class _Parser:
                 # function?  skip trailer to '{' / ';' / '='
                 k = self._skip_fn_trailer(j, end)
                 if k < end and toks[k].text == "{":
-                    fn = self._try_function(i, k, None)
+                    fn = self._try_function(i, k)
                     close = _match_brace(toks, k)
                     if fn is not None:
                         fn.body = (k + 1, close - 1)
-                        self._scan_body(fn)
                         self.tu.functions.append(fn)
-                        return close
                     return close
                 if k < end and toks[k].text == ";":
                     return k + 1
@@ -386,7 +323,7 @@ class _Parser:
             return j
         return j
 
-    def _try_function(self, i, brace, cls):
+    def _try_function(self, i, brace):
         """Declaration tokens [i, brace) end in ')' (+trailer); build
         a Function if a name can be extracted."""
         toks = self.toks
@@ -416,30 +353,4 @@ class _Parser:
         name = toks[m].text
         if name in KEYWORDS or name in _TYPE_QUALIFIERS:
             return None
-        qual = cls
-        if m >= 2 and toks[m - 1].text == "::" and \
-                toks[m - 2].kind == Tok.ID:
-            qual = toks[m - 2].text
-        return Function(name, qual, toks[m].line)
-
-    # ------------------------------------------------------------
-    # Function bodies: call sites
-    # ------------------------------------------------------------
-
-    def _scan_body(self, fn):
-        toks = self.toks
-        start, end = fn.body
-        for i in range(start, end):
-            t = toks[i]
-            if t.kind == Tok.ID and i + 1 < end and \
-                    toks[i + 1].text == "(" and t.text not in KEYWORDS:
-                recv = None
-                if i >= 2 and toks[i - 1].text in (".", "->"):
-                    recv = self._receiver_chain(i - 2, start)
-                fn.calls.append(Call(t.text, recv, t.line))
-
-    def _receiver_chain(self, i, start):
-        """Identifier (last link) of the receiver ending at toks[i]."""
-        if i >= start and self.toks[i].kind == Tok.ID:
-            return self.toks[i].text
-        return None  # call-chained receiver (or none): unresolvable
+        return Function(name, toks[m].line)

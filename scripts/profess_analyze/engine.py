@@ -1,11 +1,9 @@
-"""File walker, rule runner and waiver application."""
+"""File walker and rule runner."""
 
 import os
 
 from . import rules_determinism
-from . import rules_hotpath
 from . import rules_lint
-from . import waivers as waivers_mod
 from .cppmodel import TU
 from .rules_base import Context
 
@@ -16,8 +14,7 @@ SOURCE_DIRS = ("src", "tests", "bench", "examples")
 #: fixture test driver, never by the default repo scan.
 EXCLUDE_PREFIXES = ("tests/analyzer_fixtures/",)
 
-ALL_RULES = (rules_lint.RULES + rules_determinism.RULES +
-             rules_hotpath.RULES)
+ALL_RULES = rules_lint.RULES + rules_determinism.RULES
 
 
 def source_files(repo, paths=None):
@@ -65,46 +62,17 @@ def build_context(repo, files):
     return Context(repo, tus)
 
 
-def run_rules(ctx, rules=None):
-    """@return raw findings (before waivers), sorted by location."""
-    rules = ALL_RULES if rules is None else rules
+def run_rules(ctx):
+    """@return findings, sorted by location."""
     findings = []
     for rel in sorted(ctx.tus):
-        tu = ctx.tus[rel]
-        for rule in rules:
-            for f in rule.check_tu(tu, ctx):
-                if not f.line_text:
-                    f.line_text = ctx.line_text(tu, f.line)
-                findings.append(f)
-    for rule in rules:
-        for f in rule.check_program(ctx):
-            tu = ctx.tus.get(f.path)
-            if tu is not None and not f.line_text:
-                f.line_text = ctx.line_text(tu, f.line)
-            findings.append(f)
+        for rule in ALL_RULES:
+            findings += rule.check_tu(ctx.tus[rel], ctx)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings
 
 
-class Result:
-    def __init__(self, kept, waived, stale_waivers):
-        self.kept = kept
-        self.waived = waived
-        self.stale_waivers = stale_waivers
-
-
-def analyze(repo, paths=None, use_waivers=True, rules=None,
-            today=None):
-    """Full pipeline.  Raises waivers_mod.WaiverError on malformed
-    or expired waivers."""
-    files = source_files(repo, paths)
-    ctx = build_context(repo, files)
-    raw = run_rules(ctx, rules)
-    if not use_waivers:
-        return Result(raw, [], [])
-    ws = waivers_mod.load(repo, today=today)
-    kept, waived = waivers_mod.apply(ws, raw)
-    # Only report staleness on full-repo scans: a path-restricted
-    # run legitimately never reaches most waived files.
-    stale_list = waivers_mod.stale(ws) if not paths else []
-    return Result(kept, waived, stale_list)
+def analyze(repo, paths=None):
+    """Full pipeline: @return the findings over `paths` (default:
+    SOURCE_DIRS)."""
+    return run_rules(build_context(repo, source_files(repo, paths)))

@@ -182,8 +182,7 @@ class UnorderedIterRule(Rule):
             self.name, tu.path, line,
             "iterating unordered container '%s' feeds "
             "order-sensitive sink %s; iterate a sorted copy (or "
-            "collect + std::sort first)" % (container, what),
-            "" )
+            "collect + std::sort first)" % (container, what))
 
     def _find_sink(self, toks, start, end, fn_end):
         for j in range(start, end):

@@ -1,10 +1,11 @@
 """Line rules absorbed from the old scripts/lint_profess.py.
 
-hotpath-heap, rng, include-hygiene and include-order keep their
-names and semantics, re-hosted on the analyzer's Finding/waiver
-machinery.  Statistic names need no rule: StatRegistry's
-registration (common/telemetry.cc) panics on a malformed or
-duplicate name.
+rng, include-hygiene and include-order keep their names and
+semantics, re-hosted on the analyzer's Finding machinery.
+Statistic names need no rule: StatRegistry's registration
+(common/telemetry.cc) panics on a malformed or duplicate name, and
+hot-path heap use needs none either: tests/test_alloc.cc counts
+the allocations of every built-in policy's run after warm-up.
 """
 
 import os
@@ -13,19 +14,7 @@ import re
 from .lexer import strip_comments
 from .rules_base import Finding, Rule
 
-HOT_PATH_HEADERS = [
-    "src/common/event.hh",
-    "src/common/pool.hh",
-    "src/common/inline_function.hh",
-    "src/core/mdm.hh",
-]
-
 RNG_HOME = "src/common/rng.hh"
-
-BANNED_HEAP_RE = re.compile(
-    r"std::function"
-    r"|(?<!:)\bnew\b(?!\s*\()"  # plain new; "::new (addr)" is ok
-    r"|\bmake_unique\b|\bmake_shared\b|\bmalloc\s*\(")
 
 BANNED_RNG_RE = re.compile(
     r"\b(?:s?rand)\s*\("
@@ -34,25 +23,6 @@ BANNED_RNG_RE = re.compile(
 
 GUARD_RE = re.compile(r"^#ifndef\s+(\w+)\s*$", re.M)
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+["<]([^">]+)[">]')
-
-
-class HotPathHeapRule(Rule):
-    name = "hotpath-heap"
-    description = ("Hot-path headers must not introduce "
-                   "std::function or heap allocation")
-
-    def check_tu(self, tu, ctx):
-        if tu.path not in HOT_PATH_HEADERS:
-            return
-        code = strip_comments(tu.text)
-        for lineno, line in enumerate(code.splitlines(), 1):
-            if line.lstrip().startswith("#"):
-                continue
-            m = BANNED_HEAP_RE.search(line)
-            if m:
-                yield Finding(self.name, tu.path, lineno,
-                              "'%s' in hot-path header" % m.group(0),
-                              line)
 
 
 class RngRule(Rule):
@@ -70,7 +40,7 @@ class RngRule(Rule):
                 yield Finding(
                     self.name, tu.path, lineno,
                     "'%s' outside %s (use common/rng.hh)"
-                    % (m.group(0).strip(), RNG_HOME), line)
+                    % (m.group(0).strip(), RNG_HOME))
 
 
 class IncludeHygieneRule(Rule):
@@ -88,11 +58,10 @@ class IncludeHygieneRule(Rule):
             target = m.group(1)
             if target.startswith("../"):
                 yield Finding(self.name, path, lineno,
-                              "relative '../' include", line)
+                              "relative '../' include")
             if target == "bits/stdc++.h":
                 yield Finding(self.name, path, lineno,
-                              "<bits/stdc++.h> is non-standard",
-                              line)
+                              "<bits/stdc++.h> is non-standard")
 
         if path.startswith("src/") and path.endswith(".hh"):
             rel = path[len("src/"):-len(".hh")]
@@ -106,7 +75,7 @@ class IncludeHygieneRule(Rule):
                 lineno = raw.count("\n", 0, m.start()) + 1
                 yield Finding(self.name, path, lineno,
                               "header guard %s; expected %s"
-                              % (m.group(1), want), m.group(0))
+                              % (m.group(1), want))
 
         if path.startswith("src/") and path.endswith(".cc"):
             own = path[len("src/"):-len(".cc")] + ".hh"
@@ -119,7 +88,7 @@ class IncludeHygieneRule(Rule):
                         yield Finding(
                             self.name, path, lineno,
                             "own header \"%s\" must be the first "
-                            "include" % own, line)
+                            "include" % own)
                     break
 
 
@@ -144,7 +113,7 @@ class IncludeOrderRule(Rule):
             m = INCLUDE_RE.match(line)
             if m:
                 style = "<" if line.strip().endswith(">") else '"'
-                current.append((lineno, style, m.group(1), line))
+                current.append((lineno, style, m.group(1)))
             elif current:
                 blocks.append(current)
                 current = []
@@ -155,24 +124,22 @@ class IncludeOrderRule(Rule):
             if (own is not None and len(block) == 1
                     and block[0][2] == own):
                 continue
-            styles = {style for _, style, _, _ in block}
+            styles = {style for _, style, _ in block}
             if len(styles) > 1:
-                lineno, _, _, line = block[0]
-                yield Finding(self.name, path, lineno,
+                yield Finding(self.name, path, block[0][0],
                               "include block mixes <angle> and "
                               "\"quote\" styles; split into "
-                              "separate blocks", line)
-            targets = [t for _, _, t, _ in block]
+                              "separate blocks")
+            targets = [t for _, _, t in block]
             if targets != sorted(targets):
                 for i in range(1, len(block)):
                     if block[i][2] < block[i - 1][2]:
-                        lineno, _, target, line = block[i]
+                        lineno, _, target = block[i]
                         yield Finding(
                             self.name, path, lineno,
                             "'%s' breaks case-sensitive sort "
                             "order (after '%s')"
-                            % (target, block[i - 1][2]), line)
+                            % (target, block[i - 1][2]))
 
 
-RULES = [HotPathHeapRule(), RngRule(), IncludeHygieneRule(),
-         IncludeOrderRule()]
+RULES = [RngRule(), IncludeHygieneRule(), IncludeOrderRule()]

@@ -39,6 +39,7 @@ Channel::Channel(EventQueue &eq, const TimingParams &m1t,
     nextRefresh_ = m1t_.tREFI == 0 ? tickNever : m1t_.tREFI;
     readQ_.reserve(64);
     writeQ_.reserve(64);
+    swapQ_.reserve(16);
 }
 
 Channel::~Channel()
@@ -76,8 +77,8 @@ Channel::executeSwap(Addr m1_addr, Addr m2_addr,
                      std::uint64_t block_bytes,
                      InlineCallback done, bool slow)
 {
-    swapQ_.push_back(PendingSwap{m1_addr, m2_addr, block_bytes,
-                                 std::move(done), slow});
+    swapQ_.push(PendingSwap{m1_addr, m2_addr, block_bytes,
+                            std::move(done), slow});
     trySchedule();
 }
 
@@ -107,8 +108,8 @@ Channel::dropQueued()
         q->clear();
     }
     swapQ_.clear();
-    for (InlineCallback &done : activeSwapDones_)
-        done = nullptr;
+    for (std::size_t i = 0; i < activeSwapDones_.size(); ++i)
+        activeSwapDones_[i] = nullptr;
 }
 
 void
@@ -287,8 +288,7 @@ Channel::startSwap()
 {
     Tick now = eq_.now();
     Tick start = std::max(now, busFreeAt_);
-    PendingSwap s = std::move(swapQ_.front());
-    swapQ_.pop_front();
+    PendingSwap s = swapQ_.pop();
 
     Cycles dur = swapLatency(s.blockBytes);
     if (s.slow)
@@ -332,10 +332,9 @@ Channel::startSwap()
     open_row(bankIndex(Module::M1, d1.bank), d1.row);
     open_row(bankIndex(Module::M2, d2.bank), d2.row);
 
-    activeSwapDones_.push_back(std::move(s.done));
+    activeSwapDones_.push(std::move(s.done));
     eq_.schedule(end, [this]() {
-        InlineCallback done = std::move(activeSwapDones_.front());
-        activeSwapDones_.pop_front();
+        InlineCallback done = activeSwapDones_.pop();
         if (done)
             done();
         trySchedule();

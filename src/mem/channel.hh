@@ -43,13 +43,13 @@
 #define PROFESS_MEM_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/fifo.hh"
 #include "common/inline_function.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -325,7 +325,10 @@ class Channel
      *  FR-FCFS-Cap hit now, or noRow (see updateHitRow). */
     std::vector<std::uint32_t> hitRow_;
     std::vector<Queued> readQ_, writeQ_;
-    std::deque<PendingSwap> swapQ_;
+    /** Swaps awaiting the channel, reserved for 16 like the request
+     *  queues for 64; MemPod's and the OS baseline's interval bursts
+     *  (up to 64 swaps) grow it. */
+    Fifo<PendingSwap> swapQ_;
 
     Tick busFreeAt_ = 0;
     bool lastBusWrite_ = false;
@@ -345,7 +348,7 @@ class Channel
      *  completion event captures only `this` and pops the front.
      *  Usually one entry; two when a successor starts at the same
      *  tick an older event fires. */
-    std::deque<InlineCallback> activeSwapDones_;
+    Fifo<InlineCallback> activeSwapDones_;
 
     StatSet stats_;
     RunningStat readLat_;

@@ -145,7 +145,9 @@ class PageAllocator : public BlockOwnerOracle
      * probing over a power-of-two slot array that starts small and
      * doubles when half full.  A program maps only ~10^3 pages, so
      * a lookup touches one or two cache lines; vpages may be any
-     * 64-bit value (trace files map sparse addresses).
+     * 64-bit value (trace files map sparse addresses).  The
+     * allocation gate (tests/test_alloc.cc) restates the start size
+     * and growth rule to count the doublings a run may allocate.
      */
     class PageTable
     {

@@ -21,7 +21,6 @@
 #define PROFESS_POLICY_MEMPOD_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "policy/policy.hh"
@@ -80,10 +79,16 @@ class MemPodPolicy : public MigrationPolicy
         return group * hybrid::maxSlots + slot;
     }
 
-    struct Pod
+    /** One MEA counter: a tracked block and its count. */
+    struct Counter
     {
-        std::unordered_map<BlockKey, std::uint32_t> counters;
+        BlockKey key;
+        std::uint32_t count;
     };
+
+    /** A pod's counters, in no order: at most countersPerPod, all
+     *  reserved at construction. */
+    using Pod = std::vector<Counter>;
 
     Params params_;
     unsigned channels_;

@@ -1,7 +1,6 @@
 #include "sim/experiment.hh"
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <type_traits>
@@ -374,15 +373,6 @@ ExperimentRunner::runMulti(const std::string &policy,
     std::vector<std::string> programs(workload.programs.begin(),
                                       workload.programs.end());
     return withSlowdowns(run(policy, programs, seed_base, workload.name));
-}
-
-std::string
-percentDelta(double ratio)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%+.1f%%",
-                  (ratio - 1.0) * 100.0);
-    return buf;
 }
 
 } // namespace sim

@@ -252,9 +252,6 @@ class ExperimentRunner
     AloneIpcCache *cache_;
 };
 
-/** Format a ratio as "+12.3%" / "-4.5%" (reporting helper). */
-std::string percentDelta(double ratio);
-
 } // namespace sim
 
 } // namespace profess

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/common: RNG, statistics, key=value parsing,
- * event queue, inline callbacks, fast division.
+ * event queue, inline callbacks, FIFO, fast division.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "common/event.hh"
 #include "common/fastdiv.hh"
+#include "common/fifo.hh"
 #include "common/inline_function.hh"
 #include "common/key_value.hh"
 #include "common/rng.hh"
@@ -450,6 +451,44 @@ TEST(InlineFunction, EventQueueRunsEveryKind)
         EXPECT_EQ(live, 1);
     }
     EXPECT_EQ(live, 0); // so are pending ones, with the queue
+}
+
+TEST(Fifo, WrapsGrowsInFlightAndKeepsOrder)
+{
+    Fifo<std::unique_ptr<int>> q; // move-only, like InlineCallback
+    int next = 0, expect = 0;
+    auto pop = [&]() {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(*q.pop(), expect++);
+    };
+    // Wrap around the first ring: the head walks past its end.
+    for (int round = 0; round < 6; ++round) {
+        q.push(std::make_unique<int>(next++));
+        q.push(std::make_unique<int>(next++));
+        pop();
+        pop();
+    }
+    EXPECT_EQ(q.capacity(), 4u);
+    // Fill it with the head mid-ring, then grow twice while
+    // elements are in flight.
+    q.push(std::make_unique<int>(next++));
+    pop();
+    for (int i = 0; i < 11; ++i)
+        q.push(std::make_unique<int>(next++));
+    EXPECT_EQ(q.capacity(), 16u);
+    EXPECT_EQ(q.size(), 11u);
+    EXPECT_EQ(*q[0], expect);
+    EXPECT_EQ(*q[10], expect + 10);
+    while (!q.empty())
+        pop();
+    EXPECT_EQ(expect, next);
+    // The storage stays: refilling to the old depth does not grow.
+    for (int i = 0; i < 16; ++i)
+        q.push(std::make_unique<int>(next++));
+    EXPECT_EQ(q.capacity(), 16u);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.capacity(), 16u);
 }
 
 TEST(FastDivMod, MatchesHardwareDivision)

@@ -227,9 +227,3 @@ TEST(Workloads, W09MatchesPaper)
     EXPECT_STREQ(w->programs[2], "lbm");
     EXPECT_STREQ(w->programs[3], "GemsFDTD");
 }
-
-TEST(Experiment, PercentDelta)
-{
-    EXPECT_EQ(percentDelta(1.15), "+15.0%");
-    EXPECT_EQ(percentDelta(0.9), "-10.0%");
-}
